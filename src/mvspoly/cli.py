@@ -590,6 +590,8 @@ def main(argv=None) -> int:
     if getattr(args, "guard_max", 0) > HARD_GUARD_MAX:
         args.guard_max = HARD_GUARD_MAX
     try:
+        if getattr(args, "guard_max", 0) < 0:
+            raise InputError("--guard-max must be >= 0")
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

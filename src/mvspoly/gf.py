@@ -38,11 +38,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dense F_p[y] helpers, only used to find and apply the modulus
 # ---------------------------------------------------------------------------
@@ -440,17 +435,18 @@ class FieldCtx:
         M = self.Q - 1
         if self.use_table:
             a = self._log[alpha]
-            g = __import__("math").gcd(e, M)
+            g = math.gcd(e, M)
             if a % g != 0:
                 return None
             ee, aa, mm = e // g, a // g, M // g
             j = (aa * pow(ee, -1, mm)) % mm
             return self._exp[j]
+        gen = self._find_generator()
         cur = self.one
         for _ in range(M):
             if self.pow_elem(cur, e) == alpha:
                 return cur
-            cur = self.mul(cur, self.generator or self.elements()[1])
+            cur = self.mul(cur, gen)
         return None
 
     # -- text forms -----------------------------------------------------------

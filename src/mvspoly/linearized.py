@@ -213,14 +213,36 @@ def splits_and_separable(ctx, a: AdditivePoly) -> bool:
     return ctx.q ** t == ctx.p ** (aq.base * aq.tau_deg())
 
 
+STAR_REFUSAL = "lift pipeline needs a monic split separable A of degree > 2"
+
+
+class SplitAdditive:
+    """A q-additive polynomial checked against the standing hypothesis of the
+    lift: monic, degree > 2, c_0 != 0 (separable), and split over the
+    ambient field.  The constructor is the one place that checks it, and it
+    keeps the F_q-basis of the root space from its single kernel call."""
+
+    def __init__(self, ctx, a: AdditivePoly):
+        aq = as_context_base(ctx, a)
+        if (aq.is_zero() or aq.coeffs[-1] != ctx.one or ctx.q ** aq.tau_deg() <= 2
+                or aq.coeffs[0] == ctx.zero):
+            raise InputError(STAR_REFUSAL)
+        basis, t = kernel(ctx, aq)
+        if t != aq.tau_deg():
+            raise InputError(STAR_REFUSAL)
+        self.a = aq          # at the context level
+        self.basis = basis
+        self.t = t
+
+
 def is_star(ctx, a: AdditivePoly) -> bool:
     """Monic, separable, degree > 2, splits over the ambient field."""
     aq = as_context_base(ctx, a)
-    if aq.is_zero() or aq.coeffs[-1] != ctx.one:
+    try:
+        SplitAdditive(ctx, aq)
+    except InputError:
         return False
-    if ctx.q ** aq.tau_deg() <= 2:
-        return False
-    return splits_and_separable(ctx, aq)
+    return True
 
 
 def subspace_poly(ctx, vectors) -> AdditivePoly:
@@ -255,20 +277,16 @@ def _binomial_admissible(ctx, d: int, alpha) -> bool:
     return ctx.q ** d == 2 and alpha == ctx.one
 
 
-def minimal_binomial_multiple(ctx, a: AdditivePoly):
+def minimal_binomial_multiple(ctx, sa: SplitAdditive):
     """Least d | n with an alpha making A divide x^(q^d) - alpha*x while the
     binomial still splits; alpha = rho^(q^d - 1) for any nonzero kernel
     element rho, checked consistent across a kernel basis."""
-    aq = as_context_base(ctx, a)
-    if not is_star(ctx, aq):
-        raise InputError("minimal binomial multiple needs a monic split separable A of degree > 2")
-    basis, t = kernel(ctx, aq)
-    rho = basis[0]
+    rho = sa.basis[0]
     for d in sorted(d for d in range(1, ctx.n + 1) if ctx.n % d == 0):
         alpha = ctx.pow_elem(rho, ctx.q ** d - 1)
         if not _binomial_admissible(ctx, d, alpha):
             continue
-        if all(ctx.frobenius(b, d) == ctx.mul(alpha, b) for b in basis):
+        if all(ctx.frobenius(b, d) == ctx.mul(alpha, b) for b in sa.basis):
             return d, alpha
     raise AssertionError("d = n always admits alpha = 1")
 
@@ -283,16 +301,13 @@ class LiftWitness:
     t: int
 
 
-def factor_through_binomial(ctx, a: AdditivePoly, d: int, alpha) -> LiftWitness:
+def factor_through_binomial(ctx, sa: SplitAdditive, d: int, alpha) -> LiftWitness:
     """Solve x^(q^d) - alpha*x = gamma * A(M(x)) constructively.
 
     The problem is first scaled monic with a beta satisfying
     beta^(q^d - 1) = alpha, solved by twisted left division, then unscaled;
     the witness identity is verified by full expansion before returning."""
-    aq = as_context_base(ctx, a)
-    if not is_star(ctx, aq):
-        raise InputError("factorization needs a monic split separable A of degree > 2")
-    t = aq.tau_deg()
+    aq, t = sa.a, sa.t
     beta = ctx.solve_power(alpha, ctx.q ** d - 1)
     if beta is None:
         raise InputError("alpha is not a (q^d - 1)-th power; the binomial does not split")

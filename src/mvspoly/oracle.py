@@ -18,7 +18,7 @@ from . import mvsp
 from . import poly
 from . import wspace
 from .errors import GuardError, InputError
-from .linalg import rank_mod
+from .linalg import rank_gf2, rank_mod
 
 FUNCTION_SCAN_GUARD = 1 << 20
 POLY_SCAN_GUARD = 1 << 22
@@ -167,30 +167,59 @@ def linear_dim_w(ctx, a: lin.AdditivePoly, guard=DIM_GUARD) -> int:
     D = (ctx.Q - 1) // (ctx.q ** t - 1)
     if D * ctx.N > guard:
         raise GuardError(f"operator on {D * ctx.N} coordinates refused")
-    columns = []
-    exps = set()
-    for e in range(D + 1):
-        for j in range(ctx.N):
-            u = tuple(1 if i == j else 0 for i in range(ctx.N))
-            img = lin.apply_poly(ctx, aq, {e: u})
-            if e % ctx.p:
-                c = ctx.mul(theta, ctx.smul(e, u))
-                img = poly.sub(ctx, img, {ctx.Q + e - 1: c})
-                img = poly.add(ctx, img, {e: c} if e else {})
-            columns.append(img)
-            exps.update(img)
-    exps = sorted(exps)
-    pos = {e: i for i, e in enumerate(exps)}
-    nrows = len(exps) * ctx.N
-    matrix = [[0] * len(columns) for _ in range(nrows)]
-    for ci, img in enumerate(columns):
-        for e, c in img.items():
-            base = pos[e] * ctx.N
-            for r, digit in enumerate(c):
-                matrix[base + r][ci] = digit
-    nullity = len(columns) - rank_mod(matrix, ctx.p)
+    columns = list(_operator_columns(ctx, aq, theta, D))
+    nullity = len(columns) - _rank(ctx, columns)
     assert nullity % ctx.k == 0
     return nullity // ctx.k
+
+
+def _operator_columns(ctx, aq, theta, D):
+    """The operator on the F_p-basis u*x^e (u = y^j, 0 <= e <= D), one column
+    per basis vector as a list of (exponent, coefficient) terms; exponents
+    may repeat and their terms add.  A(u*x^e) = sum_i c_i*u^(p^(base*i)) *
+    x^(e*p^(base*i)), so the products c_i*u^(p^(base*i)) are formed once per
+    unit u; theta*(x^Q - x)*(u*x^e)' = e*theta*u*(x^(Q+e-1) - x^e)."""
+    step = ctx.p ** aq.base
+    per_unit = []
+    for j in range(ctx.N):
+        u = ctx.elem_from_int(ctx.p ** j)
+        terms = [(step ** i, ctx.mul(c, ctx.frobenius_p(u, aq.base * i)))
+                 for i, c in enumerate(aq.coeffs) if c != ctx.zero]
+        per_unit.append((terms, ctx.mul(theta, u)))
+    for e in range(D + 1):
+        for terms, theta_u in per_unit:
+            col = [(e * s, c) for s, c in terms]
+            if e % ctx.p:
+                c = ctx.smul(e, theta_u)
+                col += [(ctx.Q + e - 1, ctx.neg(c)), (e, c)]
+            yield col
+
+
+def _rank(ctx, columns) -> int:
+    """F_p-rank of the columns: at p = 2 each column is packed into one int
+    (the N digits of the coefficient at the i-th distinct exponent fill bits
+    i*N .. i*N + N - 1, so adding terms is XOR); at odd p the digits are
+    summed into a numpy matrix with one row per (exponent, digit)."""
+    N = ctx.N
+    pos = {}
+    if ctx.p == 2:
+        packed = []
+        for col in columns:
+            v = 0
+            for e, c in col:
+                v ^= ctx.elem_to_int(c) << (N * pos.setdefault(e, len(pos)))
+            packed.append(v)
+        return rank_gf2(packed)
+    import numpy as np
+    for col in columns:
+        for e, _ in col:
+            pos.setdefault(e, len(pos))
+    matrix = np.zeros((len(pos) * N, len(columns)), dtype=np.int64)
+    for ci, col in enumerate(columns):
+        for e, c in col:
+            r = pos[e] * N
+            matrix[r:r + N, ci] += c
+    return rank_mod(matrix, ctx.p)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,12 @@ def from_text(ctx, s: str) -> dict:
             if xpart == "":
                 e = 1
             elif xpart.startswith("^"):
-                e = int(xpart[1:])
+                digits = xpart[1:].strip()
+                if not (digits.isascii() and digits.isdigit()):
+                    raise InputError(f"bad exponent in term {term!r}")
+                e = int(digits)
+                if e > EXP_LIMIT:
+                    raise InputError(f"exponent in term {term!r} exceeds 2^62")
             else:
                 raise InputError(f"bad term {term!r}")
         if sg < 0:

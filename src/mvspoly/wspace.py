@@ -65,6 +65,8 @@ def orbit_table(q: int, n: int) -> OrbitTable:
     """Necklace orbits of {0,1}^n under digit rotation, i.e. of 0/1-digit
     exponents under e -> q*e mod (q^n - 1).  The stored representative is
     the rotation with the smallest exponent value."""
+    if q < 2:
+        raise InputError("q must be at least 2")
     if n < 1:
         raise InputError("n must be positive")
     if n > ORBIT_GUARD:
@@ -115,8 +117,8 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     element beta_j of F_{q'^size}, emit the orbit trace
     sum_l (beta_j x^k)^(q'^l) reduced mod x^Q - x, then scale everything by
     a beta with beta^(q'-1) = alpha when alpha != 1."""
-    if ctx.n % d != 0:
-        raise InputError(f"d = {d} does not divide n = {ctx.n}")
+    if d < 1 or ctx.n % d != 0:
+        raise InputError(f"d = {d} is not a positive divisor of n = {ctx.n}")
     qd = ctx.q ** d
     if qd <= 2 and not (qd == 2 and alpha == ctx.one):
         raise InputError("binomial degree must exceed 2 (only x^2 - x at q = 2 is admitted)")
@@ -258,11 +260,9 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     rank is exactly d*2^(n/d) - d + t (the kernel of the map is the root
     space of M, which consists of constants), and every generator is
     re-verified against A by the Mills criterion."""
-    aq = lin.as_context_base(ctx, a)
-    if not lin.is_star(ctx, aq):
-        raise InputError("lift pipeline needs a monic split separable A of degree > 2")
-    d, alpha = lin.minimal_binomial_multiple(ctx, aq)
-    witness = lin.factor_through_binomial(ctx, aq, d, alpha)
+    sa = lin.SplitAdditive(ctx, a)
+    d, alpha = lin.minimal_binomial_multiple(ctx, sa)
+    witness = lin.factor_through_binomial(ctx, sa, d, alpha)
     wb = build_basis(ctx, d, alpha)
     raw = [poly.reduce_mod_field(ctx, lin.apply_poly(ctx, witness.M, b.elem))
            for b in wb.elems]
@@ -283,7 +283,7 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     bound = d * 2 ** (ctx.n // d) - d + witness.t
     if len(kept) != bound:
         raise AssertionError(f"lift rank {len(kept)} != expected {bound}")
-    asp = lin.to_sparse(ctx, aq)
+    asp = lin.to_sparse(ctx, sa.a)
     for g in kept:
         if not mvsp.mills_check(ctx, g, asp).is_member:
             raise AssertionError("lift generator failed verification")

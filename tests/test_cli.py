@@ -47,6 +47,36 @@ def test_verify_input_error():
     assert code == 2 and "input error" in err
 
 
+def assert_input_error(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("F", ["x^abc", "x^-3", "x^4^2", "x^99999999999999999999999"])
+def test_verify_bad_exponent_is_an_input_error(F):
+    assert_input_error(["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", F])
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--q", "0", "--n", "3"],
+    ["orbits", "--q", "1", "--n", "3"],
+    ["wspace", "orbits", "--q", "1", "--n", "3"],
+    ["basis", "--field", "2^6:1", "--binomial", "d=0"],
+    ["basis", "--field", "2^6:1", "--d", "0"],
+    ["basis", "--field", "2^6:1", "--d", "-2"],
+    ["enumerate", "--field", "2^6:1", "--binomial", "d=0"],
+    ["enumerate", "--field", "2^6:1", "--d", "0"],
+    ["enumerate", "--field", "2^2:1", "--d", "1", "--guard-max", "-1"],
+    ["oracle", "census", "--field", "2^2:1", "--guard-max", "-5"],
+    ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "x^9",
+     "--guard-max", "-1"],
+])
+def test_bad_arguments_are_refused(argv):
+    assert_input_error(argv)
+
+
 def test_basis_binomial_example():
     code, d = run_json(["basis", "--field", "2^6:1", "--binomial", "d=3,alpha=1"])
     assert code == 0 and d["dim"] == 12 and len(d["elements"]) == 12

@@ -155,6 +155,36 @@ def test_solve_power_scans_generator_first(f9):
     assert f9.solve_power(f9.one, 2) == f9.one
 
 
+@pytest.mark.parametrize("params", [(2, 1, 4), (2, 1, 6), (3, 1, 4)])
+def test_table_and_schoolbook_paths_agree(params):
+    table = FieldCtx(*params, use_table=True)
+    plain = FieldCtx(*params, use_table=False)
+    elems = table.elements()
+    M = table.Q - 1
+    exponents = (0, 1, 2, 3, 5, M - 1, M, M + 2)
+    for a in elems:
+        for b in elems:
+            assert table.mul(a, b) == plain.mul(a, b)
+        for e in exponents:
+            assert table.pow_elem(a, e) == plain.pow_elem(a, e)
+        if a == table.zero:
+            continue
+        assert table.inv(a) == plain.inv(a)
+        for e in (2, 3, 4, 5, 7):
+            assert table.solve_power(a, e) == plain.solve_power(a, e)
+
+
+def test_schoolbook_solve_power_finds_every_cube_root():
+    # F_16: x -> x^3 has image the 5 cubes; each must get a root back
+    plain = FieldCtx(2, 1, 4, use_table=False)
+    cubes = {plain.pow_elem(a, 3) for a in plain.elements()[1:]}
+    for alpha in plain.elements()[1:]:
+        beta = plain.solve_power(alpha, 3)
+        assert (beta is not None) == (alpha in cubes)
+        if beta is not None:
+            assert plain.pow_elem(beta, 3) == alpha
+
+
 def test_elem_text_roundtrip(f64):
     for i in (0, 1, 5, 63):
         a = f64.elem_from_int(i)

@@ -4,8 +4,9 @@ import pytest
 
 from mvspoly import linearized as L
 from mvspoly import poly as P
+from mvspoly import wspace as W
 from mvspoly.errors import InputError
-from mvspoly.gf import make_field
+from mvspoly.gf import make_field, parse_field_spec
 
 
 def rand_additive(ctx, rng, max_tau=3, monic=False):
@@ -184,6 +185,33 @@ def test_additivity_as_function(f64):
                 f64.mul(c, L.apply_elem(f64, a, x))
 
 
+# -- the checked split additive polynomial ------------------------------------
+
+def test_split_additive_keeps_its_kernel(f64):
+    a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
+    sa = L.SplitAdditive(f64, a)
+    assert sa.a == L.as_context_base(f64, a) and sa.t == 2
+    assert (sa.basis, sa.t) == L.kernel(f64, a)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("2^6:1", "g*x^4+x^2+x"),       # not monic
+    ("2^6:1", "x^2+x"),             # degree 2
+    ("2^6:1", "x"),                 # degree 1
+    ("2^6:1", "x^4+x^2"),           # c_0 = 0
+    ("2^2:1", "x^4+x^2+x"),         # roots lie in F_8, not F_4
+])
+def test_split_additive_refusals_match_the_lift(field, text):
+    ctx = parse_field_spec(field)
+    a = L.detect_additive(ctx, P.from_text(ctx, text))
+    with pytest.raises(InputError) as refused:
+        L.SplitAdditive(ctx, a)
+    with pytest.raises(InputError) as lifted:
+        W.lift_pipeline(ctx, a)
+    assert str(refused.value) == str(lifted.value) == L.STAR_REFUSAL
+    assert not L.is_star(ctx, a)
+
+
 # -- subspace polynomials -----------------------------------------------------
 
 def test_subspace_poly_base_field(f64):
@@ -227,13 +255,13 @@ def test_subspace_poly_rejects_dependent(f64):
 
 def test_minimal_binomial_example(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    assert L.minimal_binomial_multiple(f64, a) == (3, f64.one)
+    assert L.minimal_binomial_multiple(f64, L.SplitAdditive(f64, a)) == (3, f64.one)
 
 
 def test_minimal_binomial_of_binomial(f64):
     for d in (2, 3, 6):
         a = L.binomial(f64, d, f64.one)
-        assert L.minimal_binomial_multiple(f64, a) == (d, f64.one)
+        assert L.minimal_binomial_multiple(f64, L.SplitAdditive(f64, a)) == (d, f64.one)
 
 
 def test_minimal_binomial_non_stable_subspace():
@@ -250,23 +278,23 @@ def test_minimal_binomial_non_stable_subspace():
                 break
         if found:
             break
-    a = L.subspace_poly(ctx, found)
-    d, alpha = L.minimal_binomial_multiple(ctx, a)
+    sa = L.SplitAdditive(ctx, L.subspace_poly(ctx, found))
+    d, alpha = L.minimal_binomial_multiple(ctx, sa)
     assert d == 4
-    w = L.factor_through_binomial(ctx, a, d, alpha)
+    w = L.factor_through_binomial(ctx, sa, d, alpha)
     assert w.t == 2 and w.M.tau_deg() == 2
 
 
 def test_factor_example(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    w = L.factor_through_binomial(f64, a, 3, f64.one)
+    w = L.factor_through_binomial(f64, L.SplitAdditive(f64, a), 3, f64.one)
     assert L.to_sparse(f64, w.M) == P.from_text(f64, "x^2+x")
     assert w.gamma == f64.one and w.t == 2
 
 
 def test_factor_binomial_itself(f64):
     a = L.binomial(f64, 3, f64.one)
-    w = L.factor_through_binomial(f64, a, 3, f64.one)
+    w = L.factor_through_binomial(f64, L.SplitAdditive(f64, a), 3, f64.one)
     assert w.M.coeffs == (f64.one,) and w.gamma == f64.one
 
 
@@ -290,8 +318,9 @@ def test_factor_roundtrip_random_chain(f64):
 
 def test_factor_nondivisor_raises(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
+    sa = L.SplitAdditive(f64, a)
     with pytest.raises(InputError):
-        L.factor_through_binomial(f64, a, 2, f64.one)
+        L.factor_through_binomial(f64, sa, 2, f64.one)
 
 
 def test_witness_alpha_twist(f64):
@@ -301,7 +330,7 @@ def test_witness_alpha_twist(f64):
     if alpha != f64.one:
         a = L.binomial(f64, 3, alpha)
         assert L.splits_and_separable(f64, a)
-        w = L.factor_through_binomial(f64, a, 3, alpha)
+        w = L.factor_through_binomial(f64, L.SplitAdditive(f64, a), 3, alpha)
         assert w.t == 3 and w.M.tau_deg() == 0
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import GuardError
 from mvspoly.gf import make_field
+from mvspoly.linalg import rank_mod
 
 
 # -- subfield-valued census -----------------------------------------------------
@@ -75,6 +77,46 @@ def test_linear_dim_vs_lift(f64, f729):
         dim = O.linear_dim_w(ctx, a)
         assert dim >= rep.dim_lower
         assert dim == rep.dim_lower        # the bound is attained here
+
+
+def reference_dim(ctx, a):
+    """The operator built column by column through apply_poly and poly
+    arithmetic, as a dense list of rows, ranked by rref_mod."""
+    aq = L.as_context_base(ctx, a)
+    t = aq.tau_deg()
+    theta = ctx.neg(aq.coeffs[0])
+    D = (ctx.Q - 1) // (ctx.q ** t - 1)
+    columns = []
+    for e in range(D + 1):
+        for j in range(ctx.N):
+            u = tuple(1 if i == j else 0 for i in range(ctx.N))
+            img = L.apply_poly(ctx, aq, {e: u})
+            if e % ctx.p:
+                c = ctx.mul(theta, ctx.smul(e, u))
+                img = P.sub(ctx, img, {ctx.Q + e - 1: c})
+                img = P.add(ctx, img, {e: c})
+            columns.append(img)
+    exps = sorted({e for img in columns for e in img})
+    matrix = [[0] * len(columns) for _ in range(len(exps) * ctx.N)]
+    for ci, img in enumerate(columns):
+        for e, c in img.items():
+            for r, digit in enumerate(c):
+                matrix[exps.index(e) * ctx.N + r][ci] = digit
+    nullity = len(columns) - rank_mod(matrix, ctx.p)
+    return nullity // ctx.k
+
+
+@pytest.mark.parametrize("params, t, count", [
+    ((2, 1, 6), 2, 6), ((2, 1, 6), 3, 4), ((2, 1, 4), 2, 6), ((2, 2, 2), 1, 5),
+    ((3, 1, 4), 2, 3), ((3, 1, 3), 1, 4), ((2, 1, 3), 1, 1),
+])
+def test_linear_dim_matches_the_reference_build(params, t, count):
+    ctx = make_field(*params)
+    polys = [L.subspace_poly(ctx, b) for b in O.subspaces(ctx, t)]
+    if ctx.q ** t == 2:
+        polys = [L.binomial(ctx, 1, ctx.one)]        # the carve-out x^2 - x
+    for a in random.Random(7).sample(polys, min(count, len(polys))):
+        assert O.linear_dim_w(ctx, a) == reference_dim(ctx, a)
 
 
 # -- fixed value set census ---------------------------------------------------------

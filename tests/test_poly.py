@@ -163,6 +163,17 @@ def test_exponent_overflow_guard(f4):
         P.mul(f4, big, {1 << 62: f4.one})
 
 
+@pytest.mark.parametrize("text", ["x^abc", "x^-3", "x^4^2", "x^", "x^4+x^2.5",
+                                  "x^99999999999999999999999", f"x^{(1 << 62) + 1}"])
+def test_from_text_rejects_bad_exponents(f64, text):
+    with pytest.raises(InputError):
+        P.from_text(f64, text)
+
+
+def test_from_text_exponent_limit(f64):
+    assert P.from_text(f64, f"x^{1 << 62}") == {1 << 62: f64.one}
+
+
 def test_pow_matches_repeated_mul(f9):
     rng = random.Random(43)
     for _ in range(30):

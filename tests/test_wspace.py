@@ -229,6 +229,21 @@ def test_lift_example_f64(f64):
     assert rep.basis.dim == 12
 
 
+def test_lift_checks_a_once(f64, monkeypatch):
+    # one kernel for A, inside SplitAdditive, and one for M in verify_witness
+    calls = []
+    kernel = L.kernel
+
+    def counting(ctx, a):
+        calls.append(a)
+        return kernel(ctx, a)
+
+    monkeypatch.setattr(L, "kernel", counting)
+    a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
+    rep = W.lift_pipeline(f64, a)
+    assert calls == [L.as_context_base(f64, a), rep.witness.M]
+
+
 def test_lift_binomial_identity(f64):
     rep = W.lift_pipeline(f64, L.binomial(f64, 3, f64.one))
     assert rep.dim_lower == 12
