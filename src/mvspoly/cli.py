@@ -169,10 +169,12 @@ def _parse_binomial_args(ctx, args):
             if not part:
                 continue
             key, _, val = part.partition("=")
-            if key.strip() == "d":
-                d = int(val)
-            else:
+            if key.strip() != "d":
                 raise InputError(f"bad binomial spec part {part!r}")
+            try:
+                d = int(val)
+            except ValueError as exc:
+                raise InputError(f"bad binomial spec part {part!r}") from exc
     if d is None:
         raise InputError("missing d (use --d or --binomial d=...,alpha=...)")
     alpha_elem = ctx.parse_elem(alpha) if alpha is not None else ctx.one

@@ -66,6 +66,7 @@ def test_verify_bad_exponent_is_an_input_error(F):
     ["basis", "--field", "2^6:1", "--binomial", "d=0"],
     ["basis", "--field", "2^6:1", "--d", "0"],
     ["basis", "--field", "2^6:1", "--d", "-2"],
+    ["basis", "--field", "2^6:1", "--binomial", "d=x"],
     ["enumerate", "--field", "2^6:1", "--binomial", "d=0"],
     ["enumerate", "--field", "2^6:1", "--d", "0"],
     ["enumerate", "--field", "2^2:1", "--d", "1", "--guard-max", "-1"],
