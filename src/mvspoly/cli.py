@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 
 from . import linearized as lin
@@ -20,21 +21,13 @@ from . import oracle
 from . import poly
 from . import wspace
 from .errors import GuardError, InputError
-from .gf import parse_field_spec
+from .gf import is_prime, make_field, parse_field_spec
 
 HARD_GUARD_MAX = 1 << 24
 
 
-def _elem(ctx, a):
-    return list(a)
-
-
 def _elems(ctx, items):
     return [list(a) for a in sorted(items, key=ctx.elem_to_int)]
-
-
-def _poly_obj(ctx, f):
-    return poly.to_json_obj(ctx, f)
 
 
 def _parse_additive(ctx, text):
@@ -80,8 +73,8 @@ def cmd_verify(args) -> int:
         "is_mvsp": rep.is_mvsp,
         "deg": rep.deg,
         "bound": rep.bound,
-        "theta": _elem(ctx, rep.theta) if rep.theta is not None else None,
-        "theta_candidates": [_elem(ctx, t) for t in rep.theta_candidates],
+        "theta": list(rep.theta) if rep.theta is not None else None,
+        "theta_candidates": [list(t) for t in rep.theta_candidates],
         "value_set": _elems(ctx, rep.value_set) if rep.value_set is not None else None,
         "reason": rep.reason,
     }
@@ -100,11 +93,11 @@ def cmd_classify(args) -> int:
         "F": poly.to_text(ctx, F),
         "found": w is not None,
         "shape": w.shape if w else None,
-        "alpha": _elem(ctx, w.alpha) if w else None,
+        "alpha": list(w.alpha) if w else None,
         "v": w.v if w else None,
-        "gamma": _elem(ctx, w.gamma) if w else None,
+        "gamma": list(w.gamma) if w else None,
         "L": poly.to_text(ctx, w.L) if w else None,
-        "beta": _elem(ctx, w.beta) if w and w.beta is not None else None,
+        "beta": list(w.beta) if w and w.beta is not None else None,
     }
     _emit(args, payload, text_lines=[f"form found: {w is not None}"])
     return 0 if w else 1
@@ -122,7 +115,7 @@ def cmd_reduce(args) -> int:
         "witnesses": [{
             "v": w.v,
             "base": w.base,
-            "gamma": _elem(ctx, w.gamma),
+            "gamma": list(w.gamma),
             "A": poly.to_text(ctx, lin.to_sparse(ctx, w.A)),
         } for w in wits],
     }
@@ -141,7 +134,7 @@ def cmd_profile(args) -> int:
         "T": poly.to_text(ctx, T),
         "F": poly.to_text(ctx, F),
         "per_root": [{
-            "gamma": _elem(ctx, r.gamma),
+            "gamma": list(r.gamma),
             "distinct_field_roots": r.distinct_field_roots,
             "multiplicities": list(r.multiplicities),
             "has_simple_root": r.has_simple_root,
@@ -189,15 +182,15 @@ def cmd_basis(args) -> int:
         "kind": "basis",
         "field": ctx.spec_str(),
         "d": wb.d,
-        "alpha": _elem(ctx, wb.alpha),
-        "scale": _elem(ctx, wb.scale),
+        "alpha": list(wb.alpha),
+        "scale": list(wb.scale),
         "dim": wb.dim,
         "elements": [{
-            "poly": _poly_obj(ctx, b.elem),
+            "poly": poly.to_json_obj(ctx, b.elem),
             "text": poly.to_text(ctx, b.elem),
             "orbit_exponent": b.orbit_exponent,
             "orbit_size": b.orbit_size,
-            "beta": _elem(ctx, b.beta),
+            "beta": list(b.beta),
         } for b in wb.elems],
     }
     rows = [["orbit_exponent", "orbit_size", "polynomial"]]
@@ -245,13 +238,13 @@ def cmd_lift(args) -> int:
         "field": ctx.spec_str(),
         "A": poly.to_text(ctx, lin.to_sparse(ctx, a)),
         "d": rep.witness.d,
-        "alpha": _elem(ctx, rep.witness.alpha),
-        "gamma": _elem(ctx, rep.witness.gamma),
+        "alpha": list(rep.witness.alpha),
+        "gamma": list(rep.witness.gamma),
         "M": lin.tau_to_text(ctx, rep.witness.M),
         "t": rep.witness.t,
         "basis_dim": rep.basis.dim,
         "dim_lower": rep.dim_lower,
-        "generators": [_poly_obj(ctx, g) for g in rep.generators],
+        "generators": [poly.to_json_obj(ctx, g) for g in rep.generators],
     }
     _emit(args, payload, text_lines=[
         f"d={rep.witness.d} t={rep.witness.t} dim_lower={rep.dim_lower}"])
@@ -268,9 +261,9 @@ def cmd_enumerate(args) -> int:
         "kind": "enumerate",
         "field": ctx.spec_str(),
         "d": d,
-        "alpha": _elem(ctx, alpha),
+        "alpha": list(alpha),
         "count": len(members),
-        "members": [_poly_obj(ctx, f) for f in members] if len(members) <= 4096 else None,
+        "members": [poly.to_json_obj(ctx, f) for f in members] if len(members) <= 4096 else None,
     }
     _emit(args, payload, text_lines=[f"count {len(members)}"])
     return 0
@@ -407,7 +400,7 @@ def _examples_section3(ctx, q):
         "value_set_in_subfield_degree": 3,
         "value_set_in_subfield": in_sub,
         "mills_member_of_additive_space": mills.is_member,
-        "theta": _elem(ctx, mills.theta) if mills.theta else None,
+        "theta": list(mills.theta) if mills.theta else None,
         "classical_power_form_found": form is not None,
         "scaled_additive_form_found": additive_shift,
         "subfield_value_degree_cap": deg_cap,
@@ -418,6 +411,8 @@ def _examples_section3(ctx, q):
 def _examples_section4(ctx, q, seed, samples):
     if q % 2 == 0:
         raise InputError("section 4 needs odd q")
+    if samples < 0:
+        raise InputError("samples must be >= 0")
     T = {(q * q + 1) // 2: ctx.one, (q + 1) // 2: ctx.one, 1: ctx.one}
     wits = mvsp.find_additive_reduction(ctx, T)
     target = lin.make(ctx, ctx.k, (ctx.one, ctx.one, ctx.one))
@@ -425,18 +420,10 @@ def _examples_section4(ctx, q, seed, samples):
                 if lin.to_sparse(ctx, lin.as_context_base(ctx, w.A)) ==
                 lin.to_sparse(ctx, target) and w.v == 2), None)
     rep = wspace.lift_pipeline(ctx, target)
-    import random as _random
-    rng = _random.Random(seed)
-    fq = ctx.subfield_elements(1)
+    rng = random.Random(seed)
     verified = 0
     for _ in range(samples):
-        f = {}
-        while not f:
-            f = {}
-            for g in rep.generators:
-                c = fq[rng.randrange(len(fq))]
-                if c != ctx.zero:
-                    f = poly.add(ctx, f, poly.scale(ctx, g, c))
+        f = wspace.random_span_member(ctx, rep.generators, rng)
         mvsp.power_lift(ctx, f, 2, T)       # raises if the image fails
         verified += 1
     bound = wspace.power_image_count(ctx, T, 2, rep.generators,
@@ -445,7 +432,7 @@ def _examples_section4(ctx, q, seed, samples):
     return {
         "T": poly.to_text(ctx, T),
         "reduction_found": hit is not None,
-        "reduction": {"v": hit.v, "base": hit.base, "gamma": _elem(ctx, hit.gamma)}
+        "reduction": {"v": hit.v, "base": hit.base, "gamma": list(hit.gamma)}
         if hit else None,
         "A": poly.to_text(ctx, lin.to_sparse(ctx, target)),
         "dim_lower": rep.dim_lower,
@@ -460,7 +447,6 @@ def cmd_examples(args) -> int:
     if section not in (1, 2, 3, 4):
         raise InputError("section must be 1, 2, 3 or 4")
     q = args.q if args.q is not None else (3 if section == 4 else 2)
-    from .gf import is_prime, make_field
     if not is_prime(q):
         raise InputError("the examples run at prime q")
     n = 3 if section == 1 else 6
@@ -493,90 +479,60 @@ def _add_common(sp):
                     help=f"override scan guards, capped at {HARD_GUARD_MAX}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="mvspoly",
-        description="minimal value set polynomials over finite fields")
-    sub = ap.add_subparsers(dest="command", required=True)
+_REQUIRED = dict(required=True)
+_BASIS_FLAGS = {"--field": _REQUIRED, "--d": dict(type=int, default=None),
+                "--alpha": dict(default=None), "--binomial": dict(default=None)}
+# verb -> (handler, flags); each verb also takes the common flags
+VERBS = {
+    "verify": (cmd_verify, {"--field": _REQUIRED, "--T": _REQUIRED, "--F": _REQUIRED}),
+    "classify": (cmd_classify, {"--field": _REQUIRED, "--F": _REQUIRED}),
+    "reduce": (cmd_reduce, {"--field": _REQUIRED, "--T": _REQUIRED}),
+    "profile": (cmd_profile, {"--field": _REQUIRED, "--T": _REQUIRED, "--F": _REQUIRED}),
+    "basis": (cmd_basis, _BASIS_FLAGS),
+    "enumerate": (cmd_enumerate, _BASIS_FLAGS),
+    "orbits": (cmd_orbits, {"--field": dict(default=None), "--q": dict(type=int, default=None),
+                            "--n": dict(type=int, default=None)}),
+    "lift": (cmd_lift, {"--field": _REQUIRED, "--A": _REQUIRED}),
+}
+# `mvspoly wspace VERB` is an alias of `mvspoly VERB`
+WSPACE_VERBS = ("basis", "enumerate", "orbits", "lift")
+ORACLE_VERBS = {
+    "census": (cmd_oracle_census, {
+        "--field": _REQUIRED,
+        "--values": dict(default=None,
+                         help="semicolon separated elements for a fixed value set"),
+        "--max-deg": dict(dest="max_deg", type=int, default=None)}),
+    "dim": (cmd_oracle_dim, {"--field": _REQUIRED, "--A": _REQUIRED}),
+    "theorems": (cmd_oracle_theorems, {
+        "--field": _REQUIRED,
+        "--branch": dict(choices=["power", "shift", "both"], default="both")}),
+}
+EXAMPLES_FLAGS = {"--section": dict(type=int, required=True),
+                  "--q": dict(type=int, default=None),
+                  "--seed": dict(type=int, default=0),
+                  "--samples": dict(type=int, default=128)}
 
-    def add(name, fn, **flags):
+
+def _add_verbs(sub, verbs):
+    for name, (fn, flags) in verbs.items():
         sp = sub.add_parser(name)
         for flag, kw in flags.items():
             sp.add_argument(flag, **kw)
         _add_common(sp)
         sp.set_defaults(fn=fn)
-        return sp
 
-    add("verify", cmd_verify,
-        **{"--field": dict(required=True), "--T": dict(required=True),
-           "--F": dict(required=True)})
-    add("classify", cmd_classify,
-        **{"--field": dict(required=True), "--F": dict(required=True)})
-    add("reduce", cmd_reduce,
-        **{"--field": dict(required=True), "--T": dict(required=True)})
-    add("profile", cmd_profile,
-        **{"--field": dict(required=True), "--T": dict(required=True),
-           "--F": dict(required=True)})
 
-    def basis_flags():
-        return {"--field": dict(required=True),
-                "--d": dict(type=int, default=None),
-                "--alpha": dict(default=None),
-                "--binomial": dict(default=None)}
-
-    add("basis", cmd_basis, **basis_flags())
-    add("enumerate", cmd_enumerate, **basis_flags())
-    add("orbits", cmd_orbits,
-        **{"--field": dict(default=None), "--q": dict(type=int, default=None),
-           "--n": dict(type=int, default=None)})
-    add("lift", cmd_lift,
-        **{"--field": dict(required=True), "--A": dict(required=True)})
-
-    wsp = sub.add_parser("wspace")
-    wsub = wsp.add_subparsers(dest="subcommand", required=True)
-    for name, fn, flags in [("basis", cmd_basis, basis_flags()),
-                            ("enumerate", cmd_enumerate, basis_flags()),
-                            ("orbits", cmd_orbits,
-                             {"--field": dict(default=None),
-                              "--q": dict(type=int, default=None),
-                              "--n": dict(type=int, default=None)}),
-                            ("lift", cmd_lift,
-                             {"--field": dict(required=True),
-                              "--A": dict(required=True)})]:
-        sp = wsub.add_parser(name)
-        for flag, kw in flags.items():
-            sp.add_argument(flag, **kw)
-        _add_common(sp)
-        sp.set_defaults(fn=fn)
-
-    osp = sub.add_parser("oracle")
-    osub = osp.add_subparsers(dest="subcommand", required=True)
-    sp = osub.add_parser("census")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--values", default=None,
-                    help="semicolon separated elements for a fixed value set")
-    sp.add_argument("--max-deg", dest="max_deg", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_oracle_census)
-    sp = osub.add_parser("dim")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--A", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_oracle_dim)
-    sp = osub.add_parser("theorems")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--branch", choices=["power", "shift", "both"], default="both")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_oracle_theorems)
-
-    sp = sub.add_parser("examples")
-    sp.add_argument("--section", type=int, required=True)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=128)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_examples)
-
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="mvspoly",
+        description="minimal value set polynomials over finite fields")
+    sub = ap.add_subparsers(dest="command", required=True)
+    _add_verbs(sub, VERBS)
+    for group, verbs in (("wspace", {v: VERBS[v] for v in WSPACE_VERBS}),
+                         ("oracle", ORACLE_VERBS)):
+        _add_verbs(sub.add_parser(group).add_subparsers(dest="subcommand", required=True),
+                   verbs)
+    _add_verbs(sub, {"examples": (cmd_examples, EXAMPLES_FLAGS)})
     return ap
 
 
@@ -586,12 +542,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "jobs", 1) < 1:
-        print("jobs must be >= 1", file=sys.stderr)
-        return 2
     if getattr(args, "guard_max", 0) > HARD_GUARD_MAX:
         args.guard_max = HARD_GUARD_MAX
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InputError("--jobs must be >= 1")
         if getattr(args, "guard_max", 0) < 0:
             raise InputError("--guard-max must be >= 0")
         return args.fn(args)

@@ -3,7 +3,9 @@
 A FieldCtx fixes one ambient field F_{p^N} = F_p[y]/(modulus) together with
 the tower F_p < F_q < F_{q^n}, N = k*n.  The modulus is the lexicographically
 least monic irreducible of degree N over F_p, coefficients compared low
-degree first, so equal parameters always rebuild the identical field.
+degree first, so equal parameters always rebuild the identical field.  The
+search runs Rabin's irreducibility test with the `poly` arithmetic over the
+prime field F_p as a FieldCtx; there is no second copy of F_p[y] code.
 
 Elements are immutable length-N tuples of F_p digits, low degree first.
 Subfields are never separate objects: F_{q^d} is the fixed set of the d-th
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 
+from . import poly
 from .errors import GuardError, InputError
 from .linalg import FpSpan
 
@@ -27,113 +30,36 @@ TABLE_LIMIT = 1 << 20
 SIZE_LIMIT = 1 << 62
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+def prime_factors(m: int) -> list:
+    """The distinct prime factors of m >= 1, in increasing order."""
+    out = []
     d = 2
     while d * d <= m:
         if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
-# ---------------------------------------------------------------------------
-# dense F_p[y] helpers, only used to find and apply the modulus
-# ---------------------------------------------------------------------------
-
-def _dense_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _dense_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    dm = len(mod) - 1
-    for i in range(len(res) - 1, dm - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(dm):
-                res[i - dm + j] = (res[i - dm + j] - c * mod[j]) % p
-    return _dense_trim(res)
-
-
-def _dense_powmod_xp(e_log_p, mod, p):
-    """x^(p^e_log_p) mod the monic polynomial mod, via repeated p-th powers."""
-    r = [0, 1]
-    for _ in range(e_log_p):
-        # r^p via square-and-multiply on the exponent p
-        base, out, e = r, [1], p
-        while e:
-            if e & 1:
-                out = _dense_mulmod(out, base, mod, p)
-            e >>= 1
-            if e:
-                base = _dense_mulmod(base, base, mod, p)
-        r = out
-    return r
-
-
-def _dense_gcd(a, b, p):
-    a, b = list(a), list(b)
-    _dense_trim(a)
-    _dense_trim(b)
-    while b:
-        # a mod b
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            c = (a[-1] * inv) % p
-            shift = len(a) - len(b)
-            for j in range(len(b)):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            _dense_trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
-
-
-def _is_irreducible(coeffs, p):
-    """Monic polynomial over F_p, given as a full coefficient list."""
-    n = len(coeffs) - 1
-    if n < 1:
-        return False
-    if coeffs[0] == 0:
-        return n == 1          # divisible by x; only x itself is irreducible
-    # x^(p^n) == x mod f
-    r = _dense_powmod_xp(n, coeffs, p)
-    rx = list(r)
-    while len(rx) < 2:
-        rx.append(0)
-    rx[1] = (rx[1] - 1) % p
-    if _dense_trim(rx):
-        return False
-    # gcd(x^(p^(n/r)) - x, f) = 1 for every prime r | n
-    m = n
-    primes = set()
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            primes.add(d)
-            m //= d
+            out.append(d)
+            while m % d == 0:
+                m //= d
         d += 1
     if m > 1:
-        primes.add(m)
-    for r in primes:
-        s = _dense_powmod_xp(n // r, coeffs, p)
-        sx = list(s)
-        while len(sx) < 2:
-            sx.append(0)
-        sx[1] = (sx[1] - 1) % p
-        g = _dense_gcd(sx, coeffs, p)
-        if len(g) != 1:
+        out.append(m)
+    return out
+
+
+def is_prime(m: int) -> bool:
+    return m >= 2 and prime_factors(m) == [m]
+
+
+def _is_irreducible(fp, coeffs) -> bool:
+    """Rabin's test for a monic f over the prime field fp, of degree n >= 2
+    with f(0) != 0, given as a full coefficient list: x^(p^n) = x mod f, and
+    gcd(x^(p^(n/r)) - x, f) = 1 for every prime r | n."""
+    f = {e: (c,) for e, c in enumerate(coeffs) if c}
+    n = len(coeffs) - 1
+    x = poly.x_poly(fp)
+    if poly.x_pow_p_mod(fp, f, n) != x:
+        return False
+    for r in prime_factors(n):
+        if poly.degree(poly.gcd(fp, f, poly.sub(fp, poly.x_pow_p_mod(fp, f, n // r), x))):
             return False
     return True
 
@@ -145,16 +71,12 @@ def find_modulus(p: int, n: int) -> tuple:
     """
     if n == 1:
         return (0, 1)
-    for idx in range(p ** n):
-        digits = []
-        v = idx
-        for _ in range(n):
-            digits.append(v % p)
-            v //= p
-        digits.reverse()          # idx counts with c_0 most significant
-        coeffs = digits + [1]
-        if coeffs[0] != 0 and _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+    # without tables, so a large p costs no p-element exp/log table
+    fp = FieldCtx(p, 1, 1, use_table=False)
+    for idx in range(p ** (n - 1), p ** n):     # idx has c_0 != 0 as its leading digit
+        coeffs = tuple(idx // p ** (n - 1 - i) % p for i in range(n)) + (1,)
+        if _is_irreducible(fp, coeffs):
+            return coeffs
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
@@ -249,16 +171,7 @@ class FieldCtx:
         if self.generator is not None:
             return self.generator
         Q = self.Q
-        m = Q - 1
-        primes = set()
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                primes.add(d)
-                m //= d
-            d += 1
-        if m > 1:
-            primes.add(m)
+        primes = prime_factors(Q - 1)
         for a in self.elements():
             if a == self.zero:
                 continue
@@ -495,6 +408,8 @@ def parse_field_spec(spec: str) -> FieldCtx:
         N = int(npow) if npow else 1
     except ValueError as exc:
         raise InputError(f"bad field spec {spec!r}") from exc
+    if k < 1:
+        raise InputError(f"base exponent k = {k} must be positive")
     if N % k != 0:
         raise InputError(f"base exponent k = {k} must divide N = {N}")
     return make_field(p, k, N // k)

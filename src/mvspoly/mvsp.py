@@ -58,28 +58,30 @@ class FormWitness:
 # value polynomial validation (cached per context)
 # ---------------------------------------------------------------------------
 
-def validate_value_poly(ctx, T: dict):
-    """Roots and theta candidates of T, after checking the standing
-    hypothesis: monic, separable, degree > 2, splits over the field.  The
-    quadratic x^2 - x is admitted when q = 2, which the subfield-valued
-    theory needs.  Returns (roots, thetas), both in canonical order."""
+@dataclass(frozen=True)
+class ValuePoly:
+    """A value polynomial T that satisfies the standing hypothesis, with its
+    roots and theta candidates -T'(root) in canonical order, and T as an
+    AdditivePoly when it is one (None otherwise)."""
+    roots: tuple
+    thetas: tuple
+    additive: lin.AdditivePoly | None
+
+
+def validate_value_poly(ctx, T: dict) -> ValuePoly:
+    """Check the standing hypothesis on T: monic, separable, degree > 2,
+    splits over the field.  The quadratic x^2 - x is admitted when q = 2,
+    which the subfield-valued theory needs.  A checked T is kept on the
+    context, so repeated requests skip the root scan; a refusal is not kept
+    and costs no scan."""
     cache = ctx._caches.setdefault("value_poly", {})
     key = frozenset(T.items())
-    if key in cache:
-        val = cache[key]
-        if isinstance(val, Exception):
-            raise val
-        return val
-    try:
-        result = _validate_value_poly(ctx, T)
-    except InputError as exc:
-        cache[key] = exc
-        raise
-    cache[key] = result
-    return result
+    if key not in cache:
+        cache[key] = _check_value_poly(ctx, T)
+    return cache[key]
 
 
-def _validate_value_poly(ctx, T):
+def _check_value_poly(ctx, T):
     d = poly.degree(T)
     if d is poly.NEG_INF or d < 1:
         raise InputError("value polynomial must be nonconstant")
@@ -94,7 +96,7 @@ def _validate_value_poly(ctx, T):
     g = poly.field_gcd(ctx, T)
     if poly.degree(g) != d:
         raise InputError("value polynomial does not split into distinct roots over the field")
-    roots = tuple(a for a in ctx.elements() if poly.eval_at(ctx, T, a) == ctx.zero)
+    roots = poly.roots(ctx, T)
     assert len(roots) == d
     dT = poly.derivative(ctx, T)
     thetas = []
@@ -102,7 +104,8 @@ def _validate_value_poly(ctx, T):
         th = ctx.neg(poly.eval_at(ctx, dT, r))
         if th not in thetas:
             thetas.append(th)
-    return roots, tuple(thetas)
+    return ValuePoly(roots=roots, thetas=tuple(thetas),
+                     additive=lin.detect_additive(ctx, T))
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +125,6 @@ def is_minimal(ctx, F: dict) -> MvspReport:
                       reason="" if ok else "value set larger than the bound")
 
 
-def _compose_value_poly(ctx, T, F):
-    """T(F), with a termwise fast path when T is additive."""
-    cache = ctx._caches.setdefault("value_poly_additive", {})
-    key = frozenset(T.items())
-    if key not in cache:
-        cache[key] = lin.detect_additive(ctx, T)
-    a = cache[key]
-    if a is not None:
-        return lin.apply_poly(ctx, a, F)
-    return poly.compose(ctx, T, F)
-
-
 def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     """Membership of F in the space of T-minimal polynomials.
 
@@ -141,34 +132,35 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     equation deg T * deg F = Q + deg F' filters hopeless inputs before any
     composition happens.  Constants are members exactly when they are roots
     of T."""
-    roots, thetas = validate_value_poly(ctx, T)
+    vp = validate_value_poly(ctx, T)
     dT = poly.degree(T)
     dF = poly.degree(F)
     if dF is poly.NEG_INF or dF == 0:
         c = F.get(0, ctx.zero)
         member = poly.eval_at(ctx, T, c) == ctx.zero
         return MvspReport(is_mvsp=False, value_set=frozenset({c}), deg=0 if F else 0,
-                          bound=None, theta=None, theta_candidates=thetas,
+                          bound=None, theta=None, theta_candidates=vp.thetas,
                           is_member=member,
                           reason="" if member else "constant is not a root")
     bound = (ctx.Q - 1) // dF + 1
     dFp = poly.degree(poly.derivative(ctx, F))
     if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
         return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
-                          theta=None, theta_candidates=thetas, is_member=False,
+                          theta=None, theta_candidates=vp.thetas, is_member=False,
                           reason="value set mismatch")
-    lhs = _compose_value_poly(ctx, T, F)
+    lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
+           else poly.compose(ctx, T, F))
     dFpoly = poly.derivative(ctx, F)
     rhs = poly.mul(ctx, {ctx.Q: ctx.one, 1: ctx.neg(ctx.one)}, dFpoly)
     # theta is forced by the leading coefficients, then checked everywhere
     lead = ctx.Q + dFp
     theta = ctx.div(lhs.get(lead, ctx.zero), rhs[lead])
-    if theta == ctx.zero or theta not in thetas or lhs != poly.scale(ctx, rhs, theta):
+    if theta == ctx.zero or theta not in vp.thetas or lhs != poly.scale(ctx, rhs, theta):
         return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
-                          theta=None, theta_candidates=thetas, is_member=False,
+                          theta=None, theta_candidates=vp.thetas, is_member=False,
                           reason="value set mismatch")
-    return MvspReport(is_mvsp=True, value_set=frozenset(roots), deg=dF, bound=bound,
-                      theta=theta, theta_candidates=thetas, is_member=True)
+    return MvspReport(is_mvsp=True, value_set=frozenset(vp.roots), deg=dF, bound=bound,
+                      theta=theta, theta_candidates=vp.thetas, is_member=True)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def find_additive_reduction(ctx, T: dict) -> list[ReductionWitness]:
     scanning base in 1..N, v over divisors of p^base - 1, gamma over the
     roots of T.  An empty list certifies that no nonconstant member of the
     T-space can exist."""
-    roots, _ = validate_value_poly(ctx, T)
+    roots = validate_value_poly(ctx, T).roots
     out = []
     for base in range(1, ctx.N + 1):
         mod = ctx.p ** base - 1
@@ -262,10 +254,6 @@ def _vth_root_monic(ctx, g: dict, v: int):
     return h if not r else None
 
 
-def _count_distinct_roots(ctx, f: dict) -> int:
-    return sum(1 for a in ctx.elements() if poly.eval_at(ctx, f, a) == ctx.zero)
-
-
 def extract_linearized_power_form(ctx, F: dict) -> FormWitness | None:
     """Try to exhibit F = alpha * L^v + gamma with L a monic additive-plus-
     constant polynomial splitting into distinct linear factors and v dividing
@@ -292,7 +280,7 @@ def extract_linearized_power_form(ctx, F: dict) -> FormWitness | None:
             if not any(a.base % b == 0 and (ctx.p ** b - 1) % v == 0
                        for b in range(1, a.base + 1)):
                 continue
-            if _count_distinct_roots(ctx, h) != poly.degree(h):
+            if len(poly.roots(ctx, h)) != poly.degree(h):
                 continue
             return FormWitness(shape="linearized_power", alpha=alpha, v=v,
                                gamma=gamma, L=h)
@@ -307,16 +295,13 @@ def extract_shift_power_form(ctx, F: dict) -> FormWitness | None:
     alpha = poly.lc(ctx, F)
     beta = ctx.div(poly.coeff(ctx, F, s), alpha)   # (s+1 choose s) = 1 in char p
     gamma = poly.eval_at(ctx, F, ctx.neg(beta))
-    candidate = poly.add(
-        ctx,
-        poly.scale(ctx, poly.pow_(ctx, {1: ctx.one, 0: beta} if beta != ctx.zero
-                                   else {1: ctx.one}, s + 1), alpha),
-        poly.const(ctx, gamma))
+    L = poly.linear(ctx, ctx.neg(beta))
+    candidate = poly.add(ctx, poly.scale(ctx, poly.pow_(ctx, L, s + 1), alpha),
+                         poly.const(ctx, gamma))
     if candidate != F:
         return None
     return FormWitness(shape="sqrt_plus_one_power", alpha=alpha, v=s + 1,
-                       gamma=gamma, L={1: ctx.one, 0: beta} if beta != ctx.zero
-                       else {1: ctx.one}, beta=beta)
+                       gamma=gamma, L=L, beta=beta)
 
 
 def classify_low_degree(ctx, F: dict) -> FormWitness | None:
@@ -375,7 +360,7 @@ def mills_profile(ctx, F: dict, T: dict) -> ProfileReport:
     repeated division, and whether a simple root exists.  Field roots of a
     member must have multiplicity prime to p, and at least r = |roots| - 1
     of the shifts must admit a simple root."""
-    roots, _ = validate_value_poly(ctx, T)
+    roots = validate_value_poly(ctx, T).roots
     if len(roots) <= 2:
         raise InputError("profile needs more than two values")
     rep = mills_check(ctx, F, T)
@@ -387,13 +372,13 @@ def mills_profile(ctx, F: dict, T: dict) -> ProfileReport:
     for gamma in roots:
         shifted = poly.sub(ctx, F, poly.const(ctx, gamma))
         l = poly.degree(poly.field_gcd(ctx, shifted))
-        froots = [a for a in ctx.elements() if poly.eval_at(ctx, shifted, a) == ctx.zero]
+        froots = poly.roots(ctx, shifted)
         assert len(froots) == l
         mults = []
         for a in froots:
             m = 0
             cur = shifted
-            linear = {1: ctx.one, 0: ctx.neg(a)} if a != ctx.zero else {1: ctx.one}
+            linear = poly.linear(ctx, a)
             while True:
                 qt, rm = poly.divmod_(ctx, cur, linear)
                 if rm:

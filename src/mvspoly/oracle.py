@@ -49,19 +49,10 @@ def _lagrange_cache(ctx):
     if key not in ctx._caches:
         if ctx.Q > 512:
             raise GuardError("full-graph interpolation cache refused above 512 elements")
-        nodes = ctx.elements()
         basis = []
-        master = {0: ctx.one}
-        for a in nodes:
-            master = poly.mul(ctx, master, {1: ctx.one, 0: ctx.neg(a)}
-                              if a != ctx.zero else {1: ctx.one})
-        dm = poly.derivative(ctx, master)
-        for a in nodes:
-            li = poly.divmod_(ctx, master, {1: ctx.one, 0: ctx.neg(a)}
-                              if a != ctx.zero else {1: ctx.one})[0]
-            w = ctx.inv(poly.eval_at(ctx, dm, a))
+        for li in poly.lagrange_basis(ctx, ctx.elements()):
             dense = [ctx.zero] * ctx.Q
-            for e, c in poly.scale(ctx, li, w).items():
+            for e, c in li.items():
                 dense[e] = c
             basis.append(dense)
         ctx._caches[key] = basis
@@ -233,11 +224,13 @@ def census_fixed_valueset(ctx, S, max_deg=None, mode=None,
     mode "functions" scans all maps F_Q -> S (needs |S|^Q within the guard);
     mode "polys" scans coefficient tuples up to max_deg.  If T = prod(x - s)
     fails the standing hypothesis the census is empty by precondition."""
+    if max_deg is not None and max_deg < 0:
+        raise InputError("max_deg must be >= 0")
     s_list = sorted(set(S), key=ctx.elem_to_int)
     desc = "{" + ",".join(ctx.format_elem(a) for a in s_list) + "}"
     T = {0: ctx.one}
     for a in s_list:
-        T = poly.mul(ctx, T, {1: ctx.one, 0: ctx.neg(a)})
+        T = poly.mul(ctx, T, poly.linear(ctx, a))
     try:
         mvsp.validate_value_poly(ctx, T)
     except InputError as exc:
@@ -247,47 +240,36 @@ def census_fixed_valueset(ctx, S, max_deg=None, mode=None,
                             note=f"empty by precondition: {exc}")
     if mode is None:
         mode = "functions" if len(s_list) ** ctx.Q <= guard else "polys"
-    members = 0
-    nonconst = 0
-    histogram = {}
-    witnesses = []
     if mode == "functions":
         total = len(s_list) ** ctx.Q
         if total > guard:
             raise GuardError(f"function scan of size {total} refused")
-        for table in itertools.product(s_list, repeat=ctx.Q):
-            f = interpolate_table(ctx, table)
-            rep = mvsp.mills_check(ctx, f, T)
-            if rep.is_member:
-                members += 1
-                d = poly.degree(f)
-                dd = 0 if d is poly.NEG_INF else d
-                histogram[dd] = histogram.get(dd, 0) + 1
-                if dd:
-                    nonconst += 1
-                if len(witnesses) < WITNESS_KEEP:
-                    witnesses.append(f)
+        candidates = (interpolate_table(ctx, table)
+                      for table in itertools.product(s_list, repeat=ctx.Q))
     elif mode == "polys":
         if max_deg is None:
             raise InputError("poly scan needs max_deg")
         total = ctx.Q ** (max_deg + 1)
         if total > guard:
             raise GuardError(f"coefficient scan of size {total} refused")
-        elems = ctx.elements()
-        for coeffs in itertools.product(elems, repeat=max_deg + 1):
-            f = {e: c for e, c in enumerate(coeffs) if c != ctx.zero}
-            rep = mvsp.mills_check(ctx, f, T)
-            if rep.is_member:
-                members += 1
-                d = poly.degree(f)
-                dd = 0 if d is poly.NEG_INF else d
-                histogram[dd] = histogram.get(dd, 0) + 1
-                if dd:
-                    nonconst += 1
-                if len(witnesses) < WITNESS_KEEP:
-                    witnesses.append(f)
+        candidates = ({e: c for e, c in enumerate(coeffs) if c != ctx.zero}
+                      for coeffs in itertools.product(ctx.elements(), repeat=max_deg + 1))
     else:
         raise InputError(f"unknown census mode {mode!r}")
+    members = 0
+    nonconst = 0
+    histogram = {}
+    witnesses = []
+    for f in candidates:
+        if mvsp.mills_check(ctx, f, T).is_member:
+            members += 1
+            d = poly.degree(f)
+            dd = 0 if d is poly.NEG_INF else d
+            histogram[dd] = histogram.get(dd, 0) + 1
+            if dd:
+                nonconst += 1
+            if len(witnesses) < WITNESS_KEEP:
+                witnesses.append(f)
     return CensusReport(field_spec=ctx.spec_str(), value_set_desc=desc,
                         total=total, members=members,
                         nonconstant_members=nonconst,
@@ -384,7 +366,7 @@ def verify_low_degree_forms(ctx, branch="both", guard=POLY_SCAN_GUARD):
             for alpha in ctx.elements()[1:]:
                 for beta in ctx.elements():
                     for gamma in ctx.elements():
-                        base = {1: ctx.one, 0: beta} if beta != ctx.zero else {1: ctx.one}
+                        base = poly.linear(ctx, ctx.neg(beta))
                         f = poly.add(ctx, poly.scale(ctx, poly.pow_(ctx, base, d), alpha),
                                      poly.const(ctx, gamma))
                         family.add(frozenset(f.items()))

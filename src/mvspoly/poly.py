@@ -34,6 +34,11 @@ def x_poly(ctx) -> dict:
     return {1: ctx.one}
 
 
+def linear(ctx, a) -> dict:
+    """The monic linear factor x - a."""
+    return {1: ctx.one, 0: ctx.neg(a)} if a != ctx.zero else {1: ctx.one}
+
+
 def degree(f: dict):
     return max(f) if f else NEG_INF
 
@@ -218,10 +223,32 @@ def field_gcd(ctx, f: dict) -> dict:
         raise InputError("gcd(0, x^Q - x) is undefined")
     if degree(f) == 0:
         return {0: ctx.one}
+    return gcd(ctx, f, sub(ctx, x_pow_p_mod(ctx, f, ctx.N), x_poly(ctx)))
+
+
+def x_pow_p_mod(ctx, f: dict, m: int) -> dict:
+    """x^(p^m) mod f, by m successive p-th powers.  A p-th power is taken
+    termwise while p <= deg f; for a larger p the termwise power would need
+    a quotient of degree about p * deg f, so it is taken by squaring mod f."""
     s = x_poly(ctx)
-    for _ in range(ctx.N):
-        s = divmod_(ctx, frob_power(ctx, s, 1), f)[1]
-    return gcd(ctx, f, sub(ctx, s, x_poly(ctx)))
+    for _ in range(m):
+        if ctx.p <= degree(f):
+            s = divmod_(ctx, frob_power(ctx, s, 1), f)[1]
+        else:
+            s = pow_mod(ctx, s, ctx.p, f)
+    return s
+
+
+def pow_mod(ctx, g: dict, e: int, f: dict) -> dict:
+    """g^e mod f for e >= 1, by square-and-multiply."""
+    out, base = None, divmod_(ctx, g, f)[1]
+    while e:
+        if e & 1:
+            out = base if out is None else divmod_(ctx, mul(ctx, out, base), f)[1]
+        e >>= 1
+        if e:
+            base = divmod_(ctx, mul(ctx, base, base), f)[1]
+    return out
 
 
 def eval_at(ctx, f: dict, a):
@@ -235,26 +262,31 @@ def value_set(ctx, f: dict) -> frozenset:
     return frozenset(eval_at(ctx, f, a) for a in ctx.elements())
 
 
-def interpolate(ctx, points) -> dict:
-    """Unique polynomial of degree < len(points) through the given
-    (abscissa, value) pairs."""
-    pts = list(points)
-    xs = [a for a, _ in pts]
+def roots(ctx, f: dict) -> tuple:
+    """The distinct roots of f in the field, in canonical element order."""
+    return tuple(a for a in ctx.elements() if eval_at(ctx, f, a) == ctx.zero)
+
+
+def lagrange_basis(ctx, xs) -> list:
+    """For distinct abscissae xs, the polynomials l_a of degree < len(xs)
+    with l_a(a) = 1 and l_a(b) = 0 for the other b, in the order of xs."""
     if len(set(xs)) != len(xs):
         raise InputError("repeated abscissa")
     master = {0: ctx.one}
     for a in xs:
-        master = mul(ctx, master, {1: ctx.one, 0: ctx.neg(a)} if a != ctx.zero
-                     else {1: ctx.one})
+        master = mul(ctx, master, linear(ctx, a))
     dm = derivative(ctx, master)
+    return [scale(ctx, divmod_(ctx, master, linear(ctx, a))[0],
+                  ctx.inv(eval_at(ctx, dm, a))) for a in xs]
+
+
+def interpolate(ctx, points) -> dict:
+    """Unique polynomial of degree < len(points) through the given
+    (abscissa, value) pairs."""
+    pts = list(points)
     out = {}
-    for a, y in pts:
-        if y == ctx.zero:
-            continue
-        li = divmod_(ctx, master, {1: ctx.one, 0: ctx.neg(a)} if a != ctx.zero
-                     else {1: ctx.one})[0]
-        w = ctx.mul(y, ctx.inv(eval_at(ctx, dm, a)))
-        out = add(ctx, out, scale(ctx, li, w))
+    for (_, y), li in zip(pts, lagrange_basis(ctx, [a for a, _ in pts])):
+        out = add(ctx, out, scale(ctx, li, y))
     return out
 
 

@@ -309,16 +309,21 @@ def power_image_count(ctx, T: dict, v: int, generators, *, limit=1 << 16,
             images.add(frozenset(img.items()))
         return len(images)
     rng = random.Random(seed)
-    fq = ctx.subfield_elements(1)
     for _ in range(samples):
-        f = {}
-        while not f:
-            f = {}
-            for g in gens:
-                c = fq[rng.randrange(len(fq))]
-                if c != ctx.zero:
-                    f = poly.add(ctx, f, poly.scale(ctx, g, c))
-        img = poly.pow_(ctx, f, v)
+        img = poly.pow_(ctx, random_span_member(ctx, gens, rng), v)
         if not mvsp.mills_check(ctx, img, T).is_member:
             raise AssertionError("power image failed verification")
     return (count - 1) // v + 1
+
+
+def random_span_member(ctx, generators, rng) -> dict:
+    """A nonzero F_q-combination of the generators, each coefficient drawn
+    uniformly from F_q by rng; a zero combination is drawn again."""
+    fq = ctx.subfield_elements(1)
+    f = {}
+    while not f:
+        for g in generators:
+            c = fq[rng.randrange(len(fq))]
+            if c != ctx.zero:
+                f = poly.add(ctx, f, poly.scale(ctx, g, c))
+    return f

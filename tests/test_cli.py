@@ -2,14 +2,18 @@ import contextlib
 import io
 import json
 import pathlib
+import shlex
 
 import jsonschema
 import pytest
 
 from mvspoly.cli import main
+from mvspoly.gf import parse_field_spec
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text())
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
+# exit code and stdout of every README command, as the benchmark's README check holds them
+README_GOLDEN = json.loads((ROOT / "perfbench" / "readme_golden.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
@@ -47,6 +51,31 @@ def test_verify_input_error():
     assert code == 2 and "input error" in err
 
 
+def test_verify_checks_each_value_poly_once(monkeypatch):
+    """A second request with the same T reuses the checked value polynomial
+    kept on the field context: no whole-field root scan.  A refused T is
+    refused on every request, before any scan."""
+    ctx = parse_field_spec("2^16:1")
+    argv = ["verify", "--field", "2^16:1", "--T", "x^16+x",
+            "--F", "x^4096+x^256+x^16+x"]
+    assert run(argv)[0] == 0
+    scans = []
+    elements = ctx.elements
+    monkeypatch.setattr(ctx, "elements", lambda: scans.append(1) or elements())
+    assert run(argv)[0] == 0
+    bad = ["verify", "--field", "2^16:1", "--T", "x^16+x^2", "--F", "x"]
+    for _ in range(2):
+        code, out, err = run(bad)
+        assert code == 2 and err.startswith("input error: ")
+    assert scans == []
+
+
+@pytest.mark.parametrize("case", README_GOLDEN, ids=[c["command"] for c in README_GOLDEN])
+def test_readme_command_output_is_unchanged(case):
+    code, out, _ = run(shlex.split(case["command"]))
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
 def assert_input_error(argv):
     code, out, err = run(argv)
     assert code == 2 and out == ""
@@ -73,6 +102,13 @@ def test_verify_bad_exponent_is_an_input_error(F):
     ["oracle", "census", "--field", "2^2:1", "--guard-max", "-5"],
     ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "x^9",
      "--guard-max", "-1"],
+    ["verify", "--field", "2^6:0", "--T", "x^4+x^2+x", "--F", "x"],
+    ["orbits", "--q", "2", "--n", "3", "--jobs", "0"],
+    ["examples", "--section", "4", "--samples", "-1"],
+    ["oracle", "census", "--field", "3^2:1", "--values", "0;1;2", "--max-deg", "-3",
+     "--guard-max", "10"],
+    ["oracle", "census", "--field", "3^2:1", "--values", "0;1;2", "--max-deg", "-1",
+     "--guard-max", "10"],
 ])
 def test_bad_arguments_are_refused(argv):
     assert_input_error(argv)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -197,6 +198,52 @@ def test_elem_text_roundtrip(f64):
 
 def test_modulus_search_degree_one():
     assert find_modulus(5, 1) == (0, 1)
+
+
+def has_small_factor(coeffs, p):
+    """Does the monic polynomial (low degree first) have a monic factor of
+    degree 1 .. deg/2?  Brute division by every such factor."""
+    n = len(coeffs) - 1
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = low + (1,)
+            r = list(coeffs)
+            for i in range(n, d - 1, -1):
+                c = r[i]
+                if c:
+                    for j in range(d + 1):
+                        r[i - d + j] = (r[i - d + j] - c * g[j]) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
+SMALL_PRIMES = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in SMALL_PRIMES for N in range(2, 13)
+                                 if p ** N <= 4096])
+def test_find_modulus_is_the_least_irreducible(p, N):
+    modulus = find_modulus(p, N)
+    assert len(modulus) == N + 1 and modulus[-1] == 1 and modulus[0] != 0
+    assert not has_small_factor(modulus, p)
+    # candidates are ordered by (c_0, ..., c_{N-1}), c_0 first
+    for low in itertools.product(range(p), repeat=N):
+        if low == modulus[:-1]:
+            break
+        if low[0]:
+            assert has_small_factor(low + (1,), p), low
+
+
+@pytest.mark.parametrize("p,N,modulus", [
+    (2, 6, (1, 0, 0, 0, 0, 1, 1)),
+    (3, 6, (1, 0, 0, 0, 1, 1, 1)),
+    (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
+    (2, 20, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+    (1048573, 2, (1, 3, 1)),
+])
+def test_find_modulus_pinned(p, N, modulus):
+    assert find_modulus(p, N) == modulus
 
 
 def test_is_prime():

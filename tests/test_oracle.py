@@ -8,7 +8,7 @@ from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import GuardError
-from mvspoly.gf import make_field
+from mvspoly.gf import make_field, parse_field_spec
 from mvspoly.linalg import rank_mod
 
 
@@ -32,6 +32,16 @@ def test_census_f9(f9):
     assert rep.total == 3 ** 9 and rep.members == 81
     assert rep.disagreements == 0
     assert max(P.degree(w) for w in rep.witnesses if w) <= 4
+
+
+@pytest.mark.parametrize("spec", ["2^2:1", "2^3:1", "3^2:1"])
+def test_interpolate_table_matches_interpolate(spec):
+    ctx = parse_field_spec(spec)
+    elems = ctx.elements()
+    rng = random.Random(ctx.Q)
+    for _ in range(25):
+        table = [elems[rng.randrange(ctx.Q)] for _ in elems]
+        assert O.interpolate_table(ctx, table) == P.interpolate(ctx, list(zip(elems, table)))
 
 
 def test_census_guard():

@@ -84,6 +84,23 @@ def test_gcd_with_field_poly_counts_roots(f9):
         assert P.degree(P.field_gcd(f9, f)) == roots
 
 
+@pytest.mark.parametrize("params", [(2, 1, 4), (3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2)])
+def test_x_pow_p_mod_both_ways(params):
+    """x^(p^m) mod f is taken termwise when p <= deg f and by squaring mod f
+    otherwise; both agree with the termwise reference and with pow_mod."""
+    ctx = make_field(*params)
+    rng = random.Random(sum(params))
+    for _ in range(30):
+        f = rand_poly(ctx, rng, 5)
+        f[rng.randrange(1, 7)] = ctx.one
+        f = P.monic(ctx, f)
+        ref = P.x_poly(ctx)
+        for m in range(1, ctx.N + 1):
+            ref = P.divmod_(ctx, P.frob_power(ctx, ref, 1), f)[1]
+            assert P.x_pow_p_mod(ctx, f, m) == ref
+            assert P.pow_mod(ctx, P.x_poly(ctx), ctx.p ** m, f) == ref
+
+
 def test_value_set_examples(f4, f64):
     assert len(P.value_set(f64, {1: f64.one})) == 64
     v9 = P.value_set(f64, {9: f64.one})
