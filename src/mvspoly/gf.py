@@ -18,6 +18,7 @@ contexts and elements can be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from . import poly
@@ -47,6 +48,19 @@ def prime_factors(m: int) -> list:
 
 def is_prime(m: int) -> bool:
     return m >= 2 and prime_factors(m) == [m]
+
+
+def power_exceeds(b: int, e: int, bound: int) -> bool:
+    """b^e > bound for b, e >= 0, built one factor at a time and stopped
+    once past bound, so a guard never computes a huge power."""
+    if b < 2:
+        return (b if e else 1) > bound
+    r = 1
+    for _ in range(e):
+        r *= b
+        if r > bound:
+            return True
+    return r > bound
 
 
 def _is_irreducible(fp, coeffs) -> bool:
@@ -181,18 +195,54 @@ class FieldCtx:
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
     def _build_table(self):
-        Q = self.Q
+        """exp/log by stepping through the powers of the generator on
+        canonical ints, one chunk-table step per power (see _mul_tables)."""
+        Q, p = self.Q, self.p
         gen = self._find_generator()
-        exp = [self.one] * (Q - 1)
-        log = {}
-        cur = self.one
-        for i in range(Q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_raw(cur, gen)
-        self.generator = gen
-        self._exp = exp
-        self._log = log
+        tables = self._mul_tables(gen)
+        ints = [0] * (Q - 1)
+        v = 1
+        if p == 2:
+            for i in range(Q - 1):
+                ints[i] = v
+                w = 0
+                for shift, tab in tables:
+                    w ^= tab[v >> shift & 255]
+                v = w
+        else:
+            size = len(tables[0][1])
+            weights = [p ** j for j in range(self.N)]
+            for i in range(Q - 1):
+                ints[i] = v
+                images = [tab[v // place % size] for place, tab in tables]
+                v = sum(sum(col) % p * wt for col, wt in zip(zip(*images), weights))
+        elems = self.elements()
+        self._exp = [elems[v] for v in ints]
+        self._log = dict(zip(self._exp, range(Q - 1)))
+
+    def _mul_tables(self, g):
+        """Multiplication by g, which is F_p-linear, tabulated per chunk of
+        w digits (the largest w <= N with p^w <= 256): entry c of a chunk's
+        table is the image sum_j c_j * y^j * g over the chunk's digits c_j.
+        At p = 2 the entries are canonical ints, keyed by bit shift, and the
+        chunks' images add by XOR; at odd p they are digit tuples, keyed by
+        the chunk's place value p^low."""
+        p, N = self.p, self.N
+        w = 1
+        while w < N and p ** (w + 1) <= 256:
+            w += 1
+        images = [self._mul_raw(self.elem_from_int(p ** j), g) for j in range(N)]
+        tables = []
+        for low in range(0, N, w):
+            tab = [self.zero]
+            for b in images[low:low + w]:
+                tab = [tuple((x + d * y) % p for x, y in zip(t, b))
+                       for d in range(p) for t in tab]
+            if p == 2:
+                tables.append((low, [self.elem_to_int(t) for t in tab]))
+            else:
+                tables.append((p ** low, tab))
+        return tables
 
     # -- canonical element order --------------------------------------------
 
@@ -214,7 +264,9 @@ class FieldCtx:
         if self._elements is None:
             if self.Q > TABLE_LIMIT:
                 raise GuardError("full element scan refused above 2^20 elements")
-            self._elements = [self.elem_from_int(i) for i in range(self.Q)]
+            # product varies its last place fastest; reversed, digit 0 does
+            self._elements = [t[::-1] for t in
+                              itertools.product(range(self.p), repeat=self.N)]
         return self._elements
 
     # -- ring operations ------------------------------------------------------

@@ -183,18 +183,11 @@ def kernel(ctx, a: AdditivePoly):
     aq = as_context_base(ctx, a)
     if aq.is_zero():
         raise InputError("kernel of the zero polynomial")
-    cols = []
-    for i in range(ctx.N):
-        e = tuple(1 if j == i else 0 for j in range(ctx.N))
-        cols.append(apply_elem(ctx, aq, e))
-    # matrix rows are images' digit rows: M[r][c] = digit r of A(y^c)
-    matrix = [[cols[c][r] for c in range(ctx.N)] for r in range(ctx.N)]
-    null = nullspace_mod(matrix, ctx.p)
-    elems = [tuple(int(d) % ctx.p for d in v) for v in null]
+    null = _fp_nullspace(ctx, aq)
     fpq = ctx.fp_basis_of_fq()
     span = FpSpan(ctx.p, ctx.N)
     basis = []
-    for w in elems:
+    for w in null:
         if span.contains(w):
             continue
         basis.append(w)
@@ -202,6 +195,26 @@ def kernel(ctx, a: AdditivePoly):
             span.add(ctx.mul(u, w))
     assert len(null) == len(basis) * ctx.k
     return basis, len(basis)
+
+
+def _fp_nullspace(ctx, a: AdditivePoly) -> list:
+    """F_p-basis of the zeros of A in the ambient field: the nullspace of A
+    as an F_p-linear map, which is the same at every level A is read at."""
+    cols = [apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)) for c in range(ctx.N)]
+    # matrix rows are images' digit rows: M[r][c] = digit r of A(y^c)
+    matrix = [[cols[c][r] for c in range(ctx.N)] for r in range(ctx.N)]
+    return [tuple(int(d) % ctx.p for d in v) for v in nullspace_mod(matrix, ctx.p)]
+
+
+def roots(ctx, a: AdditivePoly) -> tuple:
+    """The distinct zeros of a nonzero A in the ambient field, in canonical
+    element order: the F_p-span of its nullspace, with no field scan."""
+    if a.is_zero():
+        raise InputError("roots of the zero polynomial")
+    span = [ctx.zero]
+    for w in _fp_nullspace(ctx, a):
+        span = [ctx.add(v, ctx.smul(c, w)) for c in range(ctx.p) for v in span]
+    return tuple(sorted(span, key=ctx.elem_to_int))
 
 
 def splits_and_separable(ctx, a: AdditivePoly) -> bool:

@@ -72,8 +72,8 @@ def validate_value_poly(ctx, T: dict) -> ValuePoly:
     """Check the standing hypothesis on T: monic, separable, degree > 2,
     splits over the field.  The quadratic x^2 - x is admitted when q = 2,
     which the subfield-valued theory needs.  A checked T is kept on the
-    context, so repeated requests skip the root scan; a refusal is not kept
-    and costs no scan."""
+    context, so repeated requests skip the root search; a refusal is not
+    kept and costs no root search."""
     cache = ctx._caches.setdefault("value_poly", {})
     key = frozenset(T.items())
     if key not in cache:
@@ -96,7 +96,9 @@ def _check_value_poly(ctx, T):
     g = poly.field_gcd(ctx, T)
     if poly.degree(g) != d:
         raise InputError("value polynomial does not split into distinct roots over the field")
-    roots = poly.roots(ctx, T)
+    # an additive T has its roots as the nullspace of a linear map
+    additive = lin.detect_additive(ctx, T)
+    roots = poly.roots(ctx, T) if additive is None else lin.roots(ctx, additive)
     assert len(roots) == d
     dT = poly.derivative(ctx, T)
     thetas = []
@@ -104,8 +106,7 @@ def _check_value_poly(ctx, T):
         th = ctx.neg(poly.eval_at(ctx, dT, r))
         if th not in thetas:
             thetas.append(th)
-    return ValuePoly(roots=roots, thetas=tuple(thetas),
-                     additive=lin.detect_additive(ctx, T))
+    return ValuePoly(roots=roots, thetas=tuple(thetas), additive=additive)
 
 
 # ---------------------------------------------------------------------------

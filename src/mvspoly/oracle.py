@@ -18,6 +18,7 @@ from . import mvsp
 from . import poly
 from . import wspace
 from .errors import GuardError, InputError
+from .gf import power_exceeds
 from .linalg import rank_gf2, rank_mod
 
 FUNCTION_SCAN_GUARD = 1 << 20
@@ -79,9 +80,9 @@ def census_subfield_valued(ctx, guard=FUNCTION_SCAN_GUARD) -> CensusReport:
 
     The conditions are evaluated independently so their agreement is data,
     not an assumption.  Total member count must equal q^(2^n)."""
+    if power_exceeds(ctx.q, ctx.Q, guard):
+        raise GuardError(f"function scan of {ctx.q}^{ctx.Q} maps refused")
     total = ctx.q ** ctx.Q
-    if total > guard:
-        raise GuardError(f"function scan of size {total} refused")
     fq = ctx.subfield_elements(1)
     fq_set = frozenset(fq)
     xqx = {ctx.Q: ctx.one, 1: ctx.neg(ctx.one)}
@@ -238,20 +239,21 @@ def census_fixed_valueset(ctx, S, max_deg=None, mode=None,
                             total=0, members=0, nonconstant_members=0,
                             degree_histogram={},
                             note=f"empty by precondition: {exc}")
+    too_many_maps = power_exceeds(len(s_list), ctx.Q, guard)
     if mode is None:
-        mode = "functions" if len(s_list) ** ctx.Q <= guard else "polys"
+        mode = "polys" if too_many_maps else "functions"
     if mode == "functions":
+        if too_many_maps:
+            raise GuardError(f"function scan of {len(s_list)}^{ctx.Q} maps refused")
         total = len(s_list) ** ctx.Q
-        if total > guard:
-            raise GuardError(f"function scan of size {total} refused")
         candidates = (interpolate_table(ctx, table)
                       for table in itertools.product(s_list, repeat=ctx.Q))
     elif mode == "polys":
         if max_deg is None:
             raise InputError("poly scan needs max_deg")
+        if power_exceeds(ctx.Q, max_deg + 1, guard):
+            raise GuardError(f"coefficient scan of {ctx.Q}^{max_deg + 1} tuples refused")
         total = ctx.Q ** (max_deg + 1)
-        if total > guard:
-            raise GuardError(f"coefficient scan of size {total} refused")
         candidates = ({e: c for e, c in enumerate(coeffs) if c != ctx.zero}
                       for coeffs in itertools.product(ctx.elements(), repeat=max_deg + 1))
     else:
@@ -308,6 +310,17 @@ def _iter_polys_of_degree(ctx, d):
             yield f
 
 
+def _check_scan_size(Q, degrees, guard):
+    """Refuse a scan of every polynomial of the given degrees, (Q - 1) * Q^d
+    of each degree d, when there are more than guard; the count is summed
+    only while it stays within guard."""
+    total = 0
+    for d in degrees:
+        if power_exceeds(Q, d, (guard - total) // (Q - 1)):
+            raise GuardError(f"scan of more than {guard} polynomials refused")
+        total += (Q - 1) * Q ** d
+
+
 def verify_low_degree_forms(ctx, branch="both", guard=POLY_SCAN_GUARD):
     """Exhaustively compare minimality-by-definition against the normal form
     extractor on square fields.
@@ -323,11 +336,9 @@ def verify_low_degree_forms(ctx, branch="both", guard=POLY_SCAN_GUARD):
     branches = ("power", "shift") if branch == "both" else (branch,)
     for br in branches:
         if br == "power":
+            _check_scan_size(ctx.Q, range(1, s + 1), guard)
             degrees = tuple(range(1, s + 1))
             scanned = mv = fc = mismatches = 0
-            count = sum((ctx.Q - 1) * ctx.Q ** d for d in degrees)
-            if count > guard:
-                raise GuardError(f"scan of {count} polynomials refused")
             for d in degrees:
                 for f in _iter_polys_of_degree(ctx, d):
                     scanned += 1
@@ -349,9 +360,7 @@ def verify_low_degree_forms(ctx, branch="both", guard=POLY_SCAN_GUARD):
                                            form_count=0, mismatches=0,
                                            note="skipped: bound <= 2 is outside the theory"))
                 continue
-            count = (ctx.Q - 1) * ctx.Q ** d
-            if count > guard:
-                raise GuardError(f"scan of {count} polynomials refused")
+            _check_scan_size(ctx.Q, (d,), guard)
             mv_set = set()
             scanned = fc = mismatches = 0
             for f in _iter_polys_of_degree(ctx, d):

@@ -86,16 +86,24 @@ def mul(ctx, f: dict, g: dict) -> dict:
         return {}
     if degree(f) + degree(g) > EXP_LIMIT:
         raise InputError("exponent overflow beyond 2^62")
-    out = {}
-    zero_e = ctx.zero
+    # the products of each output exponent are collected, then summed once
+    # digit column by digit column
+    groups = {}
+    cmul = ctx.mul
     for e1, c1 in f.items():
         for e2, c2 in g.items():
             e = e1 + e2
-            s = ctx.add(out.get(e, zero_e), ctx.mul(c1, c2))
-            if s == zero_e:
-                out.pop(e, None)
+            prods = groups.get(e)
+            if prods is None:
+                groups[e] = [cmul(c1, c2)]
             else:
-                out[e] = s
+                prods.append(cmul(c1, c2))
+    p, zero = ctx.p, ctx.zero
+    out = {}
+    for e, prods in groups.items():
+        c = prods[0] if len(prods) == 1 else tuple(sum(col) % p for col in zip(*prods))
+        if c != zero:
+            out[e] = c
     return out
 
 
@@ -322,20 +330,19 @@ def from_text(ctx, s: str) -> dict:
     terms = []
     sign = 1
     buf = ""
-    for ch in text:
+    for i, ch in enumerate(text):
         if ch in "+-":
             if buf.strip():
                 terms.append((sign, buf.strip()))
-            elif terms or buf.strip():
-                pass
+            elif i:                   # only a leading sign has no term before it
+                raise InputError(f"empty term in polynomial text {s!r}")
             sign = 1 if ch == "+" else -1
             buf = ""
         else:
             buf += ch
-    if buf.strip():
-        terms.append((sign, buf.strip()))
-    if not terms:
-        raise InputError(f"bad polynomial text {s!r}")
+    if not buf.strip():
+        raise InputError(f"empty term in polynomial text {s!r}")
+    terms.append((sign, buf.strip()))
     out = {}
     for sg, term in terms:
         cpart, _, xpart = term.partition("x")

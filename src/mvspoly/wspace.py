@@ -19,6 +19,7 @@ from . import linearized as lin
 from . import mvsp
 from . import poly
 from .errors import GuardError, InputError
+from .gf import power_exceeds
 from .linalg import FpSpan
 
 ENUM_HARD_GUARD = 1 << 24
@@ -125,6 +126,9 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     beta = ctx.solve_power(alpha, qd - 1) if alpha != ctx.one else ctx.one
     if beta is None:
         raise InputError("alpha is not a (q^d - 1)-th power; the binomial does not split")
+    # every orbit's subfield basis scans the field: a field too large for
+    # that is refused here, before the orbit table is built
+    ctx.elements()
     nprime = ctx.n // d
     table = orbit_table(qd, nprime)
     M = ctx.Q - 1
@@ -216,9 +220,8 @@ def span_iter(ctx, polys, limit=ENUM_HARD_GUARD):
     """All F_q-linear combinations of the given polynomials, no duplicates
     when the inputs are independent."""
     dim = len(polys)
-    count = ctx.q ** dim
-    if count > min(limit, ENUM_HARD_GUARD):
-        raise GuardError(f"enumeration of {count} span elements refused")
+    if power_exceeds(ctx.q, dim, min(limit, ENUM_HARD_GUARD)):
+        raise GuardError(f"enumeration of {ctx.q}^{dim} span elements refused")
     fq = ctx.subfield_elements(1)
     for digits in itertools.product(fq, repeat=dim):
         f = {}

@@ -1,6 +1,7 @@
 import pytest
 
 from mvspoly.gf import make_field
+from mvspoly.oracle import verify_low_degree_forms
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,10 @@ def f64():
 @pytest.fixture(scope="session")
 def f729():
     return make_field(3, 1, 6)
+
+
+@pytest.fixture(scope="session")
+def f9_shift_forms(f9):
+    """The exhaustive shift-branch form check over F_9, run once per session
+    (several seconds) for every test that asserts on it."""
+    return verify_low_degree_forms(f9, branch="shift")[0]

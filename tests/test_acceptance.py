@@ -162,10 +162,9 @@ def test_criterion_5_odd_characteristic_power_lift():
            elapsed)
 
 
-def test_criterion_6_degree_four_completeness_over_f9():
+def test_criterion_6_degree_four_completeness_over_f9(f9_shift_forms):
     t0 = time.perf_counter()
-    ctx = make_field(3, 1, 2)
-    rep = O.verify_low_degree_forms(ctx, branch="shift")[0]
+    rep = f9_shift_forms
     ok = (rep.scanned == 52488 and rep.mvsp_count == 648
           and rep.form_family_size == 648 and rep.family_equal
           and rep.mismatches == 0)

@@ -3,10 +3,12 @@ import io
 import json
 import pathlib
 import shlex
+import time
 
 import jsonschema
 import pytest
 
+from mvspoly import cli
 from mvspoly.cli import main
 from mvspoly.gf import parse_field_spec
 
@@ -109,6 +111,10 @@ def test_verify_bad_exponent_is_an_input_error(F):
      "--guard-max", "10"],
     ["oracle", "census", "--field", "3^2:1", "--values", "0;1;2", "--max-deg", "-1",
      "--guard-max", "10"],
+    ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "x+"],
+    ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "x++1"],
+    ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x+", "--F", "x"],
+    ["lift", "--field", "2^6:1", "--A", "T^2+T+-1"],
 ])
 def test_bad_arguments_are_refused(argv):
     assert_input_error(argv)
@@ -272,3 +278,79 @@ def test_csv_census_witness_dump():
     lines = out.strip().splitlines()
     assert lines[0] == "degree,polynomial"
     assert len(lines) == 17
+
+
+VERIFY_OK = ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "x^18+x^9"]
+
+
+@pytest.mark.parametrize("first", [
+    ["--help"],
+    ["verify", "--help"],
+    ["verify", "--field", "2^6:1"],                       # argparse error
+    ["verify", "--field", "2^6:1", "--T", "x^3+x", "--F", "x"],   # input error
+])
+def test_parser_reuse_keeps_output_bytes(first):
+    """main builds its parser once per process; a call after a help, usage
+    or input error prints the same bytes as it does on a fresh parser."""
+    separate = []
+    for argv in (first, VERIFY_OK, first):
+        cli._parser.cache_clear()
+        separate.append(run(argv))
+    assert separate[0][0] in (0, 2) and separate[1][0] == 0
+    in_a_row = [run(argv) for argv in (first, VERIFY_OK, first)]
+    assert in_a_row == separate
+
+
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["--help"], VERIFY_OK, ["verify", "--field", "2^6:1"], VERIFY_OK):
+        run(argv)
+    cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_help_is_the_built_parsers_help():
+    code, out, err = run(["--help"])
+    assert code == 0 and out == cli.build_parser().format_help()
+
+
+# the trace from F_{2^22} to F_4 is a member of the space of x^4 + x
+TRACE_2_22 = "+".join(f"x^{4 ** i}" for i in range(11))
+
+
+@pytest.mark.parametrize("F,code", [(TRACE_2_22, 0), (TRACE_2_22 + "+g", 1),
+                                    (TRACE_2_22 + "+x^3", 1)])
+def test_verify_beyond_the_table_limit(monkeypatch, F, code):
+    """Above 2^20 elements the additive value polynomial's roots come from
+    its nullspace, so verify answers with no element scan."""
+    ctx = parse_field_spec("2^22:1")
+    scans = []
+    monkeypatch.setattr(ctx, "elements", lambda: scans.append(1) or [])
+    got, d = run_json(["verify", "--field", "2^22:1", "--T", "x^4+x", "--F", F])
+    assert got == code and d["is_member"] is (code == 0)
+    assert len(d["theta_candidates"]) == 1 and scans == []
+    if code == 0:
+        assert len(d["value_set"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "theorems", "--field", "2^22:1"],
+    ["oracle", "theorems", "--field", "2^40:1"],
+    ["oracle", "theorems", "--field", "2^40:1", "--branch", "shift"],
+    ["oracle", "census", "--field", "2^22:1"],
+    ["oracle", "census", "--field", "2^40:1", "--values", "0;1", "--max-deg", "9"],
+    ["basis", "--field", "2^22:1", "--d", "1"],
+    ["enumerate", "--field", "2^22:1", "--d", "1"],
+])
+def test_large_fields_are_refused_at_once(argv):
+    """Guards compare sizes like q^Q without building them and refuse
+    before the expensive work; the field itself is built beforehand."""
+    parse_field_spec(argv[argv.index("--field") + 1])
+    t0 = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("guard refusal: ")

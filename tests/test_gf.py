@@ -266,3 +266,46 @@ def test_frobenius_is_additive(x, j):
     b = ctx.elem_from_int((x * 31 + 7) % 64)
     assert ctx.frobenius(ctx.add(a, b), j) == \
         ctx.add(ctx.frobenius(a, j), ctx.frobenius(b, j))
+
+
+# -- exp/log tables against one schoolbook product per power --------------------------
+
+def stepped_tables(ctx, gen):
+    """exp/log by one _mul_raw per power of gen: the construction the chunk
+    tables replace, kept here as the oracle."""
+    exp, log = [], {}
+    cur = ctx.one
+    for i in range(ctx.Q - 1):
+        exp.append(cur)
+        log[cur] = i
+        cur = ctx._mul_raw(cur, gen)
+    return exp, log
+
+
+def not_primitive_before(ctx, gen):
+    """Every nonzero element before gen in canonical order has schoolbook
+    powers that return to 1 before Q - 1."""
+    for i in range(1, ctx.elem_to_int(gen)):
+        a = cur = ctx.elem_from_int(i)
+        for _ in range(ctx.Q - 2):
+            if cur == ctx.one:
+                break
+            cur = ctx._mul_raw(cur, a)
+        else:
+            return False
+    return True
+
+
+TABLE_FIELDS = [(p, k, N // k) for p in (2, 3, 5, 7) for N in range(1, 13)
+                if p ** N <= 1 << 12 for k in range(1, N + 1) if N % k == 0]
+
+
+@pytest.mark.parametrize("p,k,n", TABLE_FIELDS + [(2, 1, 16)])
+def test_tables_match_schoolbook_stepping(p, k, n):
+    ctx = FieldCtx(p, k, n)
+    assert ctx.elements() == [ctx.elem_from_int(i) for i in range(ctx.Q)]
+    exp, log = stepped_tables(ctx, ctx.generator)
+    assert ctx._exp == exp
+    assert ctx._log == log
+    # the generator is the first primitive element: its Q - 1 powers differ
+    assert len(log) == ctx.Q - 1 and not_primitive_before(ctx, ctx.generator)

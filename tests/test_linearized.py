@@ -3,6 +3,8 @@ import random
 import pytest
 
 from mvspoly import linearized as L
+from mvspoly import mvsp as M
+from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import InputError
@@ -338,3 +340,27 @@ def test_tau_text_roundtrip(f64):
     a = L.make(f64, 1, (f64.one, f64.elem_from_int(3), f64.one))
     s = L.tau_to_text(f64, a)
     assert L.tau_from_text(f64, s) == a
+
+
+# -- roots from the nullspace ------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["2^4:1", "2^6:1", "2^4:2", "3^3:1", "3^4:1"])
+def test_roots_match_field_scan(spec):
+    """Every split separable p-additive T (one per F_p-subspace, built over
+    the prime base): the nullspace span is the scanned root set, also where
+    T is not additive at the context base, and it is what the checked value
+    polynomial keeps."""
+    ctx = parse_field_spec(spec)
+    prime = make_field(ctx.p, 1, ctx.N)         # same modulus, same elements
+    count = 0
+    for t in range(1, ctx.N + 1):
+        for basis in O.subspaces(prime, t):
+            a = L.subspace_poly(prime, basis)
+            T = L.to_sparse(ctx, a)
+            roots = L.roots(ctx, a)
+            assert roots == P.roots(ctx, T)
+            assert len(roots) == ctx.p ** t
+            if ctx.p ** t > 2:
+                assert M.validate_value_poly(ctx, T).roots == roots
+            count += 1
+    assert count == {"2^4": 66, "2^6": 2824, "3^3": 27, "3^4": 211}[spec.split(":")[0]]

@@ -176,8 +176,8 @@ def test_census_fixed_poly_mode(f4):
 
 # -- low degree form checks -----------------------------------------------------------
 
-def test_forms_f9_shift_branch(f9):
-    rep = O.verify_low_degree_forms(f9, branch="shift")[0]
+def test_forms_f9_shift_branch(f9_shift_forms):
+    rep = f9_shift_forms
     assert rep.scanned == 52488
     assert rep.mvsp_count == 648
     assert rep.form_count == 648

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvspoly import poly as P
 from mvspoly.errors import InputError
-from mvspoly.gf import make_field
+from mvspoly.gf import FieldCtx, make_field
 
 
 def rand_poly(ctx, rng, max_deg=8, terms=4):
@@ -232,3 +233,53 @@ def test_add_commutes_f9(pairs):
             tgt[e] = cc
     assert P.add(ctx, f, g) == P.add(ctx, g, f)
     assert P.mul(ctx, f, g) == P.mul(ctx, g, f)
+
+
+# -- mul against the pair-by-pair sum ----------------------------------------------------
+
+def mul_pairwise(ctx, f, g):
+    """f*g adding each term pair's product into the result as it comes."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            s = ctx.add(out.get(e1 + e2, ctx.zero), ctx.mul(c1, c2))
+            if s == ctx.zero:
+                out.pop(e1 + e2, None)
+            else:
+                out[e1 + e2] = s
+    return out
+
+
+MUL_FIELDS = [(p, N, use_table) for p, N in ((2, 4), (3, 2), (5, 2))
+              for use_table in (True, False)]
+
+
+@functools.lru_cache(maxsize=None)
+def mul_field(p, N, use_table):
+    return FieldCtx(p, 1, N, use_table=use_table)
+
+
+TERMS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 10 ** 6)), max_size=8)
+
+
+@pytest.mark.parametrize("p,N,use_table", MUL_FIELDS)
+@settings(max_examples=100, deadline=None)
+@given(TERMS, TERMS)
+def test_mul_matches_pairwise_sum(p, N, use_table, fterms, gterms):
+    ctx = mul_field(p, N, use_table)
+    f = {e: ctx.elem_from_int(v % ctx.Q) for e, v in fterms if v % ctx.Q}
+    g = {e: ctx.elem_from_int(v % ctx.Q) for e, v in gterms if v % ctx.Q}
+    assert P.mul(ctx, f, g) == mul_pairwise(ctx, f, g)
+
+
+@pytest.mark.parametrize("text", ["x+", "x-", "x++1", "x+-1", "x^2 + + 1", "-", "+ -x"])
+def test_text_empty_term_is_refused(f9, text):
+    with pytest.raises(InputError):
+        P.from_text(f9, text)
+
+
+def test_text_leading_sign_and_difference(f9):
+    minus_one = f9.neg(f9.one)
+    assert P.from_text(f9, "-x") == {1: minus_one}
+    assert P.from_text(f9, " - x^2 - 1") == {2: minus_one, 0: minus_one}
+    assert P.from_text(f9, "x - 1") == {1: f9.one, 0: minus_one}
