@@ -211,11 +211,10 @@ class FieldCtx:
                 v = w
         else:
             size = len(tables[0][1])
-            weights = [p ** j for j in range(self.N)]
             for i in range(Q - 1):
                 ints[i] = v
-                images = [tab[v // place % size] for place, tab in tables]
-                v = sum(sum(col) % p * wt for col, wt in zip(zip(*images), weights))
+                v = self.elem_to_int(self.sum([tab[v // place % size]
+                                               for place, tab in tables]))
         elems = self.elements()
         self._exp = [elems[v] for v in ints]
         self._log = dict(zip(self._exp, range(Q - 1)))
@@ -274,6 +273,12 @@ class FieldCtx:
     def add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sum(self, elems):
+        """The sum of a nonempty sequence of elements, one digit column at
+        a time."""
+        p = self.p
+        return tuple(sum(col) % p for col in zip(*elems))
 
     def sub(self, a, b):
         p = self.p

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from . import poly
-from .errors import InputError
+from .errors import GuardError, InputError
+from .gf import TABLE_LIMIT
 from .linalg import FpSpan, nullspace_mod
 
 
@@ -208,11 +209,15 @@ def _fp_nullspace(ctx, a: AdditivePoly) -> list:
 
 def roots(ctx, a: AdditivePoly) -> tuple:
     """The distinct zeros of a nonzero A in the ambient field, in canonical
-    element order: the F_p-span of its nullspace, with no field scan."""
+    element order: the F_p-span of its nullspace, with no field scan.  The
+    span is listed only up to 2^20 roots, the bound of the element scan."""
     if a.is_zero():
         raise InputError("roots of the zero polynomial")
+    null = _fp_nullspace(ctx, a)
+    if ctx.p ** len(null) > TABLE_LIMIT:
+        raise GuardError("root listing refused above 2^20 roots")
     span = [ctx.zero]
-    for w in _fp_nullspace(ctx, a):
+    for w in null:
         span = [ctx.add(v, ctx.smul(c, w)) for c in range(ctx.p) for v in span]
     return tuple(sorted(span, key=ctx.elem_to_int))
 

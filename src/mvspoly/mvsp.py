@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import linearized as lin
 from . import poly
 from .errors import GuardError, InputError
+from .gf import TABLE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,11 @@ def find_additive_reduction(ctx, T: dict) -> list[ReductionWitness]:
     """All (v, base, gamma) with T(x^v + gamma)/x^(v-1) additive at that base,
     scanning base in 1..N, v over divisors of p^base - 1, gamma over the
     roots of T.  An empty list certifies that no nonconstant member of the
-    T-space can exist."""
+    T-space can exist.  The divisor scan walks 1..p^N - 1, so it is refused
+    above 2^20 elements, like the element scan."""
     roots = validate_value_poly(ctx, T).roots
+    if ctx.Q > TABLE_LIMIT:
+        raise GuardError("additive reduction scan refused above 2^20 elements")
     out = []
     for base in range(1, ctx.N + 1):
         mod = ctx.p ** base - 1

@@ -98,10 +98,10 @@ def mul(ctx, f: dict, g: dict) -> dict:
                 groups[e] = [cmul(c1, c2)]
             else:
                 prods.append(cmul(c1, c2))
-    p, zero = ctx.p, ctx.zero
+    zero = ctx.zero
     out = {}
     for e, prods in groups.items():
-        c = prods[0] if len(prods) == 1 else tuple(sum(col) % p for col in zip(*prods))
+        c = prods[0] if len(prods) == 1 else ctx.sum(prods)
         if c != zero:
             out[e] = c
     return out

@@ -344,6 +344,9 @@ def test_verify_beyond_the_table_limit(monkeypatch, F, code):
     ["oracle", "census", "--field", "2^40:1", "--values", "0;1", "--max-deg", "9"],
     ["basis", "--field", "2^22:1", "--d", "1"],
     ["enumerate", "--field", "2^22:1", "--d", "1"],
+    ["reduce", "--field", "2^40:1", "--T", "x^4+x"],
+    ["verify", "--field", "2^40:1", "--T", "x^1099511627776+x", "--F", "x"],
+    ["verify", "--field", "2^22:1", "--T", "x^4194304+x", "--F", "x"],
 ])
 def test_large_fields_are_refused_at_once(argv):
     """Guards compare sizes like q^Q without building them and refuse
