@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 
@@ -43,17 +44,30 @@ def _parse_additive(ctx, text):
 
 def _emit(args, payload, csv_rows=None, text_lines=None):
     fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in csv_rows or [[json.dumps(payload)]]:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
-    else:
-        for line in text_lines or [json.dumps(payload)]:
-            print(line)
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, indent=2))
+        elif fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            for row in csv_rows or [[json.dumps(payload)]]:
+                writer.writerow(row)
+            sys.stdout.write(buf.getvalue())
+        else:
+            for line in text_lines or [json.dumps(payload)]:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_closed()
+
+
+def _stdout_closed():
+    """The reader of stdout has gone (`mvspoly ... | head`): what is left
+    goes to os.devnull, so neither a later write nor the flush at exit
+    raises, and the command keeps its exit code."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +579,12 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()      # argparse's --help is written outside _emit
+    except BrokenPipeError:
+        _stdout_closed()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -129,6 +129,7 @@ class FieldCtx:
         self.generator = None
         self._exp = None
         self._log = None
+        self._zech = None
         if use_table:
             if self.Q > TABLE_LIMIT:
                 raise GuardError("multiplicative table refused above 2^20 elements")
@@ -196,28 +197,50 @@ class FieldCtx:
 
     def _build_table(self):
         """exp/log by stepping through the powers of the generator on
-        canonical ints, one chunk-table step per power (see _mul_tables)."""
+        canonical ints, one chunk-table step per power (see _mul_tables).
+        The same loop records each int's log, from which the Zech table
+        zech[n] = log(1 + g^n) is read off, None where 1 + g^n = 0."""
         Q, p = self.Q, self.p
+        M = Q - 1
         gen = self._find_generator()
         tables = self._mul_tables(gen)
-        ints = [0] * (Q - 1)
+        elems = self.elements()
+        exp = [None] * M
+        ilog = [None] * Q           # canonical int -> log; 0 has none
         v = 1
         if p == 2:
-            for i in range(Q - 1):
-                ints[i] = v
+            for i in range(M):
+                exp[i] = elems[v]
+                ilog[v] = i
                 w = 0
                 for shift, tab in tables:
                     w ^= tab[v >> shift & 255]
                 v = w
         else:
             size = len(tables[0][1])
-            for i in range(Q - 1):
-                ints[i] = v
+            for i in range(M):
+                exp[i] = elems[v]
+                ilog[v] = i
                 v = self.elem_to_int(self.sum([tab[v // place % size]
                                                for place, tab in tables]))
-        elems = self.elements()
-        self._exp = [elems[v] for v in ints]
-        self._log = dict(zip(self._exp, range(Q - 1)))
+        # nxt[v] = log(1 + element v): adding 1 raises digit 0 by one, and
+        # digit 0 = p - 1 wraps to 0 (at p = 2 this is v XOR 1)
+        nxt = ilog[1:]
+        nxt.append(ilog[0])
+        nxt[p - 1::p] = ilog[::p]
+        zech = [None] * M
+        for n, z in zip(itertools.islice(ilog, 1, None), itertools.islice(nxt, 1, None)):
+            zech[n] = z
+        del nxt
+        self._exp = exp
+        self._zech = zech
+        # the logs are the loop's own int objects, shared with _zech; zero
+        # has the log None
+        self._log = dict(zip(elems, ilog))
+        self._M = M
+        # log(-1), and log(c * 1) for c in F_p (the int of c * 1 is c)
+        self._neg_log = M // 2 if p > 2 else 0
+        self._scalar_log = ilog[:p]
 
     def _mul_tables(self, g):
         """Multiplication by g, which is F_p-linear, tabulated per chunk of
@@ -270,9 +293,27 @@ class FieldCtx:
 
     # -- ring operations ------------------------------------------------------
 
+    # add, sub, neg and smul have two paths: on a table field they work on
+    # logs, adding by one lookup in the table of Zech logarithms (K. Huber,
+    # IEEE Trans. IT 36, 1990), g^a + g^b = g^(a + zech[b - a]);
+    # without tables they work digit by digit.  Both return the canonical
+    # tuples.  _log maps zero to None, so on the log path an operand that
+    # is not a field element raises KeyError.
+
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        zech = self._zech
+        if zech is None:
+            p = self.p
+            return tuple((x + y) % p for x, y in zip(a, b))
+        log = self._log
+        la = log[a]
+        lb = log[b]
+        if la is None:
+            return b
+        if lb is None:
+            return a
+        z = zech[lb - la]           # |lb - la| < M: a negative index wraps
+        return self.zero if z is None else self._exp[(la + z) % self._M]
 
     def sum(self, elems):
         """The sum of a nonempty sequence of elements, one digit column at
@@ -281,18 +322,29 @@ class FieldCtx:
         return tuple(sum(col) % p for col in zip(*elems))
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        if self._zech is None:
+            p = self.p
+            return tuple((x - y) % p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        if self._zech is None:
+            p = self.p
+            return tuple((-x) % p for x in a)
+        la = self._log[a]
+        return a if la is None else self._exp[(la + self._neg_log) % self._M]
 
     def smul(self, c: int, a):
         """Scalar multiple by an integer (an F_p scalar)."""
         p = self.p
         c %= p
-        return tuple((c * x) % p for x in a)
+        if self._zech is None:
+            return tuple((c * x) % p for x in a)
+        la = self._log[a]
+        lc = self._scalar_log[c]
+        if la is None or lc is None:
+            return self.zero
+        return self._exp[(la + lc) % self._M]
 
     def mul(self, a, b):
         if self.use_table:

@@ -44,16 +44,6 @@ def make(ctx, base: int, coeffs) -> AdditivePoly:
     return AdditivePoly(base, _trim(coeffs, ctx.zero))
 
 
-def q_degree(ctx, a: AdditivePoly) -> int:
-    """t with deg = q^t; requires the degree to be a q-power in context."""
-    if a.is_zero():
-        raise InputError("zero polynomial has no degree")
-    e = a.base * a.tau_deg()
-    if e % ctx.k != 0:
-        raise InputError("degree is not a power of the context base q")
-    return e // ctx.k
-
-
 def to_sparse(ctx, a: AdditivePoly) -> dict:
     out = {}
     for i, c in enumerate(a.coeffs):

@@ -145,14 +145,14 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
                           is_member=member,
                           reason="" if member else "constant is not a root")
     bound = (ctx.Q - 1) // dF + 1
-    dFp = poly.degree(poly.derivative(ctx, F))
+    dFpoly = poly.derivative(ctx, F)
+    dFp = poly.degree(dFpoly)
     if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
         return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
                           theta=None, theta_candidates=vp.thetas, is_member=False,
                           reason="value set mismatch")
     lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
            else poly.compose(ctx, T, F))
-    dFpoly = poly.derivative(ctx, F)
     rhs = poly.mul(ctx, {ctx.Q: ctx.one, 1: ctx.neg(ctx.one)}, dFpoly)
     # theta is forced by the leading coefficients, then checked everywhere
     lead = ctx.Q + dFp

@@ -24,12 +24,6 @@ def const(ctx, c) -> dict:
     return {} if c == ctx.zero else {0: c}
 
 
-def monomial(ctx, e: int, c) -> dict:
-    if e < 0:
-        raise InputError("negative exponent")
-    return {} if c == ctx.zero else {e: c}
-
-
 def x_poly(ctx) -> dict:
     return {1: ctx.one}
 

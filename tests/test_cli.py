@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -118,6 +121,40 @@ def test_verify_bad_exponent_is_an_input_error(F):
 ])
 def test_bad_arguments_are_refused(argv):
     assert_input_error(argv)
+
+
+def test_value_starting_with_a_minus_is_passed_with_equals():
+    # argparse reads "--F -x" as two options; the README says to write "--F=-x"
+    code, d = run_json(["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F=-x"])
+    assert code in (0, 1) and d["F"] == "x"
+    code, d = run_json(["verify", "--field", "3^2:1", "--T", "x^3-x", "--F=-x^3"])
+    assert code in (0, 1) and d["F"] == "2,0*x^3"
+    code, out, err = run(["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "-x"])
+    assert code == 2 and out == "" and "expected one argument" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F=-x"], 1),
+    (["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "x^18+x^9",
+      "--format", "text"], 0),
+    (["--help"], 0),
+])
+def test_closed_stdout_exits_quietly_with_the_exit_code(argv, code):
+    """`mvspoly ... | head -c 200`: the reader closes the pipe before the
+    output is written; the command still exits with main's code and writes
+    no traceback."""
+    src = ROOT / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-c", "from mvspoly.cli import entry; entry()",
+                               *argv], env=env, stdout=w, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert done.returncode == code
+    assert done.stderr == ""
 
 
 def test_basis_binomial_example():

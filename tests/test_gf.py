@@ -306,6 +306,68 @@ def test_tables_match_schoolbook_stepping(p, k, n):
     assert ctx.elements() == [ctx.elem_from_int(i) for i in range(ctx.Q)]
     exp, log = stepped_tables(ctx, ctx.generator)
     assert ctx._exp == exp
-    assert ctx._log == log
+    assert ctx._log == {ctx.zero: None, **log}
+    # zech[n] = log(1 + g^n), None where 1 + g^n = 0
+    assert ctx._zech == [log.get(tuple((x + y) % p for x, y in zip(ctx.one, a))) for a in exp]
     # the generator is the first primitive element: its Q - 1 powers differ
     assert len(log) == ctx.Q - 1 and not_primitive_before(ctx, ctx.generator)
+
+
+# -- log-domain arithmetic against the digit-tuple reference -------------------------
+
+DIFF_FIELDS = [(p, k, N // k) for p in (2, 3, 5, 7) for N in range(1, 11)
+               if p ** N <= 1 << 10 for k in range(1, N + 1) if N % k == 0] + [(1021, 1, 1)]
+
+
+def diff_pairs(ctx, rng):
+    """Every element pair for Q <= 64, a seeded sample of 1000 otherwise;
+    the sample always holds pairs with a zero operand, a + b = 0 and a - b = 0."""
+    elems = ctx.elements()
+    if ctx.Q <= 64:
+        return list(itertools.product(elems, repeat=2))
+    pairs = [(elems[rng.randrange(ctx.Q)], elems[rng.randrange(ctx.Q)]) for _ in range(1000)]
+    for a in rng.sample(elems, 20):
+        pairs += [(a, ctx.zero), (ctx.zero, a), (a, ctx.neg(a)), (a, a)]
+    return pairs
+
+
+@pytest.mark.parametrize("p,k,n", DIFF_FIELDS)
+def test_log_domain_ops_match_the_digit_reference(p, k, n):
+    table = FieldCtx(p, k, n)
+    plain = FieldCtx(p, k, n, use_table=False)
+    assert table._zech is not None and plain._zech is None
+    rng = random.Random(p * 1000 + k * 100 + n)
+    M = table.Q - 1
+    scalars = sorted({0, 1, 2, p - 1, p, p + 1, -1, -2, -p, -p - 1, 3 * p + 2})
+    for a, b in diff_pairs(table, rng):
+        for op in ("add", "sub", "mul"):
+            assert getattr(table, op)(a, b) == getattr(plain, op)(a, b), (op, a, b)
+        assert table.sum([a, b, a]) == plain.sum([a, b, a])
+    for a in rng.sample(table.elements(), min(table.Q, 64)):
+        assert table.neg(a) == plain.neg(a)
+        for c in scalars:
+            assert table.smul(c, a) == plain.smul(c, a), (c, a)
+        for e in (0, 1, 2, 5, M - 1, M, M + 2):
+            assert table.pow_elem(a, e) == plain.pow_elem(a, e)
+        if a != table.zero:
+            assert table.inv(a) == plain.inv(a)
+    for c in scalars:
+        assert table.int_elem(c) == plain.int_elem(c)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 6), (3, 1, 2), (2, 2, 2), (7, 1, 2)])
+def test_log_domain_ops_refuse_a_non_element(p, k, n):
+    ctx = make_field(p, k, n)
+    zero, one = ctx.zero, ctx.one
+    big_digit = (p,) + zero[1:]
+    too_long = one + (0,)
+    too_short = one[:-1] if ctx.N > 1 else ()
+    for bad in (big_digit, too_long, too_short, zero + (0,)):
+        calls = [(ctx.neg, bad), (ctx.inv, bad), (ctx.pow_elem, bad, 3), (ctx.mul, bad, one)]
+        calls += [(ctx.smul, c, bad) for c in (0, 1, -1, p)]
+        for other in (zero, one):
+            calls += [(ctx.add, bad, other), (ctx.add, other, bad),
+                      (ctx.sub, bad, other), (ctx.sub, other, bad)]
+        for fn, *args in calls:
+            with pytest.raises(KeyError):
+                fn(*args)

@@ -92,7 +92,7 @@ def _subspace_shift_value_polys(ctx):
                     continue
                 T = {0: ctx.one}
                 for s in coset:
-                    T = P.mul(ctx, T, {1: ctx.one, 0: ctx.neg(s)})
+                    T = P.mul(ctx, T, P.linear(ctx, s))
                 out.append((T, coset))
     return out
 
