@@ -23,7 +23,7 @@ import math
 
 from . import poly
 from .errors import GuardError, InputError
-from .linalg import FpSpan
+from .linalg import FpSpan, FqSpan
 
 # Multiplicative exp/log tables are built for fields up to this order.
 TABLE_LIMIT = 1 << 20
@@ -47,7 +47,19 @@ def prime_factors(m: int) -> list:
 
 
 def is_prime(m: int) -> bool:
-    return m >= 2 and prime_factors(m) == [m]
+    """Deterministic Miller-Rabin with the prime bases 2..37.  It is exact
+    below 318665857834031151167461 (about 3.2*10^23), the least strong
+    pseudoprime to all twelve bases, which is far above the 2^62 size limit."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m < 2 or any(m % b == 0 for b in bases):
+        return m in bases
+    s = ((m - 1) & (1 - m)).bit_length() - 1        # m - 1 = d * 2^s, d odd
+    d = (m - 1) >> s
+    for b in bases:
+        x = pow(b, d, m)
+        if x != 1 and m - 1 not in (pow(x, 1 << j, m) for j in range(s)):
+            return False
+    return True
 
 
 def power_exceeds(b: int, e: int, bound: int) -> bool:
@@ -102,12 +114,12 @@ class FieldCtx:
     """The ambient field F_{p^N} with base subfield F_q = F_{p^k}, N = k*n."""
 
     def __init__(self, p: int, k: int, n: int, use_table: bool | None = None):
-        if not is_prime(p):
-            raise InputError(f"p = {p} is not prime")
         if k < 1 or n < 1:
             raise InputError("k and n must be positive")
-        if p ** (k * n) > SIZE_LIMIT:
+        if power_exceeds(p, k * n, SIZE_LIMIT):
             raise InputError("field too large for 64-bit exponent arithmetic")
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
         self.p = p
         self.k = k
         self.n = n
@@ -139,18 +151,13 @@ class FieldCtx:
 
     def _reduction_rows(self):
         p, N, mod = self.p, self.N, self.modulus
-        rows = []
         cur = [(-mod[i]) % p for i in range(N)]      # y^N
-        rows.append(tuple(cur))
-        for _ in range(N - 2):
-            nxt = [0] + cur[:-1]
+        rows = [tuple(cur)]
+        for _ in range(N - 2):                       # y^(N+j+1) = y * y^(N+j)
             c = cur[-1]
+            cur = [0] + cur[:-1]
             if c:
-                for i in range(N):
-                    nxt[i] = (nxt[i] - c * mod[i]) % p
-            else:
-                nxt = [v % p for v in nxt]
-            cur = nxt
+                cur = [(x - c * m) % p for x, m in zip(cur, mod)]
             rows.append(tuple(cur))
         return rows
 
@@ -348,9 +355,10 @@ class FieldCtx:
 
     def mul(self, a, b):
         if self.use_table:
-            if a == self.zero or b == self.zero:
+            la, lb = self._log[a], self._log[b]
+            if la is None or lb is None:
                 return self.zero
-            return self._exp[(self._log[a] + self._log[b]) % (self.Q - 1)]
+            return self._exp[(la + lb) % (self.Q - 1)]
         return self._mul_raw(a, b)
 
     def inv(self, a):
@@ -420,29 +428,22 @@ class FieldCtx:
 
     def fq_independent(self, kept: list, candidate) -> bool:
         """Is candidate outside the F_q-span of kept?  (span tracked per call)"""
-        span = FpSpan(self.p, self.N)
+        span = FqSpan(self)
         for w in kept:
-            for u in self.fp_basis_of_fq():
-                span.add(self.mul(u, w))
-        return not span.contains(candidate)
+            span.add((w,))
+        return span.add((candidate,))
 
     def subfield_basis(self, d: int) -> list:
         """d elements of F_{q^d} forming an F_q-basis, chosen deterministically
         by scanning the canonical element order and keeping what is new."""
         if d not in self._sub_basis:
-            span = FpSpan(self.p, self.N)
+            span = FqSpan(self)
             basis = []
-            fpq = self.fp_basis_of_fq()
             for a in self.subfield_elements(d):
-                if a == self.zero:
-                    continue
-                if span.contains(a):
-                    continue
-                basis.append(a)
-                for u in fpq:
-                    span.add(self.mul(u, a))
-                if len(basis) == d:
-                    break
+                if span.add((a,)):
+                    basis.append(a)
+                    if len(basis) == d:
+                        break
             assert len(basis) == d
             self._sub_basis[d] = basis
         return self._sub_basis[d]

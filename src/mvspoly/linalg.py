@@ -1,62 +1,14 @@
-"""Exact linear algebra mod a small prime.
+"""Exact linear algebra over F_p, in plain Python.
 
-Row vectors are 1-d arrays with entries in [0, p).  Pivot selection is
-always "first nonzero", so every routine is deterministic.  At odd p the
-work is done on numpy integer arrays.  At p = 2 `nullspace_mod` and `FpSpan`
-pack a row into one Python int (entry i at bit i) and eliminate by XOR, and
-`rank_gf2` takes rows already packed; numpy is imported on first use, so a
-computation over a field of characteristic 2 never loads it.
+Pivot selection is always "first nonzero", so every routine is
+deterministic.  `FpSpan` is the one elimination engine: at p = 2 it packs a
+row into one Python int (entry i at bit i) and eliminates by XOR, and at odd
+p a row is a list of ints in [0, p).  `rank_gf2` ranks rows already packed.
+`FqSpan` tracks an F_q-span of vectors of field elements as the F_p-span of
+their multiples by an F_p-basis of F_q.
 """
 
 from __future__ import annotations
-
-
-def _pack2(vec) -> int:
-    """The entries of vec mod 2 as the bits of one int, entry i at bit i."""
-    v = 0
-    for i, d in enumerate(vec):
-        if d & 1:
-            v |= 1 << i
-    return v
-
-
-def _as_matrix(rows, p):
-    import numpy as np
-    arr = np.array(rows, dtype=np.int64) % p
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return arr
-
-
-def rref_mod(rows, p: int):
-    """Reduced row echelon form mod p. Returns (matrix, pivot_columns)."""
-    import numpy as np
-    arr = _as_matrix(rows, p)
-    nrows, ncols = arr.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(arr[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            arr[[r, i]] = arr[[i, r]]
-        inv = pow(int(arr[r, c]), p - 2, p)
-        arr[r] = (arr[r] * inv) % p
-        other = np.nonzero(arr[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            arr[other] = (arr[other] - np.outer(arr[other, c], arr[r])) % p
-        pivots.append(c)
-        r += 1
-    return arr[:r], pivots
-
-
-def rank_mod(rows, p: int) -> int:
-    return rref_mod(rows, p)[0].shape[0]
 
 
 def rank_gf2(vectors) -> int:
@@ -79,31 +31,10 @@ def rank_gf2(vectors) -> int:
 
 def nullspace_mod(matrix, p: int):
     """Basis of {v : M v = 0 (mod p)} for an (m x n) matrix M, given as a
-    list of rows, as a list of length-n vectors. Free variables are taken in
-    increasing column order."""
-    if p == 2:
-        return _nullspace_gf2(matrix)
-    import numpy as np
-    arr = _as_matrix(matrix, p)
-    ncols = arr.shape[1]
-    red, pivots = rref_mod(arr, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red[r, f]) % p
-        basis.append(v)
-    return basis
-
-
-def _nullspace_gf2(matrix):
-    """nullspace_mod at p = 2: the same reduced echelon form, hence the same
-    basis, computed on packed rows."""
+    list of rows, as a list of length-n vectors read off the reduced echelon
+    form.  Free variables are taken in increasing column order."""
     ncols = len(matrix[0])
-    span = FpSpan(2, ncols)
+    span = FpSpan(p, ncols)
     for row in matrix:
         span.add(row)
     pivot_set = set(span.pivots)
@@ -114,14 +45,14 @@ def _nullspace_gf2(matrix):
         v = [0] * ncols
         v[f] = 1
         for row, c in zip(span.rows, span.pivots):
-            v[c] = row >> f & 1
+            v[c] = row >> f & 1 if p == 2 else -row[f] % p
         basis.append(v)
     return basis
 
 
 class FpSpan:
     """Incrementally maintained row space mod p, kept in reduced echelon form:
-    numpy rows at odd p, packed int rows at p = 2."""
+    packed int rows at p = 2, int lists at odd p."""
 
     def __init__(self, p: int, width: int):
         self.p = p
@@ -130,42 +61,41 @@ class FpSpan:
         self.pivots = []
 
     def reduce(self, vec):
-        if self.p == 2:
-            v = _pack2(vec)
+        p = self.p
+        if p == 2:
+            v = sum(1 << i for i, d in enumerate(vec) if d & 1)     # entry i at bit i
             for row, c in zip(self.rows, self.pivots):
                 if v >> c & 1:
                     v ^= row
             return v
-        import numpy as np
-        v = np.array(vec, dtype=np.int64) % self.p
+        v = [d % p for d in vec]
         for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % self.p
+            a = v[c]
+            if a:
+                v = [(d - a * r) % p for d, r in zip(v, row)]
         return v
 
     def contains(self, vec) -> bool:
         v = self.reduce(vec)
-        return not (v if self.p == 2 else v.any())
+        return not (v if self.p == 2 else any(v))
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
         v = self.reduce(vec)
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             if not v:
                 return False
             c = (v & -v).bit_length() - 1           # the first nonzero entry
             self.rows = [row ^ v if row >> c & 1 else row for row in self.rows]
         else:
-            import numpy as np
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
+            c = next((i for i, d in enumerate(v) if d), None)
+            if c is None:
                 return False
-            c = int(nz[0])
-            v = (v * pow(int(v[c]), self.p - 2, self.p)) % self.p
-            for row in self.rows:
-                if row[c]:
-                    row -= row[c] * v
-                    row %= self.p
+            s = pow(v[c], -1, p)
+            v = [d * s % p for d in v]
+            self.rows = [[(r - row[c] * d) % p for r, d in zip(row, v)] if row[c] else row
+                         for row in self.rows]
         self.rows.append(v)
         self.pivots.append(c)
         return True
@@ -173,3 +103,27 @@ class FpSpan:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+class FqSpan:
+    """The F_q-span of vectors of `length` elements of the field ctx, kept as
+    the F_p-span of their multiples by `ctx.fp_basis_of_fq()`, whose first
+    member is 1."""
+
+    def __init__(self, ctx, length: int = 1):
+        self.ctx = ctx
+        self.fp = FpSpan(ctx.p, length * ctx.N)
+
+    def _digits(self, vec, u=None):
+        if u is not None:
+            vec = [self.ctx.mul(u, c) for c in vec]
+        return [d for c in vec for d in c]
+
+    def add(self, vec) -> bool:
+        """Insert vec; True if it enlarged the span, that is, if vec was
+        outside it."""
+        if not self.fp.add(self._digits(vec)):
+            return False
+        for u in self.ctx.fp_basis_of_fq()[1:]:
+            self.fp.add(self._digits(vec, u))
+        return True

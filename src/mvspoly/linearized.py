@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import poly
 from .errors import GuardError, InputError
 from .gf import TABLE_LIMIT
-from .linalg import FpSpan, nullspace_mod
+from .linalg import FqSpan, nullspace_mod
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,7 @@ def detect_additive(ctx, f: dict) -> AdditivePoly | None:
         if ee != 1:
             return None
         logs[m] = c
-    g = 0
-    for m in logs:
-        g = math.gcd(g, m)
-    base = g if g else ctx.N
+    base = math.gcd(*logs) or ctx.N
     coeffs = [ctx.zero] * (max(logs) // base + 1)
     for m, c in logs.items():
         coeffs[m // base] = c
@@ -175,15 +172,8 @@ def kernel(ctx, a: AdditivePoly):
     if aq.is_zero():
         raise InputError("kernel of the zero polynomial")
     null = _fp_nullspace(ctx, aq)
-    fpq = ctx.fp_basis_of_fq()
-    span = FpSpan(ctx.p, ctx.N)
-    basis = []
-    for w in null:
-        if span.contains(w):
-            continue
-        basis.append(w)
-        for u in fpq:
-            span.add(ctx.mul(u, w))
+    span = FqSpan(ctx)
+    basis = [w for w in null if span.add((w,))]
     assert len(null) == len(basis) * ctx.k
     return basis, len(basis)
 
@@ -194,7 +184,7 @@ def _fp_nullspace(ctx, a: AdditivePoly) -> list:
     cols = [apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)) for c in range(ctx.N)]
     # matrix rows are images' digit rows: M[r][c] = digit r of A(y^c)
     matrix = [[cols[c][r] for c in range(ctx.N)] for r in range(ctx.N)]
-    return [tuple(int(d) % ctx.p for d in v) for v in nullspace_mod(matrix, ctx.p)]
+    return [tuple(v) for v in nullspace_mod(matrix, ctx.p)]
 
 
 def roots(ctx, a: AdditivePoly) -> tuple:

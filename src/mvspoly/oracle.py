@@ -19,7 +19,7 @@ from . import poly
 from . import wspace
 from .errors import GuardError, InputError
 from .gf import power_exceeds
-from .linalg import rank_gf2, rank_mod
+from .linalg import FpSpan, rank_gf2
 
 FUNCTION_SCAN_GUARD = 1 << 20
 POLY_SCAN_GUARD = 1 << 22
@@ -188,10 +188,10 @@ def _operator_columns(ctx, aq, theta, D):
 
 
 def _rank(ctx, columns) -> int:
-    """F_p-rank of the columns: at p = 2 each column is packed into one int
-    (the N digits of the coefficient at the i-th distinct exponent fill bits
-    i*N .. i*N + N - 1, so adding terms is XOR); at odd p the digits are
-    summed into a numpy matrix with one row per (exponent, digit)."""
+    """F_p-rank of the columns, each as one vector whose digits at the i-th
+    distinct exponent fill entries i*N .. i*N + N - 1, so terms at a repeated
+    exponent add: at p = 2 packed into one int (adding is XOR) and ranked by
+    rank_gf2, at odd p an int list ranked by an FpSpan."""
     N = ctx.N
     pos = {}
     if ctx.p == 2:
@@ -202,16 +202,19 @@ def _rank(ctx, columns) -> int:
                 v ^= ctx.elem_to_int(c) << (N * pos.setdefault(e, len(pos)))
             packed.append(v)
         return rank_gf2(packed)
-    import numpy as np
     for col in columns:
         for e, _ in col:
             pos.setdefault(e, len(pos))
-    matrix = np.zeros((len(pos) * N, len(columns)), dtype=np.int64)
-    for ci, col in enumerate(columns):
+    width = len(pos) * N
+    span = FpSpan(ctx.p, width)
+    for col in columns:
+        v = [0] * width
         for e, c in col:
             r = pos[e] * N
-            matrix[r:r + N, ci] += c
-    return rank_mod(matrix, ctx.p)
+            for i, d in enumerate(c):
+                v[r + i] += d
+        span.add(v)
+    return span.rank
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from . import mvsp
 from . import poly
 from .errors import GuardError, InputError
 from .gf import power_exceeds
-from .linalg import FpSpan
+from .linalg import FqSpan
 
 ENUM_HARD_GUARD = 1 << 24
 ORBIT_GUARD = 24
@@ -248,13 +248,6 @@ class LiftReport:
     dim_lower: int
 
 
-def _flatten(ctx, f: dict, exponents: list) -> list:
-    row = []
-    for e in exponents:
-        row.extend(f.get(e, ctx.zero))
-    return row
-
-
 def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     """Generators of the member space of A from the binomial one.
 
@@ -270,19 +263,8 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     raw = [poly.reduce_mod_field(ctx, lin.apply_poly(ctx, witness.M, b.elem))
            for b in wb.elems]
     exponents = sorted({e for f in raw for e in f})
-    width = max(1, len(exponents) * ctx.N)
-    span = FpSpan(ctx.p, width)
-    fpq = ctx.fp_basis_of_fq()
-    kept = []
-    for g in raw:
-        if not g:
-            continue
-        vec = _flatten(ctx, g, exponents)
-        if span.contains(vec):
-            continue
-        kept.append(g)
-        for u in fpq:
-            span.add(_flatten(ctx, poly.scale(ctx, g, u), exponents))
+    span = FqSpan(ctx, len(exponents))
+    kept = [g for g in raw if span.add([g.get(e, ctx.zero) for e in exponents])]
     bound = d * 2 ** (ctx.n // d) - d + witness.t
     if len(kept) != bound:
         raise AssertionError(f"lift rank {len(kept)} != expected {bound}")

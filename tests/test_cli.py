@@ -394,3 +394,14 @@ def test_large_fields_are_refused_at_once(argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("guard refusal: ")
+
+
+def test_a_large_prime_field_is_refused_at_once():
+    """p = 2^61 - 1 is under the size limit, and Miller-Rabin proves it prime
+    at once; the field build is timed with the refusal."""
+    t0 = time.perf_counter()
+    code, out, err = run(["verify", "--field", "2305843009213693951^1:1",
+                          "--T", "x^3-x", "--F", "x"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err == "guard refusal: full element scan refused above 2^20 elements\n"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvspoly.errors import InputError
-from mvspoly.gf import FieldCtx, find_modulus, is_prime, make_field, parse_field_spec
+from mvspoly.gf import (FieldCtx, find_modulus, is_prime, make_field, parse_field_spec,
+                        prime_factors)
 
 
 def brute_irreducible(coeffs, p):
@@ -250,6 +251,15 @@ def test_is_prime():
     assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_miller_rabin_matches_trial_division():
+    assert [m for m in range(1 << 16) if is_prime(m)] == [
+        m for m in range(1 << 16) if m >= 2 and prime_factors(m) == [m]]
+    # a Mersenne prime, a Carmichael number, the least strong pseudoprime to
+    # the bases 2, 3, 5, 7, and the square of a prime
+    assert is_prime(2 ** 61 - 1)
+    assert not any(is_prime(m) for m in (561, 3215031751, (2 ** 31 - 1) ** 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 728), st.integers(0, 728))
 def test_mul_commutes_f729(x, y):
@@ -363,7 +373,8 @@ def test_log_domain_ops_refuse_a_non_element(p, k, n):
     too_long = one + (0,)
     too_short = one[:-1] if ctx.N > 1 else ()
     for bad in (big_digit, too_long, too_short, zero + (0,)):
-        calls = [(ctx.neg, bad), (ctx.inv, bad), (ctx.pow_elem, bad, 3), (ctx.mul, bad, one)]
+        calls = [(ctx.neg, bad), (ctx.inv, bad), (ctx.pow_elem, bad, 3), (ctx.mul, bad, one),
+                 (ctx.mul, bad, zero), (ctx.mul, zero, bad)]
         calls += [(ctx.smul, c, bad) for c in (0, 1, -1, p)]
         for other in (zero, one):
             calls += [(ctx.add, bad, other), (ctx.add, other, bad),

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mvspoly.linalg import FpSpan, nullspace_mod, rank_gf2, rank_mod, rref_mod
+from linalg_reference import nullspace, rank_mod
+from mvspoly.gf import make_field
+from mvspoly.linalg import FpSpan, FqSpan, nullspace_mod, rank_gf2
 
 
 def pack(rows):
@@ -44,20 +46,14 @@ def test_rank_gf2_matches_rref_mod(nrows, ncols, salt):
     assert rank_gf2(pack(cols)) == rank_mod(rows, 2)
 
 
-def reference_nullspace(rows, p):
-    """The nullspace read off rref_mod, free variables in increasing order."""
-    red, pivots = rref_mod(rows, p)
-    ncols = len(rows[0])
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = int(-red[r, f]) % p
-        basis.append(v)
-    return basis
+def check_against_the_reference(rows, p, other):
+    """nullspace_mod and an FpSpan fed the rows agree with the numpy reference."""
+    assert nullspace_mod(rows, p) == nullspace(rows, p)
+    span = FpSpan(p, len(other))
+    grew = [span.add(r) for r in rows]
+    assert span.rank == sum(grew) == rank_mod(rows, p)
+    assert all(span.contains(r) for r in rows)
+    assert span.contains(other) == (rank_mod(rows + [other], p) == span.rank)
 
 
 @seed(20261019)
@@ -67,24 +63,71 @@ def test_packed_gf2_paths_match_numpy(nrows, ncols, salt):
     rng = random.Random(salt)
     density = rng.random()
     rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
-    assert [list(map(int, v)) for v in nullspace_mod(rows, 2)] == reference_nullspace(rows, 2)
-    span = FpSpan(2, ncols)
-    grew = [span.add(r) for r in rows]
-    assert span.rank == sum(grew) == rank_mod(rows, 2)
-    assert all(span.contains(r) for r in rows)
-    other = [int(rng.random() < 0.5) for _ in range(ncols)]
-    assert span.contains(other) == (rank_mod(rows + [other], 2) == span.rank)
+    check_against_the_reference(rows, 2, [int(rng.random() < 0.5) for _ in range(ncols)])
 
 
-def test_characteristic_two_never_loads_numpy():
-    # the p = 2 lift, dimension oracle and Mills check run on packed ints
+@pytest.mark.parametrize("p", [3, 5, 7])
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2 ** 32))
+def test_odd_p_paths_match_the_reference(p, nrows, ncols, salt):
+    # sparse draws make dependent rows common; entries outside [0, p) are allowed
+    rng = random.Random(salt)
+    density = rng.random()
+    rows = [[rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    if rng.random() < 0.3:
+        rows.append([rng.randrange(p) * d for d in rows[rng.randrange(nrows)]])
+    other = rows[0] if rng.random() < 0.3 else [rng.randrange(p) for _ in range(ncols)]
+    check_against_the_reference(rows, p, other)
+
+
+def fq_span_members(ctx, length, vectors):
+    """Every F_q-combination of the vectors, by enumeration."""
+    members = {(ctx.zero,) * length}
+    for v in vectors:
+        members = {tuple(ctx.add(m, ctx.mul(c, x)) for m, x in zip(mv, v))
+                   for mv in members for c in ctx.subfield_elements(1)}
+    return members
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("length", [1, 2])
+def test_fq_span_matches_enumeration(p, k, n, length):
+    """FqSpan grows exactly when the vector lies outside the enumerated
+    F_q-span of the vectors kept so far (F_16:F_4, F_64:F_4, F_64:F_8, F_81:F_9)."""
+    ctx = make_field(p, k, n)
+    rng = random.Random(1000 * p + 100 * k + 10 * n + length)
+    span = FqSpan(ctx, length)
+    kept = []
+    members = fq_span_members(ctx, length, kept)
+    for _ in range(3 * n * length):
+        if rng.random() < 0.4:               # an F_q-combination of what is kept
+            v = rng.choice(sorted(members))
+        else:
+            v = tuple(rng.choice(ctx.elements()) for _ in range(length))
+        assert span.add(v) == (v not in members)
+        if v not in members:
+            kept.append(v)
+            members = fq_span_members(ctx, length, kept)
+    assert span.fp.rank == k * len(kept) and len(members) == ctx.q ** len(kept)
+    assert len(kept) >= min(2, n * length)
+
+
+def test_no_command_loads_numpy():
+    # linear algebra is plain Python at every p: the lift, the dimension
+    # oracle and the Mills check at p = 2 and p = 3
     code = (
         "import sys\n"
         "from mvspoly.cli import main\n"
         "for argv in (['lift', '--field', '2^6:1', '--A', 'x^4+x^2+x'],\n"
         "             ['oracle', 'dim', '--field', '2^6:1', '--A', 'x^4+x^2+x'],\n"
-        "             ['verify', '--field', '2^6:1', '--T', 'x^4+x^2+x', '--F', 'x^18+x^9']):\n"
-        "    assert main(argv) == 0\n"
+        "             ['verify', '--field', '2^6:1', '--T', 'x^4+x^2+x', '--F', 'x^18+x^9'],\n"
+        "             ['lift', '--field', '3^6:1', '--A', 'x^9+x^3+x'],\n"
+        "             ['oracle', 'dim', '--field', '3^4:1', '--A', 'x^3-x'],\n"
+        "             ['verify', '--field', '3^6:1', '--T', 'x^9+x^3+x',\n"
+        "              '--F', 'x^81+2*x^27+x^3+2*x']):\n"
+        "    assert main(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules\n")
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
+from linalg_reference import rank_mod
 from mvspoly import linearized as L
 from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import GuardError
 from mvspoly.gf import make_field, parse_field_spec
-from mvspoly.linalg import rank_mod
 
 
 # -- subfield-valued census -----------------------------------------------------
@@ -91,7 +91,7 @@ def test_linear_dim_vs_lift(f64, f729):
 
 def reference_dim(ctx, a):
     """The operator built column by column through apply_poly and poly
-    arithmetic, as a dense list of rows, ranked by rref_mod."""
+    arithmetic, as a dense list of rows, ranked by the numpy reference."""
     aq = L.as_context_base(ctx, a)
     t = aq.tau_deg()
     theta = ctx.neg(aq.coeffs[0])
