@@ -11,8 +11,11 @@ Elements are immutable length-N tuples of F_p digits, low degree first.
 Subfields are never separate objects: F_{q^d} is the fixed set of the d-th
 power of the q-Frobenius inside the one ambient field.
 
-All operations are pure and a context is immutable after construction, so
-contexts and elements can be shared freely across threads.
+All operations are pure.  A table field keeps its exp/log tables on canonical
+ints and makes the element tuples on first use: `_exp` interns a power's
+tuple, `_log` records a tuple's log.  Each fill stores the value every other
+fill would store, so contexts and elements can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -139,9 +142,7 @@ class FieldCtx:
             use_table = self.Q <= TABLE_LIMIT
         self.use_table = use_table
         self.generator = None
-        self._exp = None
-        self._log = None
-        self._zech = None
+        self._exp = self._log = self._zech = None
         if use_table:
             if self.Q > TABLE_LIMIT:
                 raise GuardError("multiplicative table refused above 2^20 elements")
@@ -193,31 +194,32 @@ class FieldCtx:
         if self.generator is not None:
             return self.generator
         Q = self.Q
+        if Q > TABLE_LIMIT:
+            raise GuardError("generator scan refused above 2^20 elements")
         primes = prime_factors(Q - 1)
-        for a in self.elements():
-            if a == self.zero:
-                continue
+        for v in range(1, Q):
+            a = self.elem_from_int(v)
             if all(self._pow_raw(a, (Q - 1) // r) != self.one for r in primes):
                 self.generator = a
                 return a
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
     def _build_table(self):
-        """exp/log by stepping through the powers of the generator on
-        canonical ints, one chunk-table step per power (see _mul_tables).
-        The same loop records each int's log, from which the Zech table
-        zech[n] = log(1 + g^n) is read off, None where 1 + g^n = 0."""
+        """Log -> int (`_iexp`) and int -> log (`_ilog`) by stepping through
+        the powers of the generator on canonical ints, one chunk-table step
+        per power (see _mul_tables); the Zech table zech[n] = log(1 + g^n),
+        None where 1 + g^n = 0, is read off `_ilog`.  The tuple tables start
+        empty: `_exp[i] or self._intern(i)` is the tuple of g^i, and a miss
+        in `_log` falls back to `_log_of`."""
         Q, p = self.Q, self.p
         M = Q - 1
-        gen = self._find_generator()
-        tables = self._mul_tables(gen)
-        elems = self.elements()
-        exp = [None] * M
+        tables = self._mul_tables(self._find_generator())
+        iexp = [0] * M
         ilog = [None] * Q           # canonical int -> log; 0 has none
         v = 1
         if p == 2:
             for i in range(M):
-                exp[i] = elems[v]
+                iexp[i] = v
                 ilog[v] = i
                 w = 0
                 for shift, tab in tables:
@@ -226,7 +228,7 @@ class FieldCtx:
         else:
             size = len(tables[0][1])
             for i in range(M):
-                exp[i] = elems[v]
+                iexp[i] = v
                 ilog[v] = i
                 v = self.elem_to_int(self.sum([tab[v // place % size]
                                                for place, tab in tables]))
@@ -239,15 +241,29 @@ class FieldCtx:
         for n, z in zip(itertools.islice(ilog, 1, None), itertools.islice(nxt, 1, None)):
             zech[n] = z
         del nxt
-        self._exp = exp
-        self._zech = zech
-        # the logs are the loop's own int objects, shared with _zech; zero
-        # has the log None
-        self._log = dict(zip(elems, ilog))
+        self._iexp, self._ilog, self._zech = iexp, ilog, zech
+        self._exp = [None] * M
+        self._log = {self.zero: None}
         self._M = M
         # log(-1), and log(c * 1) for c in F_p (the int of c * 1 is c)
         self._neg_log = M // 2 if p > 2 else 0
         self._scalar_log = ilog[:p]
+
+    def _intern(self, i):
+        """The tuple of g^i, stored in `_exp` and `_log` on first use."""
+        a = self._exp[i] = self.elem_from_int(self._iexp[i])
+        self._log[a] = i
+        return a
+
+    def _log_of(self, a):
+        """The log of element a (None for zero), stored in `_log` on first
+        use; KeyError for a tuple that is not a field element."""
+        if a in self._log:
+            return self._log[a]
+        if len(a) != self.N or not all(0 <= d < self.p for d in a):
+            raise KeyError(a)
+        la = self._log[a] = self._ilog[self.elem_to_int(a)]
+        return la
 
     def _mul_tables(self, g):
         """Multiplication by g, which is F_p-linear, tabulated per chunk of
@@ -304,8 +320,8 @@ class FieldCtx:
     # logs, adding by one lookup in the table of Zech logarithms (K. Huber,
     # IEEE Trans. IT 36, 1990), g^a + g^b = g^(a + zech[b - a]);
     # without tables they work digit by digit.  Both return the canonical
-    # tuples.  _log maps zero to None, so on the log path an operand that
-    # is not a field element raises KeyError.
+    # tuples.  _log maps zero to None, and on a miss _log_of refuses an
+    # operand that is not a field element with KeyError.
 
     def add(self, a, b):
         zech = self._zech
@@ -313,14 +329,20 @@ class FieldCtx:
             p = self.p
             return tuple((x + y) % p for x, y in zip(a, b))
         log = self._log
-        la = log[a]
-        lb = log[b]
+        try:
+            la = log[a]
+            lb = log[b]
+        except KeyError:
+            la, lb = self._log_of(a), self._log_of(b)
         if la is None:
             return b
         if lb is None:
             return a
         z = zech[lb - la]           # |lb - la| < M: a negative index wraps
-        return self.zero if z is None else self._exp[(la + z) % self._M]
+        if z is None:
+            return self.zero
+        i = (la + z) % self._M
+        return self._exp[i] or self._intern(i)
 
     def sum(self, elems):
         """The sum of a nonempty sequence of elements, one digit column at
@@ -338,8 +360,11 @@ class FieldCtx:
         if self._zech is None:
             p = self.p
             return tuple((-x) % p for x in a)
-        la = self._log[a]
-        return a if la is None else self._exp[(la + self._neg_log) % self._M]
+        la = self._log_of(a)
+        if la is None:
+            return a
+        i = (la + self._neg_log) % self._M
+        return self._exp[i] or self._intern(i)
 
     def smul(self, c: int, a):
         """Scalar multiple by an integer (an F_p scalar)."""
@@ -347,25 +372,33 @@ class FieldCtx:
         c %= p
         if self._zech is None:
             return tuple((c * x) % p for x in a)
-        la = self._log[a]
+        la = self._log_of(a)
         lc = self._scalar_log[c]
         if la is None or lc is None:
             return self.zero
-        return self._exp[(la + lc) % self._M]
+        i = (la + lc) % self._M
+        return self._exp[i] or self._intern(i)
 
     def mul(self, a, b):
         if self.use_table:
-            la, lb = self._log[a], self._log[b]
+            log = self._log
+            try:
+                la = log[a]
+                lb = log[b]
+            except KeyError:
+                la, lb = self._log_of(a), self._log_of(b)
             if la is None or lb is None:
                 return self.zero
-            return self._exp[(la + lb) % (self.Q - 1)]
+            i = (la + lb) % self._M
+            return self._exp[i] or self._intern(i)
         return self._mul_raw(a, b)
 
     def inv(self, a):
         if a == self.zero:
             raise InputError("division by zero field element")
         if self.use_table:
-            return self._exp[(-self._log[a]) % (self.Q - 1)]
+            i = -self._log_of(a) % self._M
+            return self._exp[i] or self._intern(i)
         return self._pow_raw(a, self.Q - 2)
 
     def div(self, a, b):
@@ -378,7 +411,12 @@ class FieldCtx:
         if a == self.zero:
             return self.one if e == 0 else self.zero
         if self.use_table:
-            return self._exp[(self._log[a] * e) % (self.Q - 1)]
+            try:
+                la = self._log[a]
+            except KeyError:
+                la = self._log_of(a)
+            i = la * e % self._M
+            return self._exp[i] or self._intern(i)
         return self._pow_raw(a, e % (self.Q - 1) if e else 0)
 
     def int_elem(self, c: int):
@@ -457,13 +495,13 @@ class FieldCtx:
             raise InputError("exponent must be positive")
         M = self.Q - 1
         if self.use_table:
-            a = self._log[alpha]
+            a = self._log_of(alpha)
             g = math.gcd(e, M)
             if a % g != 0:
                 return None
             ee, aa, mm = e // g, a // g, M // g
             j = (aa * pow(ee, -1, mm)) % mm
-            return self._exp[j]
+            return self._exp[j] or self._intern(j)
         gen = self._find_generator()
         cur = self.one
         for _ in range(M):

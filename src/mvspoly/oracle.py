@@ -196,10 +196,14 @@ def _rank(ctx, columns) -> int:
     pos = {}
     if ctx.p == 2:
         packed = []
+        ints = {}                   # each distinct coefficient's int, made once
         for col in columns:
             v = 0
             for e, c in col:
-                v ^= ctx.elem_to_int(c) << (N * pos.setdefault(e, len(pos)))
+                i = ints.get(c)
+                if i is None:
+                    i = ints[c] = ctx.elem_to_int(c)
+                v ^= i << (N * pos.setdefault(e, len(pos)))
             packed.append(v)
         return rank_gf2(packed)
     for col in columns:

@@ -132,20 +132,28 @@ def pow_(ctx, f: dict, e: int) -> dict:
 
 
 def compose(ctx, f: dict, g: dict) -> dict:
-    """f(g(x)) by Horner steps over f's exponents in decreasing order; the
-    gaps are bridged with base-p powers of g, so sparse f at huge degree is
-    as cheap as its number of terms."""
+    """f(g(x)) as the sum of c_e * g^e over f's terms.  Each g^e is the
+    product of the Frobenius twists frob_power(g^d, j) over the base-p digits
+    d of e (place j), and each small power g^d, d < p, is made once per call
+    and kept only for the digits that occur, so sparse f at huge degree costs
+    a few products per term."""
     if not f:
         return {}
-    exps = sorted(f, reverse=True)
-    out = const(ctx, f[exps[0]])
-    prev = exps[0]
-    for e in exps[1:]:
-        out = mul(ctx, out, pow_(ctx, g, prev - e))
-        out = add(ctx, out, const(ctx, f[e]))
-        prev = e
-    if prev:
-        out = mul(ctx, out, pow_(ctx, g, prev))
+    if g and degree(f) * degree(g) > EXP_LIMIT:
+        raise InputError("exponent overflow beyond 2^62")
+    p = ctx.p
+    small = {}                           # g^d for the digits d that occur
+    out = {}
+    for e, c in f.items():
+        term, j = {0: c}, 0
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                if d not in small:
+                    small[d] = pow_(ctx, g, d)
+                term = mul(ctx, term, frob_power(ctx, small[d], j))
+            j += 1
+        out = add(ctx, out, term)
     return out
 
 

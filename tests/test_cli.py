@@ -11,9 +11,9 @@ import time
 import jsonschema
 import pytest
 
-from mvspoly import cli
+from mvspoly import cli, gf
 from mvspoly.cli import main
-from mvspoly.gf import parse_field_spec
+from mvspoly.gf import FieldCtx, parse_field_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
@@ -73,6 +73,17 @@ def test_verify_checks_each_value_poly_once(monkeypatch):
         code, out, err = run(bad)
         assert code == 2 and err.startswith("input error: ")
     assert scans == []
+
+
+def test_a_verify_makes_few_element_tuples(monkeypatch):
+    """A 2^16 verify fills a small part of the tuple tables of a fresh
+    context: the tables hold ints, and tuples are made on first use."""
+    ctx = FieldCtx(2, 1, 16)
+    monkeypatch.setattr(gf, "make_field", lambda p, k, n: ctx)
+    assert run(["verify", "--field", "2^16:1", "--T", "x^16+x",
+                "--F", "x^4096+x^256+x^16+x"])[0] == 0
+    assert 1 < len(ctx._log) < ctx.Q // 100
+    assert 0 < ctx.Q - 1 - ctx._exp.count(None) < ctx.Q // 100
 
 
 @pytest.mark.parametrize("case", README_GOLDEN, ids=[c["command"] for c in README_GOLDEN])

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -315,8 +317,8 @@ def test_tables_match_schoolbook_stepping(p, k, n):
     ctx = FieldCtx(p, k, n)
     assert ctx.elements() == [ctx.elem_from_int(i) for i in range(ctx.Q)]
     exp, log = stepped_tables(ctx, ctx.generator)
-    assert ctx._exp == exp
-    assert ctx._log == {ctx.zero: None, **log}
+    assert ctx._iexp == [ctx.elem_to_int(a) for a in exp]
+    assert ctx._ilog == [None] + [log[ctx.elem_from_int(v)] for v in range(1, ctx.Q)]
     # zech[n] = log(1 + g^n), None where 1 + g^n = 0
     assert ctx._zech == [log.get(tuple((x + y) % p for x, y in zip(ctx.one, a))) for a in exp]
     # the generator is the first primitive element: its Q - 1 powers differ
@@ -367,8 +369,14 @@ def test_log_domain_ops_match_the_digit_reference(p, k, n):
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 6), (3, 1, 2), (2, 2, 2), (7, 1, 2)])
 def test_log_domain_ops_refuse_a_non_element(p, k, n):
-    ctx = make_field(p, k, n)
-    zero, one = ctx.zero, ctx.one
+    # a shared context has most elements in `_log`; a fresh one refuses on
+    # the first-use path
+    for ctx in (make_field(p, k, n), FieldCtx(p, k, n)):
+        refuse_non_elements(ctx)
+
+
+def refuse_non_elements(ctx):
+    p, zero, one = ctx.p, ctx.zero, ctx.one
     big_digit = (p,) + zero[1:]
     too_long = one + (0,)
     too_short = one[:-1] if ctx.N > 1 else ()
@@ -382,3 +390,47 @@ def test_log_domain_ops_refuse_a_non_element(p, k, n):
         for fn, *args in calls:
             with pytest.raises(KeyError):
                 fn(*args)
+
+
+# -- tables of canonical ints, tuples made on first use ------------------------------
+
+def test_building_a_field_lists_no_elements(monkeypatch):
+    scans = []
+    elements = FieldCtx.elements
+    monkeypatch.setattr(FieldCtx, "elements", lambda self: scans.append(1) or elements(self))
+    ctx = FieldCtx(2, 1, 16)
+    assert scans == [] and len(ctx._log) == 1 and ctx._exp.count(None) == ctx.Q - 1
+
+
+def test_fresh_tables_are_thread_safe():
+    """Four threads fill the tuple tables of one fresh context at once and
+    get what a single-threaded context gets."""
+    rng = random.Random(12)
+    ref = FieldCtx(2, 1, 12)
+    pairs = [(ref.elem_from_int(rng.randrange(ref.Q)), ref.elem_from_int(rng.randrange(1, ref.Q)))
+             for _ in range(3000)]
+
+    def work(ctx):
+        return [(ctx.mul(a, b), ctx.add(a, b), ctx.inv(b), ctx.pow_elem(a, 77)) for a, b in pairs]
+
+    expected = work(ref)
+
+    def fill(ctx, barrier, results, i):
+        barrier.wait(timeout=60)
+        results[i] = work(ctx)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared, barrier, results = FieldCtx(2, 1, 12), threading.Barrier(4), [None] * 4
+            threads = [threading.Thread(target=fill, args=(shared, barrier, results, i))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)

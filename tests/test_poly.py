@@ -2,12 +2,16 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from mvspoly import linearized as L
+from mvspoly import mvsp as M
 from mvspoly import poly as P
+from mvspoly import wspace as W
 from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, make_field
+from poly_reference import compose_horner
 
 
 def rand_poly(ctx, rng, max_deg=8, terms=4):
@@ -270,6 +274,74 @@ def test_mul_matches_pairwise_sum(p, N, use_table, fterms, gterms):
     f = {e: ctx.elem_from_int(v % ctx.Q) for e, v in fterms if v % ctx.Q}
     g = {e: ctx.elem_from_int(v % ctx.Q) for e, v in gterms if v % ctx.Q}
     assert P.mul(ctx, f, g) == mul_pairwise(ctx, f, g)
+
+
+# -- compose against Horner's rule -------------------------------------------------------
+
+COMPOSE_FIELDS = [(p, N, use_table) for p, N in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 6),
+                                                 (3, 6), (1021, 1))
+                  for use_table in (True, False)]
+# an exponent as up to five base-p digits, each at most 4
+EXPONENT = st.lists(st.integers(0, 4), max_size=5)
+F_TERMS = st.lists(st.tuples(EXPONENT, st.integers(1, 10 ** 6)), min_size=1, max_size=4)
+G_SHAPES = st.tuples(st.sampled_from(["zero", "constant", "monomial", "binomial"]),
+                     st.integers(1, 6), st.integers(1, 10 ** 6))
+
+
+@pytest.mark.parametrize("p,N,use_table", COMPOSE_FIELDS)
+@seed(20261021)
+@settings(max_examples=40, deadline=None)
+@given(F_TERMS, st.integers(0, 10 ** 6), G_SHAPES)
+def test_compose_matches_horner(p, N, use_table, fterms, const_term, g_shape):
+    ctx = mul_field(p, N, use_table)
+
+    def elem(v):
+        return ctx.elem_from_int(v % (ctx.Q - 1) + 1)     # nonzero
+
+    kind, v, c = g_shape
+    f = {sum(min(d, p - 1) * p ** j for j, d in enumerate(ds)): elem(v) for ds, v in fterms}
+    if p > 64 and kind == "binomial":
+        # a gap such as p - 1 between exponents costs Horner's pow_ p - 1
+        # products of a growing binomial power, so exponents stay below 64
+        f = {e % 64: c for e, c in f.items()}
+    if const_term:
+        f[0] = elem(const_term)
+    g = {"zero": {}, "constant": {0: elem(c)}, "monomial": {v: elem(c)},
+         "binomial": {v: ctx.one, 0: elem(c)}}[kind]
+    assert P.compose(ctx, f, g) == compose_horner(ctx, f, g)
+
+
+@pytest.mark.parametrize("e,v", [(1 << 31, 1 << 31), ((1 << 31) + 1, 1 << 31),
+                                 (3, (1 << 61) + 1), (1 << 62, 1)])
+def test_compose_exponent_limit(f4, e, v):
+    """Past 2^62 both forms refuse with InputError; at 2^62 both answer."""
+    f, g = {e: f4.one, 0: f4.one}, {v: f4.one, 0: f4.one}
+    if e * v > 1 << 62:
+        for fn in (P.compose, compose_horner):
+            with pytest.raises(InputError):
+                fn(f4, f, g)
+    else:
+        assert P.compose(f4, f, g) == compose_horner(f4, f, g)
+
+
+def test_compose_callers_match_horner(monkeypatch, f8, f9, f729):
+    """find_additive_reduction, power_lift and affine_equivalent give the
+    same answers with the Horner reference in place of compose."""
+    T8 = P.from_text(f8, "x^4+x^2+x")
+    T729 = P.from_text(f729, "x^5+x^2+x")
+    A729 = L.detect_additive(f729, P.from_text(f729, "x^9+x^3+x"))
+    F729 = W.lift_pipeline(f729, A729).generators[1]
+    F9 = P.from_text(f9, "x^4+x")
+    G9 = P.compose(f9, F9, {1: f9.elem_from_int(5), 0: f9.elem_from_int(7)})
+
+    def answers():
+        return (M.find_additive_reduction(f8, T8), M.find_additive_reduction(f729, T729),
+                M.power_lift(f729, F729, 2, T729), M.affine_equivalent(f9, F9, G9))
+
+    ours = answers()
+    monkeypatch.setattr(P, "compose", compose_horner)
+    assert answers() == ours
+    assert ours[0] and ours[1] and ours[3] == (f9.elem_from_int(5), f9.elem_from_int(7))
 
 
 @pytest.mark.parametrize("text", ["x+", "x-", "x++1", "x+-1", "x^2 + + 1", "-", "+ -x"])
