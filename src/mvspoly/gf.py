@@ -11,11 +11,11 @@ Elements are immutable length-N tuples of F_p digits, low degree first.
 Subfields are never separate objects: F_{q^d} is the fixed set of the d-th
 power of the q-Frobenius inside the one ambient field.
 
-All operations are pure.  A table field keeps its exp/log tables on canonical
-ints and makes the element tuples on first use: `_exp` interns a power's
-tuple, `_log` records a tuple's log.  Each fill stores the value every other
-fill would store, so contexts and elements can be shared freely across
-threads.
+All operations are pure.  A table field keeps its exp/log/Zech tables as int
+arrays and makes the element tuples on first use: `_exp` interns a power's
+tuple, `_log` records a tuple's log, and `fold_logs` sums polynomial terms on
+logs.  Each fill stores the value every other fill would store, so contexts
+and elements can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 
 from . import poly
 from .errors import GuardError, InputError
@@ -207,15 +208,15 @@ class FieldCtx:
     def _build_table(self):
         """Log -> int (`_iexp`) and int -> log (`_ilog`) by stepping through
         the powers of the generator on canonical ints, one chunk-table step
-        per power (see _mul_tables); the Zech table zech[n] = log(1 + g^n),
-        None where 1 + g^n = 0, is read off `_ilog`.  The tuple tables start
-        empty: `_exp[i] or self._intern(i)` is the tuple of g^i, and a miss
-        in `_log` falls back to `_log_of`."""
+        per power (see _mul_tables); the Zech table zech[n] = log(1 + g^n) is
+        read off `_ilog`.  All three are int arrays filled in place, -1 for
+        "no log".  The tuple tables start empty: `_exp[i] or self._intern(i)`
+        is the tuple of g^i, and a miss in `_log` falls back to `_log_of`."""
         Q, p = self.Q, self.p
         M = Q - 1
         tables = self._mul_tables(self._find_generator())
-        iexp = [0] * M
-        ilog = [None] * Q           # canonical int -> log; 0 has none
+        iexp = array("i", [0]) * M
+        ilog = array("i", [-1]) * Q     # canonical int -> log; 0 has none
         v = 1
         if p == 2:
             for i in range(M):
@@ -237,7 +238,7 @@ class FieldCtx:
         nxt = ilog[1:]
         nxt.append(ilog[0])
         nxt[p - 1::p] = ilog[::p]
-        zech = [None] * M
+        zech = array("i", [0]) * M
         for n, z in zip(itertools.islice(ilog, 1, None), itertools.islice(nxt, 1, None)):
             zech[n] = z
         del nxt
@@ -247,7 +248,7 @@ class FieldCtx:
         self._M = M
         # log(-1), and log(c * 1) for c in F_p (the int of c * 1 is c)
         self._neg_log = M // 2 if p > 2 else 0
-        self._scalar_log = ilog[:p]
+        self._scalar_log = [None, *ilog[1:p]]
 
     def _intern(self, i):
         """The tuple of g^i, stored in `_exp` and `_log` on first use."""
@@ -339,7 +340,7 @@ class FieldCtx:
         if lb is None:
             return a
         z = zech[lb - la]           # |lb - la| < M: a negative index wraps
-        if z is None:
+        if z < 0:
             return self.zero
         i = (la + z) % self._M
         return self._exp[i] or self._intern(i)
@@ -392,6 +393,32 @@ class FieldCtx:
             i = (la + lb) % self._M
             return self._exp[i] or self._intern(i)
         return self._mul_raw(a, b)
+
+    def fold_logs(self, rows) -> dict:
+        """On a table field, the sum of g^(l0 + l) * x^(e0 + e) over the rows
+        (e0, l0, pairs) and each row's (e, l) pairs, logs >= 0 and unreduced.
+        Each exponent's logs are summed by Zech addition, -1 marking a zero
+        sum, and each nonzero sum becomes its tuple once, at the end."""
+        zech, M = self._zech, self._M
+        acc = {}
+        get = acc.get
+        for e0, l0, pairs in rows:
+            for e, l in pairs:
+                e += e0
+                l += l0
+                la = get(e, -1)
+                if la < 0:
+                    acc[e] = l
+                else:
+                    z = zech[(l - la) % M]
+                    acc[e] = la + z if z >= 0 else -1
+        exp = self._exp
+        out = {}
+        for e, l in acc.items():
+            if l >= 0:
+                l %= M
+                out[e] = exp[l] or self._intern(l)
+        return out
 
     def inv(self, a):
         if a == self.zero:

@@ -109,11 +109,19 @@ def apply_elem(ctx, a: AdditivePoly, v):
 
 
 def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
-    """A(f) for a polynomial argument, using termwise p-power Frobenius."""
+    """A(f) = sum_i c_i * f^(p^m), m = base*i, by termwise Frobenius.  On a
+    table field the term c_i * c_e^(p^m) * x^(e*p^m) has the log
+    log c_i + p^m * log c_e, and one ctx.fold_logs sums all of them."""
+    p, nz = ctx.p, [(a.base * i, c) for i, c in enumerate(a.coeffs) if c != ctx.zero]
+    if f and nz and poly.degree(f) * p ** nz[-1][0] > poly.EXP_LIMIT:
+        raise InputError("exponent overflow beyond 2^62")
+    if ctx.use_table:
+        M, fl = ctx._M, poly.term_logs(ctx, f)
+        return ctx.fold_logs([(0, ctx._log_of(c), [(e * p ** m, p ** m % M * le) for e, le in fl])
+                              for m, c in nz])
     out = {}
-    for i, c in enumerate(a.coeffs):
-        if c != ctx.zero:
-            out = poly.add(ctx, out, poly.scale(ctx, poly.frob_power(ctx, f, a.base * i), c))
+    for m, c in nz:
+        out = poly.add(ctx, out, poly.scale(ctx, poly.frob_power(ctx, f, m), c))
     return out
 
 

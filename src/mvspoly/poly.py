@@ -9,11 +9,14 @@ x^(q^4+q) - x^(q^3+1).
 
 from __future__ import annotations
 
+import re
+
 from .errors import GuardError, InputError
 
 NEG_INF = float("-inf")
 EXP_LIMIT = 1 << 62
 DENSE_GUARD = 1 << 20
+_SIGN = re.compile(r"([+-])")
 
 
 def zero() -> dict:
@@ -76,29 +79,28 @@ def scale(ctx, f: dict, c) -> dict:
 
 
 def mul(ctx, f: dict, g: dict) -> dict:
+    """f*g.  On a table field each term's log is looked up once (KeyError
+    for a non-element) and ctx.fold_logs sums the term pairs on logs;
+    without tables each pair's product is added as it comes."""
     if not f or not g:
         return {}
     if degree(f) + degree(g) > EXP_LIMIT:
         raise InputError("exponent overflow beyond 2^62")
-    # the products of each output exponent are collected, then summed once
-    # digit column by digit column
-    groups = {}
-    cmul = ctx.mul
+    if ctx.use_table:
+        gl = term_logs(ctx, g)
+        return ctx.fold_logs([(e1, l1, gl) for e1, l1 in term_logs(ctx, f)])
+    zero, cadd, cmul = ctx.zero, ctx.add, ctx.mul
+    acc = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            e = e1 + e2
-            prods = groups.get(e)
-            if prods is None:
-                groups[e] = [cmul(c1, c2)]
-            else:
-                prods.append(cmul(c1, c2))
-    zero = ctx.zero
-    out = {}
-    for e, prods in groups.items():
-        c = prods[0] if len(prods) == 1 else ctx.sum(prods)
-        if c != zero:
-            out[e] = c
-    return out
+            acc[e1 + e2] = cadd(acc.get(e1 + e2, zero), cmul(c1, c2))
+    return {e: c for e, c in acc.items() if c != zero}
+
+
+def term_logs(ctx, f: dict) -> list:
+    """The (exponent, log) pairs of f's nonzero terms on a table field."""
+    log = ctx._log_of
+    return [(e, la) for e, c in f.items() if (la := log(c)) is not None]
 
 
 def frob_power(ctx, f: dict, m: int) -> dict:
@@ -112,19 +114,20 @@ def frob_power(ctx, f: dict, m: int) -> dict:
 
 
 def pow_(ctx, f: dict, e: int) -> dict:
-    """f^e using the base-p digits of e, so p-th powers stay termwise."""
+    """f^e using the base-p digits of e, so p-th powers stay termwise; the
+    product starts from the first factor, not from 1."""
     if e < 0:
         raise InputError("negative exponent")
     if e == 0:
         return {0: ctx.one}
     if not f:
         return {}
-    out = {0: ctx.one}
+    out = None
     level = dict(f)
     while e:
         d = e % ctx.p
         for _ in range(d):
-            out = mul(ctx, out, level)
+            out = level if out is None else mul(ctx, out, level)
         e //= ctx.p
         if e:
             level = frob_power(ctx, level, 1)
@@ -328,23 +331,15 @@ def from_text(ctx, s: str) -> dict:
         raise InputError("empty polynomial text")
     if text == "0":
         return {}
-    # tokenize into signed terms
-    terms = []
-    sign = 1
-    buf = ""
-    for i, ch in enumerate(text):
-        if ch in "+-":
-            if buf.strip():
-                terms.append((sign, buf.strip()))
-            elif i:                   # only a leading sign has no term before it
-                raise InputError(f"empty term in polynomial text {s!r}")
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        else:
-            buf += ch
-    if not buf.strip():
-        raise InputError(f"empty term in polynomial text {s!r}")
-    terms.append((sign, buf.strip()))
+    # tokenize into signed terms: text before the first sign is a + term,
+    # and may be empty only when the text starts with its sign
+    parts = _SIGN.split(text)
+    terms = [(1, parts[0].strip())] if parts[0] else []
+    for sg, term in zip(parts[1::2], parts[2::2]):
+        term = term.strip()
+        if not term:
+            raise InputError(f"empty term in polynomial text {s!r}")
+        terms.append((-1 if sg == "-" else 1, term))
     out = {}
     for sg, term in terms:
         cpart, _, xpart = term.partition("x")

@@ -1,11 +1,14 @@
-"""Reference polynomial composition, kept for the tests only.
+"""Reference polynomial routines, kept for the tests only.
 
-Horner's rule over f's exponents in decreasing order, the gaps bridged with
-`poly.pow_`: the form `mvspoly.poly.compose` had before it summed base-p
-powers of g, which the tests check it against.
+- `compose_horner`: Horner's rule over f's exponents in decreasing order, the
+  gaps bridged with `poly.pow_`: the form `mvspoly.poly.compose` had before
+  it summed base-p powers of g.
+- `from_text_char_loop`: the text parser with the character-by-character
+  tokenizer `mvspoly.poly.from_text` had before it split on a regex.
 """
 
-from mvspoly.poly import add, const, mul, pow_
+from mvspoly.errors import InputError
+from mvspoly.poly import EXP_LIMIT, add, const, mul, pow_
 
 
 def compose_horner(ctx, f: dict, g: dict) -> dict:
@@ -21,4 +24,58 @@ def compose_horner(ctx, f: dict, g: dict) -> dict:
         prev = e
     if prev:
         out = mul(ctx, out, pow_(ctx, g, prev))
+    return out
+
+
+def from_text_char_loop(ctx, s: str) -> dict:
+    """Parse "c*x^e + ..." into a polynomial, tokenizing one character at a time."""
+    text = s.strip()
+    if not text:
+        raise InputError("empty polynomial text")
+    if text == "0":
+        return {}
+    terms = []
+    sign = 1
+    buf = ""
+    for i, ch in enumerate(text):
+        if ch in "+-":
+            if buf.strip():
+                terms.append((sign, buf.strip()))
+            elif i:                   # only a leading sign has no term before it
+                raise InputError(f"empty term in polynomial text {s!r}")
+            sign = 1 if ch == "+" else -1
+            buf = ""
+        else:
+            buf += ch
+    if not buf.strip():
+        raise InputError(f"empty term in polynomial text {s!r}")
+    terms.append((sign, buf.strip()))
+    out = {}
+    for sg, term in terms:
+        cpart, _, xpart = term.partition("x")
+        cpart = cpart.strip().rstrip("*").strip()
+        if _ == "":                       # no x: constant term
+            c = ctx.parse_elem(cpart)
+            e = 0
+        else:
+            c = ctx.parse_elem(cpart) if cpart else ctx.one
+            xpart = xpart.strip()
+            if xpart == "":
+                e = 1
+            elif xpart.startswith("^"):
+                digits = xpart[1:].strip()
+                if not (digits.isascii() and digits.isdigit()):
+                    raise InputError(f"bad exponent in term {term!r}")
+                e = int(digits)
+                if e > EXP_LIMIT:
+                    raise InputError(f"exponent in term {term!r} exceeds 2^62")
+            else:
+                raise InputError(f"bad term {term!r}")
+        if sg < 0:
+            c = ctx.neg(c)
+        cur = ctx.add(out.get(e, ctx.zero), c)
+        if cur == ctx.zero:
+            out.pop(e, None)
+        else:
+            out[e] = cur
     return out

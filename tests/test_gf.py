@@ -308,6 +308,11 @@ def not_primitive_before(ctx, gen):
     return True
 
 
+def no_log(table):
+    """A log table as a list, its -1 entries as None."""
+    return [None if v == -1 else v for v in table]
+
+
 TABLE_FIELDS = [(p, k, N // k) for p in (2, 3, 5, 7) for N in range(1, 13)
                 if p ** N <= 1 << 12 for k in range(1, N + 1) if N % k == 0]
 
@@ -317,10 +322,12 @@ def test_tables_match_schoolbook_stepping(p, k, n):
     ctx = FieldCtx(p, k, n)
     assert ctx.elements() == [ctx.elem_from_int(i) for i in range(ctx.Q)]
     exp, log = stepped_tables(ctx, ctx.generator)
-    assert ctx._iexp == [ctx.elem_to_int(a) for a in exp]
-    assert ctx._ilog == [None] + [log[ctx.elem_from_int(v)] for v in range(1, ctx.Q)]
+    # the tables are int arrays with -1 for "no log", read back with None
+    assert list(ctx._iexp) == [ctx.elem_to_int(a) for a in exp]
+    assert no_log(ctx._ilog) == [None] + [log[ctx.elem_from_int(v)] for v in range(1, ctx.Q)]
     # zech[n] = log(1 + g^n), None where 1 + g^n = 0
-    assert ctx._zech == [log.get(tuple((x + y) % p for x, y in zip(ctx.one, a))) for a in exp]
+    assert no_log(ctx._zech) == [log.get(tuple((x + y) % p for x, y in zip(ctx.one, a)))
+                                 for a in exp]
     # the generator is the first primitive element: its Q - 1 powers differ
     assert len(log) == ctx.Q - 1 and not_primitive_before(ctx, ctx.generator)
 

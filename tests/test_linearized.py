@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from mvspoly import linearized as L
 from mvspoly import mvsp as M
@@ -8,7 +11,7 @@ from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import InputError
-from mvspoly.gf import make_field, parse_field_spec
+from mvspoly.gf import FieldCtx, make_field, parse_field_spec
 
 
 def rand_additive(ctx, rng, max_tau=3, monic=False):
@@ -17,6 +20,65 @@ def rand_additive(ctx, rng, max_tau=3, monic=False):
     coeffs.append(ctx.one if monic else
                   ctx.elem_from_int(rng.randrange(1, ctx.Q)))
     return L.make(ctx, ctx.k, coeffs)
+
+
+# -- apply_poly against termwise Frobenius, scale and add ------------------------
+
+def apply_poly_reference(ctx, a, f):
+    """A(f) as the sum of c_i * frob_power(f, base*i) over A's terms."""
+    out = {}
+    for i, c in enumerate(a.coeffs):
+        if c != ctx.zero:
+            out = P.add(ctx, out, P.scale(ctx, P.frob_power(ctx, f, a.base * i), c))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def apply_field(p, N, use_table):
+    return FieldCtx(p, 1, N, use_table=use_table)
+
+
+APPLY_FIELDS = [(p, N, use_table) for p, N in ((2, 2), (2, 3), (3, 2), (2, 6), (3, 6))
+                for use_table in (True, False)]
+# elements as ints; 0 is the zero element, so A and f can hold zero coefficients
+COEFFS = st.lists(st.integers(0, 10 ** 6), max_size=4)
+F_TERMS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 10 ** 6)), max_size=8)
+
+
+@pytest.mark.parametrize("p,N,use_table", APPLY_FIELDS)
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), COEFFS, F_TERMS)
+def test_apply_poly_matches_the_reference(p, N, use_table, base, coeffs, fterms):
+    ctx = apply_field(p, N, use_table)
+    a = L.make(ctx, base, [ctx.elem_from_int(v % ctx.Q) for v in coeffs])
+    f = {e: ctx.elem_from_int(v % ctx.Q) for e, v in fterms if v % ctx.Q}
+    assert L.apply_poly(ctx, a, f) == apply_poly_reference(ctx, a, f)
+
+
+@pytest.mark.parametrize("use_table", [True, False])
+@pytest.mark.parametrize("p", [2, 3])
+def test_apply_poly_cancels_and_guards(p, use_table):
+    """(x^p - x)(x + x^p) = x^(p^2) - x cancels its x^p terms, and a result
+    exponent past 2^62 is refused on both paths."""
+    ctx = apply_field(p, 2, use_table)
+    a = L.make(ctx, 1, [ctx.neg(ctx.one), ctx.one])
+    assert L.apply_poly(ctx, a, {1: ctx.one, p: ctx.one}) == {p * p: ctx.one, 1: ctx.neg(ctx.one)}
+    big = 1 << 62
+    assert L.apply_poly(ctx, a, {big // p: ctx.one}) == apply_poly_reference(ctx, a, {big // p: ctx.one})
+    with pytest.raises(InputError):
+        L.apply_poly(ctx, a, {big // p + 1: ctx.one})
+
+
+@pytest.mark.parametrize("where", ["A", "f"])
+def test_apply_poly_refuses_a_non_element(where):
+    """A coefficient that is not a field element raises KeyError, in A or in
+    f, on a fresh table field."""
+    ctx = FieldCtx(3, 1, 6)
+    bad = (3, 0, 0, 0, 0, 0)
+    a = L.make(ctx, 1, [ctx.one, bad if where == "A" else ctx.one])
+    with pytest.raises(KeyError):
+        L.apply_poly(ctx, a, {2: bad if where == "f" else ctx.one, 0: ctx.one})
 
 
 # -- detection ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, make_field
-from poly_reference import compose_horner
+from poly_reference import compose_horner, from_text_char_loop
 
 
 def rand_poly(ctx, rng, max_deg=8, terms=4):
@@ -254,7 +254,7 @@ def mul_pairwise(ctx, f, g):
     return out
 
 
-MUL_FIELDS = [(p, N, use_table) for p, N in ((2, 4), (3, 2), (5, 2))
+MUL_FIELDS = [(p, N, use_table) for p, N in ((2, 4), (3, 2), (5, 2), (3, 6), (2, 8))
               for use_table in (True, False)]
 
 
@@ -274,6 +274,66 @@ def test_mul_matches_pairwise_sum(p, N, use_table, fterms, gterms):
     f = {e: ctx.elem_from_int(v % ctx.Q) for e, v in fterms if v % ctx.Q}
     g = {e: ctx.elem_from_int(v % ctx.Q) for e, v in gterms if v % ctx.Q}
     assert P.mul(ctx, f, g) == mul_pairwise(ctx, f, g)
+
+
+@pytest.mark.parametrize("use_table", [True, False])
+def test_mul_matches_pairwise_sum_when_terms_cancel(use_table):
+    """Products where most term pairs cancel or pile up: f*f at p = 2, whose
+    cross terms cancel in pairs to leave the termwise square, and F^2 * F^3
+    for a 26-term F on F_729 (2782 term pairs onto 279 exponents)."""
+    ctx = mul_field(2, 8, use_table)
+    rng = random.Random(2026)
+    for _ in range(20):
+        f = rand_poly(ctx, rng, 40, 20)
+        assert P.mul(ctx, f, f) == P.frob_power(ctx, f, 1) == mul_pairwise(ctx, f, f)
+    ctx = mul_field(3, 6, use_table)
+    rng = random.Random(729)
+    F = {e: ctx.elem_from_int(rng.randrange(1, ctx.Q)) for e in rng.sample(range(60), 26)}
+    F2 = mul_pairwise(ctx, F, F)
+    F3 = mul_pairwise(ctx, F2, F)
+    assert P.mul(ctx, F2, F3) == mul_pairwise(ctx, F2, F3)
+    assert P.pow_(ctx, F, 5) == mul_pairwise(ctx, F2, F3)
+
+
+@pytest.mark.parametrize("bad", [(3, 0, 0, 0, 0, 0), (1, 0), (0,) * 7, (0, -1, 0, 0, 0, 0)])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_mul_refuses_a_non_element(bad, side):
+    """A coefficient that is not a field element raises KeyError on either
+    side of the product, on a fresh table field, so the first-use log path
+    refuses."""
+    ctx = FieldCtx(3, 1, 6)
+    f, g = {2: ctx.one, 0: ctx.neg(ctx.one)}, {1: bad, 0: ctx.one}
+    with pytest.raises(KeyError):
+        P.mul(ctx, f, g) if side == "right" else P.mul(ctx, g, f)
+
+
+@pytest.mark.parametrize("use_table", [True, False])
+def test_mul_skips_a_stored_zero_coefficient(use_table):
+    """A zero coefficient stored against the dict invariant adds nothing."""
+    ctx = mul_field(3, 2, use_table)
+    f, g = {3: ctx.one, 1: ctx.zero}, {2: ctx.elem_from_int(5), 0: ctx.zero}
+    assert P.mul(ctx, f, g) == P.mul(ctx, g, f) == {5: ctx.elem_from_int(5)}
+
+
+def test_compose_makes_no_product_by_one(monkeypatch, f729):
+    """pow_ starts from its first factor.  T(F) for T = x^5 + x^2 + x on
+    F_729 makes g^2 = g * g (one product; g^1 needs none), then one product
+    per base-3 digit of 5 = 12_3, 2 and 1 with its coefficient: 5 in all."""
+    calls = []
+    real_mul = P.mul
+
+    def counting_mul(ctx, f, g):
+        calls.append((f, g))
+        return real_mul(ctx, f, g)
+
+    T = P.from_text(f729, "x^5+x^2+x")
+    F = P.from_text(f729, "x^28 + 2,1*x^4 + x + 1")
+    expected = P.compose(f729, T, F)
+    monkeypatch.setattr(P, "mul", counting_mul)
+    assert P.compose(f729, T, F) == expected == compose_horner(f729, T, F)
+    assert len(calls) == 5
+    assert P.pow_(f729, F, 1) == F and P.pow_(f729, F, 3) == P.frob_power(f729, F, 1)
+    assert len(calls) == 5
 
 
 # -- compose against Horner's rule -------------------------------------------------------
@@ -355,3 +415,43 @@ def test_text_leading_sign_and_difference(f9):
     assert P.from_text(f9, "-x") == {1: minus_one}
     assert P.from_text(f9, " - x^2 - 1") == {2: minus_one, 0: minus_one}
     assert P.from_text(f9, "x - 1") == {1: f9.one, 0: minus_one}
+
+
+# -- the regex tokenizer against the character loop ------------------------------------
+
+def parse_outcome(parse, ctx, text):
+    """The parsed polynomial, or the InputError message."""
+    try:
+        return parse(ctx, text)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+SIGNS = st.sampled_from(["", "+", "-", "--", " - ", "+-", "- +", " "])
+TERM = st.tuples(SIGNS, st.sampled_from(["", "1,2", "g", "2", "0", "1,0,1", "3", "a", " 1 "]),
+                 st.sampled_from(["", "*", " * ", "**"]),
+                 st.sampled_from(["", "x", "x ", "X", "xx", "x^", "x^ 3", "x^12", "x^-1",
+                                  "x^2.5", f"x^{1 << 62}", f"x^{(1 << 62) + 1}"]))
+VALID_TERM = st.tuples(st.sampled_from(["+", "-", " + ", " - "]),
+                       st.sampled_from(["", "1,2", "g", "2", "1,0", " 1 "]),
+                       st.sampled_from(["", "*", " * "]),
+                       st.sampled_from(["", "x", "x^3", "x^ 12", "x^0"]))
+POLY_TEXT = st.one_of(
+    st.tuples(st.sampled_from(["", "-", "+", " - "]), st.lists(VALID_TERM, min_size=1, max_size=5))
+    .map(lambda st_ts: st_ts[0] + "".join("".join(t) for t in st_ts[1])[1:]),
+    st.lists(TERM, max_size=5).map(lambda ts: "".join("".join(t) for t in ts)),
+    st.text(alphabet="x^0123456789+-*, g", max_size=24),
+    st.sampled_from(["-x", "--x", "-", "+", "-x^2+1", "=-x", "x+", "x-", "x+-1", "+ -x",
+                     " - x^2 - 1", "0", " 0 ", "-0", "", "  ", "xx + 1", "x^2.5 - x", "x^ a + 1",
+                     "3*x - 1"]))
+
+
+@pytest.mark.parametrize("field", [(3, 1, 2), (2, 1, 6)])
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(POLY_TEXT)
+def test_from_text_matches_the_char_loop(field, text):
+    """Same polynomial, or the same InputError message, as the tokenizer
+    that read one character at a time, on valid and malformed texts."""
+    ctx = make_field(*field)
+    assert parse_outcome(P.from_text, ctx, text) == parse_outcome(from_text_char_loop, ctx, text)
