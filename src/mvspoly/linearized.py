@@ -117,8 +117,8 @@ def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
         raise InputError("exponent overflow beyond 2^62")
     if ctx.use_table:
         M, fl = ctx._M, poly.term_logs(ctx, f)
-        return ctx.fold_logs([(0, ctx._log_of(c), [(e * p ** m, p ** m % M * le) for e, le in fl])
-                              for m, c in nz])
+        return ctx.fold_logs([(0, ctx._log_of(c), [(e * pm, t * le) for e, le in fl])
+                              for m, c in nz for pm, t in [(p ** m, pow(p, m, M))]])
     out = {}
     for m, c in nz:
         out = poly.add(ctx, out, poly.scale(ctx, poly.frob_power(ctx, f, m), c))
