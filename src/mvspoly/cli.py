@@ -287,7 +287,7 @@ def cmd_enumerate(args) -> int:
 def cmd_oracle_census(args) -> int:
     ctx = parse_field_spec(args.field)
     guard = min(args.guard_max, HARD_GUARD_MAX)
-    if args.values:
+    if args.values is not None:
         S = [ctx.parse_elem(s) for s in args.values.split(";")]
         rep = oracle.census_fixed_valueset(ctx, S, max_deg=args.max_deg, guard=guard)
     else:

@@ -491,13 +491,6 @@ class FieldCtx:
             self._caches[key] = basis
         return self._caches[key]
 
-    def fq_independent(self, kept: list, candidate) -> bool:
-        """Is candidate outside the F_q-span of kept?  (span tracked per call)"""
-        span = FqSpan(self)
-        for w in kept:
-            span.add((w,))
-        return span.add((candidate,))
-
     def subfield_basis(self, d: int) -> list:
         """d elements of F_{q^d} forming an F_q-basis, chosen deterministically
         by scanning the canonical element order and keeping what is new."""

@@ -8,6 +8,8 @@ c^(p^base)*tau, which admits a left Euclidean division; that division is the
 constructive engine behind every binomial factorization used here:
 
     x^(q^d) - alpha*x = gamma * A(M(x)).
+
+The zeros of A are the nullspace of A as an F_p-linear map (fp_nullspace).
 """
 
 from __future__ import annotations
@@ -179,14 +181,14 @@ def kernel(ctx, a: AdditivePoly):
     aq = as_context_base(ctx, a)
     if aq.is_zero():
         raise InputError("kernel of the zero polynomial")
-    null = _fp_nullspace(ctx, aq)
+    null = fp_nullspace(ctx, aq)
     span = FqSpan(ctx)
     basis = [w for w in null if span.add((w,))]
     assert len(null) == len(basis) * ctx.k
     return basis, len(basis)
 
 
-def _fp_nullspace(ctx, a: AdditivePoly) -> list:
+def fp_nullspace(ctx, a: AdditivePoly) -> list:
     """F_p-basis of the zeros of A in the ambient field: the nullspace of A
     as an F_p-linear map, which is the same at every level A is read at."""
     cols = [apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)) for c in range(ctx.N)]
@@ -195,13 +197,11 @@ def _fp_nullspace(ctx, a: AdditivePoly) -> list:
     return [tuple(v) for v in nullspace_mod(matrix, ctx.p)]
 
 
-def roots(ctx, a: AdditivePoly) -> tuple:
-    """The distinct zeros of a nonzero A in the ambient field, in canonical
-    element order: the F_p-span of its nullspace, with no field scan.  The
-    span is listed only up to 2^20 roots, the bound of the element scan."""
-    if a.is_zero():
-        raise InputError("roots of the zero polynomial")
-    null = _fp_nullspace(ctx, a)
+def root_span(ctx, null) -> tuple:
+    """The F_p-span of null in canonical element order.  For null the
+    nullspace of an additive A, these are the distinct zeros of A, found with
+    no field scan.  The span is listed only up to 2^20 roots, the bound of
+    the element scan."""
     if ctx.p ** len(null) > TABLE_LIMIT:
         raise GuardError("root listing refused above 2^20 roots")
     span = [ctx.zero]
@@ -210,45 +210,17 @@ def roots(ctx, a: AdditivePoly) -> tuple:
     return tuple(sorted(span, key=ctx.elem_to_int))
 
 
-def splits_and_separable(ctx, a: AdditivePoly) -> bool:
-    """True iff c_0 != 0 and the root space is as large as the degree."""
-    aq = as_context_base(ctx, a)
-    if aq.is_zero() or aq.coeffs[0] == ctx.zero:
-        return False
-    _, t = kernel(ctx, aq)
-    return ctx.q ** t == ctx.p ** (aq.base * aq.tau_deg())
-
-
 STAR_REFUSAL = "lift pipeline needs a monic split separable A of degree > 2"
 
 
+@dataclass(frozen=True)
 class SplitAdditive:
-    """A q-additive polynomial checked against the standing hypothesis of the
-    lift: monic, degree > 2, c_0 != 0 (separable), and split over the
-    ambient field.  The constructor is the one place that checks it, and it
-    keeps the F_q-basis of the root space from its single kernel call."""
-
-    def __init__(self, ctx, a: AdditivePoly):
-        aq = as_context_base(ctx, a)
-        if (aq.is_zero() or aq.coeffs[-1] != ctx.one or ctx.q ** aq.tau_deg() <= 2
-                or aq.coeffs[0] == ctx.zero):
-            raise InputError(STAR_REFUSAL)
-        basis, t = kernel(ctx, aq)
-        if t != aq.tau_deg():
-            raise InputError(STAR_REFUSAL)
-        self.a = aq          # at the context level
-        self.basis = basis
-        self.t = t
-
-
-def is_star(ctx, a: AdditivePoly) -> bool:
-    """Monic, separable, degree > 2, splits over the ambient field."""
-    aq = as_context_base(ctx, a)
-    try:
-        SplitAdditive(ctx, aq)
-    except InputError:
-        return False
-    return True
+    """A q-additive polynomial that satisfies the standing hypothesis, with
+    an F_p-basis of its root space, whose F_q-dimension is t.  Only
+    mvsp.validate_value_poly builds it, from the nullspace it decides on."""
+    a: AdditivePoly    # at the context level
+    basis: tuple
+    t: int
 
 
 def subspace_poly(ctx, vectors) -> AdditivePoly:
@@ -285,8 +257,9 @@ def _binomial_admissible(ctx, d: int, alpha) -> bool:
 
 def minimal_binomial_multiple(ctx, sa: SplitAdditive):
     """Least d | n with an alpha making A divide x^(q^d) - alpha*x while the
-    binomial still splits; alpha = rho^(q^d - 1) for any nonzero kernel
-    element rho, checked consistent across a kernel basis."""
+    binomial still splits; alpha = rho^(q^d - 1) for any nonzero root rho,
+    checked consistent across a basis of the root space (the condition
+    b^(q^d) = alpha*b is F_p-linear in b)."""
     rho = sa.basis[0]
     for d in sorted(d for d in range(1, ctx.n + 1) if ctx.n % d == 0):
         alpha = ctx.pow_elem(rho, ctx.q ** d - 1)

@@ -10,7 +10,8 @@ The two faces of the theory live here side by side:
   set is the root set of T.
 
 Everything else (additive reductions, power lifts, low degree normal forms,
-root profiles) is built from those two.
+root profiles) is built from those two.  All of it reads T through
+validate_value_poly, the one check of the standing hypothesis.
 """
 
 from __future__ import annotations
@@ -62,19 +63,22 @@ class FormWitness:
 @dataclass(frozen=True)
 class ValuePoly:
     """A value polynomial T that satisfies the standing hypothesis, with its
-    roots and theta candidates -T'(root) in canonical order, and T as an
-    AdditivePoly when it is one (None otherwise)."""
+    roots and theta candidates -T'(root) in canonical order, T as an
+    AdditivePoly when it is one (None otherwise), and its SplitAdditive
+    record when it is additive at the context level q (None otherwise)."""
     roots: tuple
     thetas: tuple
     additive: lin.AdditivePoly | None
+    split: lin.SplitAdditive | None = None
 
 
 def validate_value_poly(ctx, T: dict) -> ValuePoly:
     """Check the standing hypothesis on T: monic, separable, degree > 2,
     splits over the field.  The quadratic x^2 - x is admitted when q = 2,
-    which the subfield-valued theory needs.  A checked T is kept on the
-    context, so repeated requests skip the root search; a refusal is not
-    kept and costs no root search."""
+    which the subfield-valued theory needs.  This is the one place that
+    decides the hypothesis.  A checked T is kept on the context, so repeated
+    requests skip the root search; a refusal is not kept and costs no root
+    search."""
     cache = ctx._caches.setdefault("value_poly", {})
     key = frozenset(T.items())
     if key not in cache:
@@ -94,12 +98,24 @@ def _check_value_poly(ctx, T):
                          "(only x^2 - x at q = 2 is admitted)")
     if d > ctx.Q:
         raise InputError("value polynomial degree exceeds the field size")
-    g = poly.field_gcd(ctx, T)
-    if poly.degree(g) != d:
-        raise InputError("value polynomial does not split into distinct roots over the field")
-    # an additive T has its roots as the nullspace of a linear map
+    not_split = "value polynomial does not split into distinct roots over the field"
     additive = lin.detect_additive(ctx, T)
-    roots = poly.roots(ctx, T) if additive is None else lin.roots(ctx, additive)
+    if additive is not None:
+        # the distinct roots of T are the nullspace of T as an F_p-linear
+        # map, so T splits into distinct roots exactly when they number deg T;
+        # then T' = c_0 is nonzero
+        null = lin.fp_nullspace(ctx, additive)
+        if ctx.p ** len(null) != d:
+            raise InputError(not_split)
+        split = None
+        if additive.base % ctx.k == 0:
+            split = lin.SplitAdditive(lin.as_context_base(ctx, additive), tuple(null),
+                                      len(null) // ctx.k)
+        return ValuePoly(roots=lin.root_span(ctx, null), thetas=(ctx.neg(T[1]),),
+                         additive=additive, split=split)
+    if poly.degree(poly.field_gcd(ctx, T)) != d:
+        raise InputError(not_split)
+    roots = poly.roots(ctx, T)
     assert len(roots) == d
     dT = poly.derivative(ctx, T)
     thetas = []
@@ -107,7 +123,22 @@ def _check_value_poly(ctx, T):
         th = ctx.neg(poly.eval_at(ctx, dT, r))
         if th not in thetas:
             thetas.append(th)
-    return ValuePoly(roots=roots, thetas=tuple(thetas), additive=additive)
+    return ValuePoly(roots=roots, thetas=tuple(thetas), additive=None)
+
+
+def split_additive(ctx, a: lin.AdditivePoly, refusal: str, admit_quadratic=False):
+    """The SplitAdditive record of a q-additive A from its checked value
+    polynomial.  InputError(refusal) when A fails the standing hypothesis,
+    or has degree 2 and admit_quadratic is False; as_context_base refuses an A
+    that is not additive at the context level q."""
+    T = lin.to_sparse(ctx, lin.as_context_base(ctx, a))
+    try:
+        sa = validate_value_poly(ctx, T).split
+    except InputError:
+        raise InputError(refusal) from None
+    if ctx.q ** sa.t <= 2 and not admit_quadratic:
+        raise InputError(refusal)
+    return sa
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +171,7 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     if dF is poly.NEG_INF or dF == 0:
         c = F.get(0, ctx.zero)
         member = poly.eval_at(ctx, T, c) == ctx.zero
-        return MvspReport(is_mvsp=False, value_set=frozenset({c}), deg=0 if F else 0,
+        return MvspReport(is_mvsp=False, value_set=frozenset({c}), deg=0,
                           bound=None, theta=None, theta_candidates=vp.thetas,
                           is_member=member,
                           reason="" if member else "constant is not a root")
@@ -169,6 +200,22 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
 # additive reduction and the power lift
 # ---------------------------------------------------------------------------
 
+def _additive_quotient(ctx, T: dict, v: int, gamma) -> lin.AdditivePoly | None:
+    """T(x^v + gamma)/x^(v-1) as an AdditivePoly, or None when it is not an
+    additive polynomial.  T(x^v + gamma) is a polynomial in x^v, so x^(v-1)
+    divides it exactly when it has no constant term."""
+    shifted = poly.compose(ctx, T, {v: ctx.one, 0: gamma} if gamma != ctx.zero
+                           else {v: ctx.one})
+    if 0 in shifted:
+        return None
+    return lin.detect_additive(ctx, {e - (v - 1): c for e, c in shifted.items()})
+
+
+def _divides_a_level(ctx, v: int, base: int) -> bool:
+    """Does v divide p^b - 1 at some level b dividing base?"""
+    return any(base % b == 0 and (ctx.p ** b - 1) % v == 0 for b in range(1, base + 1))
+
+
 def find_additive_reduction(ctx, T: dict) -> list[ReductionWitness]:
     """All (v, base, gamma) with T(x^v + gamma)/x^(v-1) additive at that base,
     scanning base in 1..N, v over divisors of p^base - 1, gamma over the
@@ -183,15 +230,8 @@ def find_additive_reduction(ctx, T: dict) -> list[ReductionWitness]:
         mod = ctx.p ** base - 1
         for v in sorted(d for d in range(1, mod + 1) if mod % d == 0):
             for gamma in roots:
-                shifted = poly.compose(ctx, T, {v: ctx.one, 0: gamma} if gamma != ctx.zero
-                                       else {v: ctx.one})
-                if 0 in shifted:
-                    continue
-                quotient = {e - (v - 1): c for e, c in shifted.items()}
-                if min(quotient) < 1:
-                    continue
-                a = lin.detect_additive(ctx, quotient)
-                if a is None or a.is_zero() or a.base % base != 0:
+                a = _additive_quotient(ctx, T, v, gamma)
+                if a is None or a.base % base != 0:
                     continue
                 out.append(ReductionWitness(v=v, base=base, gamma=gamma,
                                             A=lin.rebase(ctx, a, base)))
@@ -206,20 +246,13 @@ def power_lift(ctx, F: dict, v: int, T: dict) -> dict:
         raise InputError("power lift needs x | T")
     if v < 1:
         raise InputError("v must be positive")
-    shifted = poly.compose(ctx, T, {v: ctx.one})
-    if 0 in shifted:
-        raise InputError("T(x^v) is not divisible by x^(v-1)")
-    quotient = {e - (v - 1): c for e, c in shifted.items()}
-    a = lin.detect_additive(ctx, quotient)
-    if a is None or a.is_zero():
+    a = _additive_quotient(ctx, T, v, ctx.zero)     # x | T, so x^(v-1) | T(x^v)
+    if a is None:
         raise InputError("T(x^v)/x^(v-1) is not additive")
-    if not any(a.base % b == 0 and (ctx.p ** b - 1) % v == 0
-               for b in range(1, a.base + 1)):
+    if not _divides_a_level(ctx, v, a.base):
         raise InputError("v does not divide p^b - 1 at any additivity level of A")
-    if not lin.is_star(ctx, a):
-        raise InputError("the additive reduction of T fails the standing hypothesis")
-    asp = lin.to_sparse(ctx, a)
-    rep = mills_check(ctx, F, asp)
+    sa = split_additive(ctx, a, "the additive reduction of T fails the standing hypothesis")
+    rep = mills_check(ctx, F, lin.to_sparse(ctx, a))
     if not rep.is_member:
         raise InputError("F is not a member of the additive space")
     image = poly.pow_(ctx, F, v)
@@ -227,8 +260,7 @@ def power_lift(ctx, F: dict, v: int, T: dict) -> dict:
     if not check.is_member:
         raise AssertionError("power lift image failed verification")
     if poly.degree(F) >= 1:
-        omega0 = lin.as_context_base(ctx, a).coeffs[0]
-        expected = ctx.neg(ctx.div(omega0, ctx.int_elem(v)))
+        expected = ctx.neg(ctx.div(sa.a.coeffs[0], ctx.int_elem(v)))
         if check.theta != expected:
             raise AssertionError("power lift produced an unexpected theta")
     return image
@@ -282,8 +314,7 @@ def extract_linearized_power_form(ctx, F: dict) -> FormWitness | None:
             a = lin.detect_additive(ctx, core)
             if a is None or a.is_zero():
                 continue
-            if not any(a.base % b == 0 and (ctx.p ** b - 1) % v == 0
-                       for b in range(1, a.base + 1)):
+            if not _divides_a_level(ctx, v, a.base):
                 continue
             if len(poly.roots(ctx, h)) != poly.degree(h):
                 continue

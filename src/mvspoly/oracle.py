@@ -150,11 +150,9 @@ def linear_dim_w(ctx, a: lin.AdditivePoly, guard=DIM_GUARD) -> int:
     nonconstant kernel element must satisfy the identity (A(F) cannot vanish
     identically for nonconstant F), and every member has degree <= D, so
     the kernel is exactly the member space."""
-    aq = lin.as_context_base(ctx, a)
-    carve_out = (ctx.q == 2 and aq.coeffs == (ctx.neg(ctx.one), ctx.one))
-    if not lin.is_star(ctx, aq) and not carve_out:
-        raise InputError("dimension oracle needs a monic split separable A of degree > 2")
-    t = aq.tau_deg()
+    sa = mvsp.split_additive(ctx, a, "dimension oracle needs a monic split separable A "
+                             "of degree > 2", admit_quadratic=True)
+    aq, t = sa.a, sa.t
     theta = ctx.neg(aq.coeffs[0])
     D = (ctx.Q - 1) // (ctx.q ** t - 1)
     if D * ctx.N > guard:

@@ -120,9 +120,9 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     a beta with beta^(q'-1) = alpha when alpha != 1."""
     if d < 1 or ctx.n % d != 0:
         raise InputError(f"d = {d} is not a positive divisor of n = {ctx.n}")
-    qd = ctx.q ** d
-    if qd <= 2 and not (qd == 2 and alpha == ctx.one):
+    if not lin._binomial_admissible(ctx, d, alpha):
         raise InputError("binomial degree must exceed 2 (only x^2 - x at q = 2 is admitted)")
+    qd = ctx.q ** d
     beta = ctx.solve_power(alpha, qd - 1) if alpha != ctx.one else ctx.one
     if beta is None:
         raise InputError("alpha is not a (q^d - 1)-th power; the binomial does not split")
@@ -255,8 +255,9 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     the binomial space, reduces, and removes F_q-dependencies; the surviving
     rank is exactly d*2^(n/d) - d + t (the kernel of the map is the root
     space of M, which consists of constants), and every generator is
-    re-verified against A by the Mills criterion."""
-    sa = lin.SplitAdditive(ctx, a)
+    re-verified against A by the Mills criterion.  A must satisfy the
+    standing hypothesis without the quadratic carve-out."""
+    sa = mvsp.split_additive(ctx, a, lin.STAR_REFUSAL)
     d, alpha = lin.minimal_binomial_multiple(ctx, sa)
     witness = lin.factor_through_binomial(ctx, sa, d, alpha)
     wb = build_basis(ctx, d, alpha)

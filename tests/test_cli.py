@@ -252,6 +252,24 @@ def test_oracle_census_fixed_values():
     assert code == 0 and d["members"] == 3
 
 
+def test_oracle_census_refuses_empty_values():
+    # an empty --values is a bad element, not a request for the subfield census
+    code, out, err = run(["oracle", "census", "--field", "2^2:1", "--values", ""])
+    assert (code, out, err) == (2, "", "input error: bad element ''\n")
+
+
+def test_quadratic_carve_out_exit_codes():
+    """x^2 + x at q = 2 is admitted as a value polynomial and by the
+    dimension oracle, and the lift refuses it."""
+    code, out, err = run(["lift", "--field", "2^6:1", "--A", "x^2+x"])
+    assert (code, out) == (2, "")
+    assert err == "input error: lift pipeline needs a monic split separable A of degree > 2\n"
+    code, d = run_json(["oracle", "dim", "--field", "2^6:1", "--A", "x^2+x"])
+    assert code == 0 and d["dim"] == 64
+    code, d = run_json(["verify", "--field", "2^6:1", "--T", "x^2+x", "--F", "x^63"])
+    assert code == 0 and d["is_member"] and d["theta"] == [1, 0, 0, 0, 0, 0]
+
+
 def test_oracle_dim():
     code, d = run_json(["oracle", "dim", "--field", "2^6:1", "--A", "x^4+x^2+x"])
     assert code == 0 and d["dim"] == 11

@@ -12,6 +12,15 @@ from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, make_field, parse_field_spec
+from mvspoly.linalg import FqSpan
+
+
+def split_of(ctx, a):
+    """A's SplitAdditive record, or None when A fails the standing hypothesis."""
+    try:
+        return M.validate_value_poly(ctx, L.to_sparse(ctx, a)).split
+    except InputError:
+        return None
 
 
 def rand_additive(ctx, rng, max_tau=3, monic=False):
@@ -214,26 +223,31 @@ def test_kernel_subfield_binomial(f64):
 
 
 def test_kernel_bound_and_splitting(f64):
+    # the split decision is made on A made monic, which has A's roots
     rng = random.Random(91)
     for _ in range(40):
         a = rand_additive(f64, rng, 3)
         _, t = L.kernel(f64, a)
         deg = 2 ** a.tau_deg()
         assert 2 ** t <= deg
-        assert L.splits_and_separable(f64, a) == (a.coeffs[0] != f64.zero and 2 ** t == deg)
+        lead = f64.inv(a.coeffs[-1])
+        monic = L.make(f64, a.base, [f64.mul(lead, c) for c in a.coeffs])
+        admitted = deg > 2 or monic.coeffs == (f64.one, f64.one)
+        assert (split_of(f64, monic) is not None) == \
+            (a.coeffs[0] != f64.zero and 2 ** t == deg and admitted)
 
 
 def test_splits_examples(f4, f64):
     a64 = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    assert L.splits_and_separable(f64, a64)
+    assert split_of(f64, a64) is not None
     a4 = L.detect_additive(f4, P.from_text(f4, "x^4+x^2+x"))
-    assert not L.splits_and_separable(f4, a4)
+    assert split_of(f4, a4) is None
     assert L.kernel(f4, a4)[1] == 0           # roots lie in F_8, not F_4
     # x^4 - g*x over F_4 as base field: g is not a cube
     ctx = make_field(2, 2, 1)
     g = ctx.elem_from_int(2)
     a = L.make(ctx, ctx.k, (ctx.neg(g), ctx.one))
-    assert not L.splits_and_separable(ctx, a)
+    assert split_of(ctx, a) is None
 
 
 def test_additivity_as_function(f64):
@@ -253,27 +267,36 @@ def test_additivity_as_function(f64):
 
 def test_split_additive_keeps_its_kernel(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    sa = L.SplitAdditive(f64, a)
+    sa = M.split_additive(f64, a, "refused")
     assert sa.a == L.as_context_base(f64, a) and sa.t == 2
-    assert (sa.basis, sa.t) == L.kernel(f64, a)
+    assert (list(sa.basis), sa.t) == L.kernel(f64, a)
+    assert split_of(f64, a) is sa
 
 
-@pytest.mark.parametrize("field, text", [
-    ("2^6:1", "g*x^4+x^2+x"),       # not monic
-    ("2^6:1", "x^2+x"),             # degree 2
-    ("2^6:1", "x"),                 # degree 1
-    ("2^6:1", "x^4+x^2"),           # c_0 = 0
-    ("2^2:1", "x^4+x^2+x"),         # roots lie in F_8, not F_4
-])
-def test_split_additive_refusals_match_the_lift(field, text):
+@pytest.mark.parametrize("field, text, admitted", [
+    pytest.param(field, text, admitted, id=f"{field}-{text}") for field, text, admitted in [
+        ("2^6:1", "g*x^4+x^2+x", False),    # not monic
+        ("2^6:1", "x^2+x", True),           # degree 2: the q = 2 carve-out
+        ("2^6:1", "x", False),              # degree 1
+        ("2^6:1", "x^4+x^2", False),        # c_0 = 0
+        ("2^2:1", "x^4+x^2+x", False),      # roots lie in F_8, not F_4
+    ]])
+def test_split_additive_refusals_match_the_lift(field, text, admitted):
+    """The lift refuses every A that has no SplitAdditive record, and also
+    the quadratic that the value polynomial check admits at q = 2."""
     ctx = parse_field_spec(field)
     a = L.detect_additive(ctx, P.from_text(ctx, text))
-    with pytest.raises(InputError) as refused:
-        L.SplitAdditive(ctx, a)
     with pytest.raises(InputError) as lifted:
         W.lift_pipeline(ctx, a)
-    assert str(refused.value) == str(lifted.value) == L.STAR_REFUSAL
-    assert not L.is_star(ctx, a)
+    assert str(lifted.value) == L.STAR_REFUSAL
+    with pytest.raises(InputError, match="^refused$"):
+        M.split_additive(ctx, a, "refused")
+    assert (split_of(ctx, a) is not None) == admitted
+    if admitted:
+        assert M.split_additive(ctx, a, "refused", admit_quadratic=True).t == 1
+    else:
+        with pytest.raises(InputError, match="^refused$"):
+            M.split_additive(ctx, a, "refused", admit_quadratic=True)
 
 
 # -- subspace polynomials -----------------------------------------------------
@@ -294,9 +317,10 @@ def test_subspace_poly_kernel_roundtrip(f64):
     rng = random.Random(111)
     for _ in range(25):
         vs = []
+        span = FqSpan(f64)
         while len(vs) < 2:
             v = f64.elem_from_int(rng.randrange(1, 64))
-            if f64.fq_independent(vs, v):
+            if span.add((v,)):
                 vs.append(v)
         m = L.subspace_poly(f64, vs)
         basis, t = L.kernel(f64, m)
@@ -319,13 +343,13 @@ def test_subspace_poly_rejects_dependent(f64):
 
 def test_minimal_binomial_example(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    assert L.minimal_binomial_multiple(f64, L.SplitAdditive(f64, a)) == (3, f64.one)
+    assert L.minimal_binomial_multiple(f64, split_of(f64, a)) == (3, f64.one)
 
 
 def test_minimal_binomial_of_binomial(f64):
     for d in (2, 3, 6):
         a = L.binomial(f64, d, f64.one)
-        assert L.minimal_binomial_multiple(f64, L.SplitAdditive(f64, a)) == (d, f64.one)
+        assert L.minimal_binomial_multiple(f64, split_of(f64, a)) == (d, f64.one)
 
 
 def test_minimal_binomial_non_stable_subspace():
@@ -334,7 +358,9 @@ def test_minimal_binomial_non_stable_subspace():
     for i in range(2, 16):
         for j in range(i + 1, 16):
             vs = [ctx.elem_from_int(i), ctx.elem_from_int(j)]
-            if not ctx.fq_independent([vs[0]], vs[1]):
+            span = FqSpan(ctx)
+            span.add((vs[0],))
+            if not span.add((vs[1],)):
                 continue
             span = {ctx.zero, vs[0], vs[1], ctx.add(vs[0], vs[1])}
             if {ctx.frobenius(v, 2) for v in span} != span:
@@ -342,7 +368,7 @@ def test_minimal_binomial_non_stable_subspace():
                 break
         if found:
             break
-    sa = L.SplitAdditive(ctx, L.subspace_poly(ctx, found))
+    sa = split_of(ctx, L.subspace_poly(ctx, found))
     d, alpha = L.minimal_binomial_multiple(ctx, sa)
     assert d == 4
     w = L.factor_through_binomial(ctx, sa, d, alpha)
@@ -351,14 +377,14 @@ def test_minimal_binomial_non_stable_subspace():
 
 def test_factor_example(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    w = L.factor_through_binomial(f64, L.SplitAdditive(f64, a), 3, f64.one)
+    w = L.factor_through_binomial(f64, split_of(f64, a), 3, f64.one)
     assert L.to_sparse(f64, w.M) == P.from_text(f64, "x^2+x")
     assert w.gamma == f64.one and w.t == 2
 
 
 def test_factor_binomial_itself(f64):
     a = L.binomial(f64, 3, f64.one)
-    w = L.factor_through_binomial(f64, L.SplitAdditive(f64, a), 3, f64.one)
+    w = L.factor_through_binomial(f64, split_of(f64, a), 3, f64.one)
     assert w.M.coeffs == (f64.one,) and w.gamma == f64.one
 
 
@@ -382,7 +408,7 @@ def test_factor_roundtrip_random_chain(f64):
 
 def test_factor_nondivisor_raises(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    sa = L.SplitAdditive(f64, a)
+    sa = split_of(f64, a)
     with pytest.raises(InputError):
         L.factor_through_binomial(f64, sa, 2, f64.one)
 
@@ -393,8 +419,9 @@ def test_witness_alpha_twist(f64):
     alpha = f64.pow_elem(beta, 2 ** 3 - 1)
     if alpha != f64.one:
         a = L.binomial(f64, 3, alpha)
-        assert L.splits_and_separable(f64, a)
-        w = L.factor_through_binomial(f64, L.SplitAdditive(f64, a), 3, alpha)
+        sa = split_of(f64, a)
+        assert sa is not None
+        w = L.factor_through_binomial(f64, sa, 3, alpha)
         assert w.t == 3 and w.M.tau_deg() == 0
 
 
@@ -419,7 +446,7 @@ def test_roots_match_field_scan(spec):
         for basis in O.subspaces(prime, t):
             a = L.subspace_poly(prime, basis)
             T = L.to_sparse(ctx, a)
-            roots = L.roots(ctx, a)
+            roots = L.root_span(ctx, L.fp_nullspace(ctx, a))
             assert roots == P.roots(ctx, T)
             assert len(roots) == ctx.p ** t
             if ctx.p ** t > 2:

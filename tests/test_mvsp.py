@@ -8,7 +8,7 @@ from mvspoly import mvsp as M
 from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly.errors import InputError
-from mvspoly.gf import make_field
+from mvspoly.gf import FieldCtx, make_field
 
 
 # -- minimality ----------------------------------------------------------------
@@ -69,6 +69,89 @@ def test_mills_rejects_bad_value_poly(f64, f4):
     # carve-out: x^2 - x at q = 2 is fine, and the trace is a member
     assert M.mills_check(f4, P.from_text(f4, "x^2+x"),
                          P.from_text(f4, "x^2+x")).is_member
+
+
+# -- the additive split decision against field_gcd -------------------------------
+
+def value_poly_by_gcd(ctx, T):
+    """(roots, thetas) of a monic T of degree > 2 as a non-additive T gets
+    them: split and separable when deg gcd(T, x^Q - x) = deg T, the roots by
+    the field scan, thetas -T'(root) in root order; None when T fails."""
+    if P.degree(P.field_gcd(ctx, T)) != P.degree(T):
+        return None
+    dT = P.derivative(ctx, T)
+    roots = P.roots(ctx, T)
+    return roots, tuple(dict.fromkeys(ctx.neg(P.eval_at(ctx, dT, r)) for r in roots))
+
+
+def additive_value_polys(ctx, rng, every=4096):
+    """Monic p-additive T with 2 < deg T <= min(64, Q), and x^2 + x at q = 2.
+    Per degree: every such T when there are at most `every` of them;
+    otherwise every T with coefficients in F_p, 64 with random coefficients
+    (8 of them with c_0 = 0) and 16 that split, from random F_p-subspaces."""
+    p, out = ctx.p, []
+    if ctx.q == 2:
+        out.append({2: ctx.one, 1: ctx.one})
+
+    def monic(low):
+        return {p ** i: c for i, c in enumerate([*low, ctx.one]) if c != ctx.zero}
+
+    m = 1
+    while p ** m <= min(64, ctx.Q):
+        if p ** m > 2 and ctx.Q ** m <= every:
+            out += [monic(low) for low in itertools.product(ctx.elements(), repeat=m)]
+        elif p ** m > 2:
+            fp = [ctx.elem_from_int(c) for c in range(p)]
+            out += [monic(low) for low in itertools.product(fp, repeat=m)]
+            for j in range(64):
+                low = [ctx.elem_from_int(rng.randrange(ctx.Q)) for _ in range(m)]
+                out.append(monic([ctx.zero, *low[1:]] if j < 8 else low))
+            for _ in range(16):
+                span = [ctx.zero]
+                while len(span) < p ** m:
+                    w = ctx.elem_from_int(rng.randrange(ctx.Q))
+                    if w not in span:
+                        span = [ctx.add(v, ctx.smul(c, w)) for c in range(p) for v in span]
+                T = {0: ctx.one}
+                for v in span:
+                    T = P.mul(ctx, T, P.linear(ctx, v))
+                out.append(T)
+        m += 1
+    return out
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (2, 1, 4), (2, 2, 2), (2, 1, 6),
+                                    (3, 1, 3), (3, 1, 4)])
+def test_additive_split_decision_matches_field_gcd(params):
+    """validate_value_poly decides an additive T from one nullspace; the
+    decision, the roots and the thetas are those of the field_gcd path.  A T
+    additive at the context level keeps an F_p-basis of its roots."""
+    ctx = FieldCtx(*params)
+    rng = random.Random(1100 + sum(params))
+    seen = {"accepted": 0, "not split": 0, "c0 = 0": 0, "level p only": 0}
+    for T in additive_value_polys(ctx, rng):
+        assert L.detect_additive(ctx, T) is not None
+        expected = value_poly_by_gcd(ctx, T)
+        try:
+            vp = M.validate_value_poly(ctx, T)
+        except InputError as exc:
+            assert expected is None, T
+            assert str(exc) == "value polynomial does not split into distinct roots over the field"
+            seen["c0 = 0" if 1 not in T else "not split"] += 1
+            continue
+        assert (vp.roots, vp.thetas) == expected, T
+        seen["accepted"] += 1
+        if vp.split is None:
+            assert L.detect_additive(ctx, T).base % ctx.k != 0
+            seen["level p only"] += 1
+            continue
+        assert L.to_sparse(ctx, vp.split.a) == T and ctx.q ** vp.split.t == P.degree(T)
+        span = {ctx.zero}
+        for b in vp.split.basis:
+            span = {ctx.add(s, ctx.smul(c, b)) for s in span for c in range(ctx.p)}
+        assert span == set(vp.roots) and len(vp.split.basis) == ctx.k * vp.split.t
+    assert seen["accepted"] and seen["not split"] and seen["c0 = 0"]
+    assert bool(seen["level p only"]) == (ctx.k > 1)
 
 
 def _subspace_shift_value_polys(ctx):

@@ -5,10 +5,11 @@ import pytest
 
 from linalg_reference import rank_mod
 from mvspoly import linearized as L
+from mvspoly import mvsp as M
 from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
-from mvspoly.errors import GuardError
+from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import make_field, parse_field_spec
 
 
@@ -146,7 +147,8 @@ def test_census_fixed_invalid_precondition():
              if P.eval_at(ctx, P.from_text(ctx, "x^4+x^2+x"), a) == ctx.zero]
     assert roots == [ctx.zero]
     a = L.detect_additive(ctx, P.from_text(ctx, "x^4+x^2+x"))
-    assert not L.splits_and_separable(ctx, a)
+    with pytest.raises(InputError, match="does not split"):
+        M.validate_value_poly(ctx, L.to_sparse(ctx, a))
     rep = O.census_fixed_valueset(ctx, roots)
     assert "precondition" in rep.note and rep.members == 0
 

@@ -9,7 +9,7 @@ from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import GuardError
-from mvspoly.gf import make_field
+from mvspoly.gf import FieldCtx, make_field
 from mvspoly.linalg import FpSpan
 
 
@@ -229,19 +229,31 @@ def test_lift_example_f64(f64):
     assert rep.basis.dim == 12
 
 
-def test_lift_checks_a_once(f64, monkeypatch):
-    # one kernel for A, inside SplitAdditive, and one for M in verify_witness
-    calls = []
-    kernel = L.kernel
+def test_lift_checks_a_once(monkeypatch):
+    """On a fresh context, the lift, the dimension oracle and the lift's own
+    Mills checks on A make one nullspace of A between them and no field_gcd;
+    the one other nullspace is M's kernel in verify_witness."""
+    ctx = FieldCtx(2, 1, 6)
+    nulls, gcds = [], []
+    fp_nullspace, field_gcd = L.fp_nullspace, P.field_gcd
 
-    def counting(ctx, a):
-        calls.append(a)
-        return kernel(ctx, a)
+    def counting_nullspace(c, a):
+        nulls.append(L.to_sparse(c, a))
+        return fp_nullspace(c, a)
 
-    monkeypatch.setattr(L, "kernel", counting)
-    a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    rep = W.lift_pipeline(f64, a)
-    assert calls == [L.as_context_base(f64, a), rep.witness.M]
+    def counting_gcd(c, f):
+        gcds.append(f)
+        return field_gcd(c, f)
+
+    monkeypatch.setattr(L, "fp_nullspace", counting_nullspace)
+    monkeypatch.setattr(P, "field_gcd", counting_gcd)
+    a = L.detect_additive(ctx, P.from_text(ctx, "x^4+x^2+x"))
+    rep = W.lift_pipeline(ctx, a)
+    assert O.linear_dim_w(ctx, a) == rep.dim_lower == 11
+    asp = L.to_sparse(ctx, a)
+    assert all(M.mills_check(ctx, g, asp).is_member for g in rep.generators)
+    assert nulls == [asp, L.to_sparse(ctx, rep.witness.M)]
+    assert gcds == []
 
 
 def test_lift_binomial_identity(f64):
