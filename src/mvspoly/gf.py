@@ -13,9 +13,10 @@ power of the q-Frobenius inside the one ambient field.
 
 All operations are pure.  A table field keeps its exp/log/Zech tables as int
 arrays and makes the element tuples on first use: `_exp` interns a power's
-tuple, `_log` records a tuple's log, and `fold_logs` sums polynomial terms on
-logs.  Each fill stores the value every other fill would store, so contexts
-and elements can be shared freely across threads.
+tuple and `_log` records a tuple's log.  Each fill stores the value every
+other fill would store, so contexts and elements can be shared freely across
+threads.  No other module knows the back end: `fold` is the one polynomial
+product, on logs or on digits, that `poly` and `linearized` call.
 """
 
 from __future__ import annotations
@@ -394,16 +395,39 @@ class FieldCtx:
             return self._exp[i] or self._intern(i)
         return self._mul_raw(a, b)
 
-    def fold_logs(self, rows) -> dict:
-        """On a table field, the sum of g^(l0 + l) * x^(e0 + e) over the rows
-        (e0, l0, pairs) and each row's (e, l) pairs, logs >= 0 and unreduced.
-        Each exponent's logs are summed by Zech addition, -1 marking a zero
-        sum, and each nonzero sum becomes its tuple once, at the end."""
-        zech, M = self._zech, self._M
+    def fold(self, f: dict, rows) -> dict:
+        """The sum of c0 * c^(p^m) * x^(e0 + e * p^m) over the rows (e0, c0, m)
+        and the terms (e, c) of f, with f's terms twisted once per distinct m.
+        On a table field a twisted term is (e * p^m, (p^m mod Q-1) * log c),
+        each exponent's logs are summed by Zech addition, -1 marking a zero
+        sum, and a non-element raises KeyError.  Without tables each
+        exponent's products are summed once, by digit columns."""
+        p, zero = self.p, self.zero
+        if not self.use_table:
+            terms = [(e, c) for e, c in f.items() if c != zero]
+            twists = {0: terms}
+            cols = {}
+            for e0, c0, m in rows:
+                if c0 != zero:
+                    if m not in twists:
+                        pm = p ** m
+                        twists[m] = [(e * pm, self.frobenius_p(c, m)) for e, c in terms]
+                    for e, c in twists[m]:
+                        cols.setdefault(e0 + e, []).append(self._mul_raw(c0, c))
+            return {e: s for e, cs in cols.items() if (s := self.sum(cs)) != zero}
+        log, zech, M = self._log_of, self._zech, self._M
+        terms = [(e, la) for e, c in f.items() if (la := log(c)) is not None]
+        twists = {0: terms}
         acc = {}
         get = acc.get
-        for e0, l0, pairs in rows:
-            for e, l in pairs:
+        for e0, c0, m in rows:
+            l0 = log(c0)
+            if l0 is None:
+                continue
+            if m not in twists:
+                pm, t = p ** m, pow(p, m, M)
+                twists[m] = [(e * pm, t * l) for e, l in terms]
+            for e, l in twists[m]:
                 e += e0
                 l += l0
                 la = get(e, -1)
@@ -479,16 +503,16 @@ class FieldCtx:
         return self._sub_elems[d]
 
     def fp_basis_of_fq(self) -> list:
-        """F_p-basis of F_q inside the ambient field (canonical greedy scan)."""
+        """F_p-basis of F_q, 1 first, then the new traces sum_{i<n} (y^j)^(q^i),
+        j < N: the trace maps F_p-linearly onto F_q, so no field is scanned,
+        and at k = 1 no trace is taken."""
         key = ("fpq",)
         if key not in self._caches:
+            traces = (self.sum([self.frobenius(self.elem_from_int(self.p ** j), i)
+                                for i in range(self.n)]) for j in range(self.N))
             span = FpSpan(self.p, self.N)
-            basis = []
-            for a in self.subfield_elements(1):
-                if span.add(a):
-                    basis.append(a)
-            assert len(basis) == self.k
-            self._caches[key] = basis
+            candidates = itertools.chain([self.one], traces)
+            self._caches[key] = _first_independent(span.add, candidates, self.k)
         return self._caches[key]
 
     def subfield_basis(self, d: int) -> list:
@@ -496,14 +520,8 @@ class FieldCtx:
         by scanning the canonical element order and keeping what is new."""
         if d not in self._sub_basis:
             span = FqSpan(self)
-            basis = []
-            for a in self.subfield_elements(d):
-                if span.add((a,)):
-                    basis.append(a)
-                    if len(basis) == d:
-                        break
-            assert len(basis) == d
-            self._sub_basis[d] = basis
+            self._sub_basis[d] = _first_independent(lambda a: span.add((a,)),
+                                                    self.subfield_elements(d), d)
         return self._sub_basis[d]
 
     def solve_power(self, alpha, e: int):
@@ -557,6 +575,13 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx({self.p}^{self.N}:{self.k})"
+
+
+def _first_independent(add, candidates, size: int) -> list:
+    """The first `size` candidates that enlarge the span behind `add`, read lazily."""
+    basis = list(itertools.islice(filter(add, candidates), size))
+    assert len(basis) == size
+    return basis
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,14 +1,16 @@
 """Exact linear algebra over F_p, in plain Python.
 
 Pivot selection is always "first nonzero", so every routine is
-deterministic.  `FpSpan` is the one elimination engine: at p = 2 it packs a
-row into one Python int (entry i at bit i) and eliminates by XOR, and at odd
-p a row is a list of ints in [0, p).  `rank_gf2` ranks rows already packed.
-`FqSpan` tracks an F_q-span of vectors of field elements as the F_p-span of
-their multiples by an F_p-basis of F_q.
+deterministic.  `FpSpan` is the one elimination engine; it keeps echelon
+rows only, never rewriting one, and nullspaces follow by back-substitution.
+At p = 2 a row is one Python int (entry i at bit i), at odd p a list of
+ints in [0, p).  `rank_gf2` ranks packed rows.  `FqSpan` tracks an F_q-span
+of vectors as the F_p-span of their multiples by an F_p-basis of F_q.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def rank_gf2(vectors) -> int:
@@ -30,28 +32,31 @@ def rank_gf2(vectors) -> int:
 
 
 def nullspace_mod(matrix, p: int):
-    """Basis of {v : M v = 0 (mod p)} for an (m x n) matrix M, given as a
-    list of rows, as a list of length-n vectors read off the reduced echelon
-    form.  Free variables are taken in increasing column order."""
+    """Basis of {v : M v = 0 (mod p)} for an (m x n) matrix M given as rows:
+    each free variable, in increasing column order, set to 1 with the others
+    0, and the pivot variables solved by back-substitution."""
     ncols = len(matrix[0])
     span = FpSpan(p, ncols)
     for row in matrix:
         span.add(row)
     pivot_set = set(span.pivots)
+    rows = span.rows if p > 2 else [[r >> i & 1 for i in range(ncols)] for r in span.rows]
+    solve = list(zip(rows, span.pivots))[::-1]
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
         v = [0] * ncols
         v[f] = 1
-        for row, c in zip(span.rows, span.pivots):
-            v[c] = row >> f & 1 if p == 2 else -row[f] % p
+        for row, c in solve:
+            v[c] = -sum(map(operator.mul, row, v)) % p
         basis.append(v)
     return basis
 
 
 class FpSpan:
-    """Incrementally maintained row space mod p, kept in reduced echelon form:
+    """Row space mod p as echelon rows with pivot entry 1, each zero at every
+    earlier row's pivot, so one pass in insertion order reduces a vector:
     packed int rows at p = 2, int lists at odd p."""
 
     def __init__(self, p: int, width: int):
@@ -87,15 +92,12 @@ class FpSpan:
             if not v:
                 return False
             c = (v & -v).bit_length() - 1           # the first nonzero entry
-            self.rows = [row ^ v if row >> c & 1 else row for row in self.rows]
         else:
             c = next((i for i, d in enumerate(v) if d), None)
             if c is None:
                 return False
             s = pow(v[c], -1, p)
             v = [d * s % p for d in v]
-            self.rows = [[(r - row[c] * d) % p for r, d in zip(row, v)] if row[c] else row
-                         for row in self.rows]
         self.rows.append(v)
         self.pivots.append(c)
         return True

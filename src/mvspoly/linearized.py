@@ -103,28 +103,18 @@ def as_context_base(ctx, a: AdditivePoly) -> AdditivePoly:
 
 
 def apply_elem(ctx, a: AdditivePoly, v):
-    acc = ctx.zero
-    for i, c in enumerate(a.coeffs):
-        if c != ctx.zero:
-            acc = ctx.add(acc, ctx.mul(c, ctx.frobenius_p(v, a.base * i)))
-    return acc
+    """A(v), as A applied to the constant polynomial v."""
+    rows = [(0, c, a.base * i) for i, c in enumerate(a.coeffs)]
+    return ctx.fold({0: v}, rows).get(0, ctx.zero)
 
 
 def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
-    """A(f) = sum_i c_i * f^(p^m), m = base*i, by termwise Frobenius.  On a
-    table field the term c_i * c_e^(p^m) * x^(e*p^m) has the log
-    log c_i + p^m * log c_e, and one ctx.fold_logs sums all of them."""
-    p, nz = ctx.p, [(a.base * i, c) for i, c in enumerate(a.coeffs) if c != ctx.zero]
-    if f and nz and poly.degree(f) * p ** nz[-1][0] > poly.EXP_LIMIT:
+    """A(f) = sum_i c_i * f^(p^m), m = base*i, as one ctx.fold of f's terms
+    twisted by p^m and scaled by c_i."""
+    rows = [(0, c, a.base * i) for i, c in enumerate(a.coeffs) if c != ctx.zero]
+    if f and rows and poly.degree(f) * ctx.p ** rows[-1][2] > poly.EXP_LIMIT:
         raise InputError("exponent overflow beyond 2^62")
-    if ctx.use_table:
-        M, fl = ctx._M, poly.term_logs(ctx, f)
-        return ctx.fold_logs([(0, ctx._log_of(c), [(e * pm, t * le) for e, le in fl])
-                              for m, c in nz for pm, t in [(p ** m, pow(p, m, M))]])
-    out = {}
-    for m, c in nz:
-        out = poly.add(ctx, out, poly.scale(ctx, poly.frob_power(ctx, f, m), c))
-    return out
+    return ctx.fold(f, rows)
 
 
 def tau_compose(ctx, a: AdditivePoly, b: AdditivePoly) -> AdditivePoly:

@@ -56,12 +56,17 @@ def coeff(ctx, f: dict, e: int):
 def add(ctx, f: dict, g: dict) -> dict:
     out = dict(f)
     for e, c in g.items():
-        s = ctx.add(out.get(e, ctx.zero), c)
-        if s == ctx.zero:
-            out.pop(e, None)
-        else:
-            out[e] = s
+        _add_term(ctx, out, e, c)
     return out
+
+
+def _add_term(ctx, out: dict, e: int, c) -> None:
+    """out += c*x^e in place, dropping a coefficient that cancels to zero."""
+    s = ctx.add(out.get(e, ctx.zero), c)
+    if s == ctx.zero:
+        out.pop(e, None)
+    else:
+        out[e] = s
 
 
 def neg(ctx, f: dict) -> dict:
@@ -79,28 +84,12 @@ def scale(ctx, f: dict, c) -> dict:
 
 
 def mul(ctx, f: dict, g: dict) -> dict:
-    """f*g.  On a table field each term's log is looked up once (KeyError
-    for a non-element) and ctx.fold_logs sums the term pairs on logs;
-    without tables each pair's product is added as it comes."""
+    """f*g, as one ctx.fold of g's terms by the rows of f's terms."""
     if not f or not g:
         return {}
     if degree(f) + degree(g) > EXP_LIMIT:
         raise InputError("exponent overflow beyond 2^62")
-    if ctx.use_table:
-        gl = term_logs(ctx, g)
-        return ctx.fold_logs([(e1, l1, gl) for e1, l1 in term_logs(ctx, f)])
-    zero, cadd, cmul = ctx.zero, ctx.add, ctx.mul
-    acc = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            acc[e1 + e2] = cadd(acc.get(e1 + e2, zero), cmul(c1, c2))
-    return {e: c for e, c in acc.items() if c != zero}
-
-
-def term_logs(ctx, f: dict) -> list:
-    """The (exponent, log) pairs of f's nonzero terms on a table field."""
-    log = ctx._log_of
-    return [(e, la) for e, c in f.items() if (la := log(c)) is not None]
+    return ctx.fold(g, [(e, c, 0) for e, c in f.items()])
 
 
 def frob_power(ctx, f: dict, m: int) -> dict:
@@ -136,10 +125,10 @@ def pow_(ctx, f: dict, e: int) -> dict:
 
 def compose(ctx, f: dict, g: dict) -> dict:
     """f(g(x)) as the sum of c_e * g^e over f's terms.  Each g^e is the
-    product of the Frobenius twists frob_power(g^d, j) over the base-p digits
-    d of e (place j), and each small power g^d, d < p, is made once per call
-    and kept only for the digits that occur, so sparse f at huge degree costs
-    a few products per term."""
+    product of the twists (g^d)^(p^j) over the base-p digits d of e (place
+    j), each multiplied into the running term by one ctx.fold of g^d.  Each
+    g^d, d < p, is made once per call and kept only for the digits that
+    occur, so sparse f at huge degree costs a few folds per term."""
     if not f:
         return {}
     if g and degree(f) * degree(g) > EXP_LIMIT:
@@ -154,7 +143,7 @@ def compose(ctx, f: dict, g: dict) -> dict:
             if d:
                 if d not in small:
                     small[d] = pow_(ctx, g, d)
-                term = mul(ctx, term, frob_power(ctx, small[d], j))
+                term = ctx.fold(small[d], [(e0, c0, j) for e0, c0 in term.items()])
             j += 1
         out = add(ctx, out, term)
     return out
@@ -178,11 +167,7 @@ def reduce_mod_field(ctx, f: dict) -> dict:
     out = {}
     for e, c in f.items():
         r = 0 if e == 0 else ((e - 1) % M) + 1
-        s = ctx.add(out.get(r, ctx.zero), c)
-        if s == ctx.zero:
-            out.pop(r, None)
-        else:
-            out[r] = s
+        _add_term(ctx, out, r, c)
     return out
 
 
@@ -363,11 +348,7 @@ def from_text(ctx, s: str) -> dict:
                 raise InputError(f"bad term {term!r}")
         if sg < 0:
             c = ctx.neg(c)
-        cur = ctx.add(out.get(e, ctx.zero), c)
-        if cur == ctx.zero:
-            out.pop(e, None)
-        else:
-            out[e] = cur
+        _add_term(ctx, out, e, c)
     return out
 
 

@@ -5,6 +5,8 @@
   it summed base-p powers of g.
 - `from_text_char_loop`: the text parser with the character-by-character
   tokenizer `mvspoly.poly.from_text` had before it split on a regex.
+- `fold_termwise`: `FieldCtx.fold` summed term pair by term pair with
+  `ctx.mul`, `ctx.frobenius_p` and `ctx.add` only.
 """
 
 from mvspoly.errors import InputError
@@ -79,3 +81,14 @@ def from_text_char_loop(ctx, s: str) -> dict:
         else:
             out[e] = cur
     return out
+
+
+def fold_termwise(ctx, f: dict, rows) -> dict:
+    """`FieldCtx.fold` one term pair at a time: c0 * c^(p^m) is added at
+    x^(e0 + e * p^m) for each row (e0, c0, m) and each term (e, c) of f."""
+    acc = {}
+    for e0, c0, m in rows:
+        for e, c in f.items():
+            key = e0 + e * ctx.p ** m
+            acc[key] = ctx.add(acc.get(key, ctx.zero), ctx.mul(c0, ctx.frobenius_p(c, m)))
+    return {e: c for e, c in acc.items() if c != ctx.zero}

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from mvspoly.errors import InputError
 from mvspoly.gf import (FieldCtx, find_modulus, is_prime, make_field, parse_field_spec,
                         prime_factors)
+from mvspoly.linalg import FpSpan
+from poly_reference import fold_termwise
 
 
 def brute_irreducible(coeffs, p):
@@ -397,6 +399,43 @@ def refuse_non_elements(ctx):
         for fn, *args in calls:
             with pytest.raises(KeyError):
                 fn(*args)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2)])
+def test_fp_basis_of_fq_spans_the_subfield(p, k, n):
+    """The trace-built F_p-basis of F_q starts with 1, has k members and
+    spans the F_p-space of the subfield scan, also where p | n and Tr(1) = 0."""
+    ctx = FieldCtx(p, k, n)
+    basis = ctx.fp_basis_of_fq()
+    assert basis[0] == ctx.one and len(basis) == k
+    span = FpSpan(p, ctx.N)
+    assert all(span.add(b) for b in basis)
+    assert all(span.contains(a) for a in ctx.subfield_elements(1))
+
+
+# -- the polynomial fold ------------------------------------------------------------
+
+@pytest.mark.parametrize("use_table", [True, False])
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 1, 6), (3, 1, 6)])
+def test_fold_matches_termwise_reference(p, k, n, use_table):
+    """fold against the term-pair-by-term-pair sum, seeded, on rows with
+    e0 != 0, repeated and distinct twists m (some past N), a zero c0, and a
+    row followed by its negative, so that sums cancel to zero."""
+    ctx = FieldCtx(p, k, n, use_table=use_table)
+    rng = random.Random(100 * p + n)
+    cancelled = 0
+    for _ in range(40):
+        f = {rng.randrange(30): ctx.elem_from_int(rng.randrange(ctx.Q))
+             for _ in range(rng.randrange(1, 7))}
+        rows = [(rng.randrange(20), ctx.elem_from_int(rng.randrange(1, ctx.Q)),
+                 rng.choice([0, 0, 1, 2, ctx.N + 1])) for _ in range(rng.randrange(1, 6))]
+        e0, c0, m = rows[0]
+        rows += [(rng.randrange(1, 20), ctx.zero, m), (e0, ctx.neg(c0), m)]
+        got = ctx.fold(f, rows)
+        assert got == fold_termwise(ctx, f, rows)
+        exponents = {e0 + e * p ** m for e0, _, m in rows for e in f}
+        cancelled += len(exponents) > len(got)
+    assert cancelled >= 20
 
 
 # -- tables of canonical ints, tuples made on first use ------------------------------

@@ -222,6 +222,20 @@ def test_kernel_subfield_binomial(f64):
     assert span == set(f64.subfield_elements(3))
 
 
+def test_kernel_above_the_element_guard_scans_no_field(monkeypatch):
+    """On F_{2^22}, past the element guard, the kernel of x^4 + x is a basis
+    of F_4, found with no element scan: FqSpan's F_p-basis of F_2 is [1]."""
+    ctx = FieldCtx(2, 1, 22)
+
+    def refuse(self):
+        raise AssertionError("element scan")
+
+    monkeypatch.setattr(FieldCtx, "elements", refuse)
+    basis, t = L.kernel(ctx, L.make(ctx, 1, [ctx.one, ctx.zero, ctx.one]))
+    assert t == 2 and len(set(basis)) == 2 and ctx.zero not in basis
+    assert all(ctx.frobenius_p(b, 2) == b for b in basis)
+
+
 def test_kernel_bound_and_splitting(f64):
     # the split decision is made on A made monic, which has A's roots
     rng = random.Random(91)

@@ -317,23 +317,32 @@ def test_mul_skips_a_stored_zero_coefficient(use_table):
 
 def test_compose_makes_no_product_by_one(monkeypatch, f729):
     """pow_ starts from its first factor.  T(F) for T = x^5 + x^2 + x on
-    F_729 makes g^2 = g * g (one product; g^1 needs none), then one product
-    per base-3 digit of 5 = 12_3, 2 and 1 with its coefficient: 5 in all."""
+    F_729 makes g^2 = g * g (one mul; g^1 needs none), and each base-3
+    digit of 5 = 12_3, 2 and 1 multiplies its term by a twist of g^d in one
+    fold, with no mul: 1 mul in all, and at most the 80 term products that
+    five muls made when every digit was a product by a frob_power copy."""
     calls = []
-    real_mul = P.mul
+    products = []
+    real_mul, real_fold = P.mul, FieldCtx.fold
 
     def counting_mul(ctx, f, g):
         calls.append((f, g))
         return real_mul(ctx, f, g)
 
+    def counting_fold(ctx, f, rows):
+        products.append(len(rows) * len(f))
+        return real_fold(ctx, f, rows)
+
     T = P.from_text(f729, "x^5+x^2+x")
     F = P.from_text(f729, "x^28 + 2,1*x^4 + x + 1")
     expected = P.compose(f729, T, F)
+    assert expected == compose_horner(f729, T, F)
     monkeypatch.setattr(P, "mul", counting_mul)
-    assert P.compose(f729, T, F) == expected == compose_horner(f729, T, F)
-    assert len(calls) == 5
+    monkeypatch.setattr(FieldCtx, "fold", counting_fold)
+    assert P.compose(f729, T, F) == expected
+    assert len(calls) == 1 and sum(products) <= 80
     assert P.pow_(f729, F, 1) == F and P.pow_(f729, F, 3) == P.frob_power(f729, F, 1)
-    assert len(calls) == 5
+    assert len(calls) == 1
 
 
 # -- compose against Horner's rule -------------------------------------------------------
