@@ -5,18 +5,23 @@ the tower F_p < F_q < F_{q^n}, N = k*n.  The modulus is the lexicographically
 least monic irreducible of degree N over F_p, coefficients compared low
 degree first, so equal parameters always rebuild the identical field.  The
 search runs Rabin's irreducibility test with the `poly` arithmetic over the
-prime field F_p as a FieldCtx; there is no second copy of F_p[y] code.
+prime field F_p as a PlainField; there is no second copy of F_p[y] code.
 
 Elements are immutable length-N tuples of F_p digits, low degree first.
 Subfields are never separate objects: F_{q^d} is the fixed set of the d-th
 power of the q-Frobenius inside the one ambient field.
 
-All operations are pure.  A table field keeps its exp/log/Zech tables as int
-arrays and makes the element tuples on first use: `_exp` interns a power's
-tuple and `_log` records a tuple's log.  Each fill stores the value every
+Two back ends have the same public ops, and `make_field` picks one by the
+order Q.  `FieldCtx` computes on exp/log/Zech tables, up to 2^20 elements;
+they hold ints, and `_exp` and `_log` make and record element tuples on
+first use.  `PlainField` keeps no tables and works digit by digit; it also
+runs the modulus search, and it refuses `solve_power`, which would need a
+generator scan.  No other module knows the back end: `fold` is the one
+polynomial product that `poly` and `linearized` call.
+
+All operations are pure.  Each fill of a tuple table stores the value every
 other fill would store, so contexts and elements can be shared freely across
-threads.  No other module knows the back end: `fold` is the one polynomial
-product, on logs or on digits, that `poly` and `linearized` call.
+threads.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def find_modulus(p: int, n: int) -> tuple:
     if n == 1:
         return (0, 1)
     # without tables, so a large p costs no p-element exp/log table
-    fp = FieldCtx(p, 1, 1, use_table=False)
+    fp = PlainField(p, 1, 1)
     for idx in range(p ** (n - 1), p ** n):     # idx has c_0 != 0 as its leading digit
         coeffs = tuple(idx // p ** (n - 1 - i) % p for i in range(n)) + (1,)
         if _is_irreducible(fp, coeffs):
@@ -116,9 +121,10 @@ def find_modulus(p: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
-    """The ambient field F_{p^N} with base subfield F_q = F_{p^k}, N = k*n."""
+    """The ambient field F_{p^N} with base subfield F_q = F_{p^k}, N = k*n,
+    computed on exp/log/Zech tables; up to 2^20 elements."""
 
-    def __init__(self, p: int, k: int, n: int, use_table: bool | None = None):
+    def __init__(self, p: int, k: int, n: int):
         if k < 1 or n < 1:
             raise InputError("k and n must be positive")
         if power_exceeds(p, k * n, SIZE_LIMIT):
@@ -140,15 +146,7 @@ class FieldCtx:
         self._sub_elems = {}
         self._sub_basis = {}
         self._caches = {}
-        if use_table is None:
-            use_table = self.Q <= TABLE_LIMIT
-        self.use_table = use_table
-        self.generator = None
-        self._exp = self._log = self._zech = None
-        if use_table:
-            if self.Q > TABLE_LIMIT:
-                raise GuardError("multiplicative table refused above 2^20 elements")
-            self._build_table()
+        self._build_table()
 
     # -- construction helpers ------------------------------------------------
 
@@ -164,21 +162,28 @@ class FieldCtx:
             rows.append(tuple(cur))
         return rows
 
-    def _mul_raw(self, a, b):
-        p, N = self.p, self.N
-        conv = [0] * (2 * N - 1)
+    def _conv(self, a, b, conv):
+        """Add the digit convolution of a and b into conv, a list of 2N - 1
+        ints that stay unreduced until `_reduce`."""
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     conv[i + j] += ai * bj
-        out = [c % p for c in conv[:N]]
+        return conv
+
+    def _reduce(self, conv):
+        """The element whose unreduced digit convolution is conv."""
+        p, N = self.p, self.N
+        out = conv[:N]
         for j in range(N - 1):
             c = conv[N + j] % p
             if c:
-                row = self._red[j]
-                for i in range(N):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+                for i, r in enumerate(self._red[j]):
+                    out[i] += c * r
+        return tuple([x % p for x in out])
+
+    def _mul_raw(self, a, b):
+        return self._reduce(self._conv(a, b, [0] * (2 * self.N - 1)))
 
     def _pow_raw(self, a, e):
         r = self.one
@@ -193,16 +198,11 @@ class FieldCtx:
 
     def _find_generator(self):
         """First multiplicative generator in canonical element order."""
-        if self.generator is not None:
-            return self.generator
         Q = self.Q
-        if Q > TABLE_LIMIT:
-            raise GuardError("generator scan refused above 2^20 elements")
         primes = prime_factors(Q - 1)
         for v in range(1, Q):
             a = self.elem_from_int(v)
             if all(self._pow_raw(a, (Q - 1) // r) != self.one for r in primes):
-                self.generator = a
                 return a
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
@@ -213,9 +213,12 @@ class FieldCtx:
         read off `_ilog`.  All three are int arrays filled in place, -1 for
         "no log".  The tuple tables start empty: `_exp[i] or self._intern(i)`
         is the tuple of g^i, and a miss in `_log` falls back to `_log_of`."""
+        if self.Q > TABLE_LIMIT:
+            raise GuardError("multiplicative table refused above 2^20 elements")
         Q, p = self.Q, self.p
         M = Q - 1
-        tables = self._mul_tables(self._find_generator())
+        self.generator = self._find_generator()
+        tables = self._mul_tables(self.generator)
         iexp = array("i", [0]) * M
         ilog = array("i", [-1]) * Q     # canonical int -> log; 0 has none
         v = 1
@@ -318,18 +321,13 @@ class FieldCtx:
 
     # -- ring operations ------------------------------------------------------
 
-    # add, sub, neg and smul have two paths: on a table field they work on
-    # logs, adding by one lookup in the table of Zech logarithms (K. Huber,
-    # IEEE Trans. IT 36, 1990), g^a + g^b = g^(a + zech[b - a]);
-    # without tables they work digit by digit.  Both return the canonical
+    # The ops work on logs: a product is one log addition, and a sum one
+    # lookup in the table of Zech logarithms (K. Huber, IEEE Trans. IT 36,
+    # 1990), g^a + g^b = g^(a + zech[b - a]).  They return the canonical
     # tuples.  _log maps zero to None, and on a miss _log_of refuses an
     # operand that is not a field element with KeyError.
 
     def add(self, a, b):
-        zech = self._zech
-        if zech is None:
-            p = self.p
-            return tuple((x + y) % p for x, y in zip(a, b))
         log = self._log
         try:
             la = log[a]
@@ -340,7 +338,7 @@ class FieldCtx:
             return b
         if lb is None:
             return a
-        z = zech[lb - la]           # |lb - la| < M: a negative index wraps
+        z = self._zech[lb - la]     # |lb - la| < M: a negative index wraps
         if z < 0:
             return self.zero
         i = (la + z) % self._M
@@ -353,15 +351,9 @@ class FieldCtx:
         return tuple(sum(col) % p for col in zip(*elems))
 
     def sub(self, a, b):
-        if self._zech is None:
-            p = self.p
-            return tuple((x - y) % p for x, y in zip(a, b))
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self._zech is None:
-            p = self.p
-            return tuple((-x) % p for x in a)
         la = self._log_of(a)
         if la is None:
             return a
@@ -370,51 +362,32 @@ class FieldCtx:
 
     def smul(self, c: int, a):
         """Scalar multiple by an integer (an F_p scalar)."""
-        p = self.p
-        c %= p
-        if self._zech is None:
-            return tuple((c * x) % p for x in a)
         la = self._log_of(a)
-        lc = self._scalar_log[c]
+        lc = self._scalar_log[c % self.p]
         if la is None or lc is None:
             return self.zero
         i = (la + lc) % self._M
         return self._exp[i] or self._intern(i)
 
     def mul(self, a, b):
-        if self.use_table:
-            log = self._log
-            try:
-                la = log[a]
-                lb = log[b]
-            except KeyError:
-                la, lb = self._log_of(a), self._log_of(b)
-            if la is None or lb is None:
-                return self.zero
-            i = (la + lb) % self._M
-            return self._exp[i] or self._intern(i)
-        return self._mul_raw(a, b)
+        log = self._log
+        try:
+            la = log[a]
+            lb = log[b]
+        except KeyError:
+            la, lb = self._log_of(a), self._log_of(b)
+        if la is None or lb is None:
+            return self.zero
+        i = (la + lb) % self._M
+        return self._exp[i] or self._intern(i)
 
     def fold(self, f: dict, rows) -> dict:
         """The sum of c0 * c^(p^m) * x^(e0 + e * p^m) over the rows (e0, c0, m)
         and the terms (e, c) of f, with f's terms twisted once per distinct m.
-        On a table field a twisted term is (e * p^m, (p^m mod Q-1) * log c),
-        each exponent's logs are summed by Zech addition, -1 marking a zero
-        sum, and a non-element raises KeyError.  Without tables each
-        exponent's products are summed once, by digit columns."""
-        p, zero = self.p, self.zero
-        if not self.use_table:
-            terms = [(e, c) for e, c in f.items() if c != zero]
-            twists = {0: terms}
-            cols = {}
-            for e0, c0, m in rows:
-                if c0 != zero:
-                    if m not in twists:
-                        pm = p ** m
-                        twists[m] = [(e * pm, self.frobenius_p(c, m)) for e, c in terms]
-                    for e, c in twists[m]:
-                        cols.setdefault(e0 + e, []).append(self._mul_raw(c0, c))
-            return {e: s for e, cs in cols.items() if (s := self.sum(cs)) != zero}
+        A twisted term is (e * p^m, (p^m mod Q-1) * log c), each exponent's
+        logs are summed by Zech addition, -1 marking a zero sum, and a
+        non-element raises KeyError."""
+        p = self.p
         log, zech, M = self._log_of, self._zech, self._M
         terms = [(e, la) for e, c in f.items() if (la := log(c)) is not None]
         twists = {0: terms}
@@ -447,10 +420,7 @@ class FieldCtx:
     def inv(self, a):
         if a == self.zero:
             raise InputError("division by zero field element")
-        if self.use_table:
-            i = -self._log_of(a) % self._M
-            return self._exp[i] or self._intern(i)
-        return self._pow_raw(a, self.Q - 2)
+        return self._unit_pow(a, -1)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -461,14 +431,16 @@ class FieldCtx:
             raise InputError("negative exponent")
         if a == self.zero:
             return self.one if e == 0 else self.zero
-        if self.use_table:
-            try:
-                la = self._log[a]
-            except KeyError:
-                la = self._log_of(a)
-            i = la * e % self._M
-            return self._exp[i] or self._intern(i)
-        return self._pow_raw(a, e % (self.Q - 1) if e else 0)
+        return self._unit_pow(a, e)
+
+    def _unit_pow(self, a, e: int):
+        """a^e for a nonzero a and any integer e."""
+        try:
+            la = self._log[a]
+        except KeyError:
+            la = self._log_of(a)
+        i = la * e % self._M
+        return self._exp[i] or self._intern(i)
 
     def int_elem(self, c: int):
         """The element c*1 for an integer c."""
@@ -525,28 +497,24 @@ class FieldCtx:
         return self._sub_basis[d]
 
     def solve_power(self, alpha, e: int):
-        """Some beta with beta^e = alpha, or None.  Scans powers of the
-        multiplicative generator in order and returns the first hit."""
+        """Some beta with beta^e = alpha, or None: the first such power of
+        the generator."""
         if alpha == self.zero:
             raise InputError("solve_power needs a nonzero target")
         if e < 1:
             raise InputError("exponent must be positive")
+        return self._unit_root(alpha, e)
+
+    def _unit_root(self, alpha, e: int):
+        """solve_power on logs: g^j with e*j = log alpha mod Q-1, j least."""
         M = self.Q - 1
-        if self.use_table:
-            a = self._log_of(alpha)
-            g = math.gcd(e, M)
-            if a % g != 0:
-                return None
-            ee, aa, mm = e // g, a // g, M // g
-            j = (aa * pow(ee, -1, mm)) % mm
-            return self._exp[j] or self._intern(j)
-        gen = self._find_generator()
-        cur = self.one
-        for _ in range(M):
-            if self.pow_elem(cur, e) == alpha:
-                return cur
-            cur = self.mul(cur, gen)
-        return None
+        a = self._log_of(alpha)
+        g = math.gcd(e, M)
+        if a % g != 0:
+            return None
+        ee, aa, mm = e // g, a // g, M // g
+        j = (aa * pow(ee, -1, mm)) % mm
+        return self._exp[j] or self._intern(j)
 
     # -- text forms -----------------------------------------------------------
 
@@ -574,7 +542,58 @@ class FieldCtx:
         return tuple(digits)
 
     def __repr__(self):
-        return f"FieldCtx({self.p}^{self.N}:{self.k})"
+        return f"{type(self).__name__}({self.p}^{self.N}:{self.k})"
+
+
+class PlainField(FieldCtx):
+    """The same field without tables: the element ops work digit by digit
+    and multiply schoolbook-style.  It serves fields above 2^20 elements and
+    the prime field of the modulus search, and it finds no generator, so it
+    refuses `solve_power`."""
+
+    def _build_table(self):
+        """No tables: the ops below work on digits."""
+
+    def add(self, a, b):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def neg(self, a):
+        p = self.p
+        return tuple([-x % p for x in a])
+
+    def smul(self, c: int, a):
+        p = self.p
+        return tuple([c * x % p for x in a])
+
+    mul = FieldCtx._mul_raw
+
+    def fold(self, f: dict, rows) -> dict:
+        """`FieldCtx.fold` on digits: each exponent's digit convolutions are
+        summed unreduced and reduced once."""
+        p, zero = self.p, self.zero
+        terms = [(e, c) for e, c in f.items() if c != zero]
+        twists = {0: terms}
+        convs = {}
+        width = 2 * self.N - 1
+        for e0, c0, m in rows:
+            if c0 != zero:
+                if m not in twists:
+                    pm = p ** m
+                    twists[m] = [(e * pm, self.frobenius_p(c, m)) for e, c in terms]
+                for e, c in twists[m]:
+                    e += e0
+                    conv = convs.get(e)
+                    if conv is None:
+                        conv = convs[e] = [0] * width
+                    self._conv(c0, c, conv)
+        return {e: s for e, conv in convs.items() if (s := self._reduce(conv)) != zero}
+
+    def _unit_pow(self, a, e: int):
+        return self._pow_raw(a, e % (self.Q - 1))
+
+    def _unit_root(self, alpha, e: int):
+        raise GuardError("generator scan refused above 2^20 elements")
 
 
 def _first_independent(add, candidates, size: int) -> list:
@@ -586,7 +605,10 @@ def _first_independent(add, candidates, size: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int, n: int) -> FieldCtx:
-    """Deterministic field constructor; identical arguments share one context."""
+    """Deterministic field constructor; identical arguments share one context.
+    A field of at most 2^20 elements gets tables, a larger one is a PlainField."""
+    if power_exceeds(p, k * n, TABLE_LIMIT):
+        return PlainField(p, k, n)
     return FieldCtx(p, k, n)
 
 

@@ -103,9 +103,12 @@ def as_context_base(ctx, a: AdditivePoly) -> AdditivePoly:
 
 
 def apply_elem(ctx, a: AdditivePoly, v):
-    """A(v), as A applied to the constant polynomial v."""
-    rows = [(0, c, a.base * i) for i, c in enumerate(a.coeffs)]
-    return ctx.fold({0: v}, rows).get(0, ctx.zero)
+    """A(v) = sum_i c_i * v^(p^(base*i))."""
+    acc = ctx.zero
+    for i, c in enumerate(a.coeffs):
+        if c != ctx.zero:
+            acc = ctx.add(acc, ctx.mul(c, ctx.frobenius_p(v, a.base * i)))
+    return acc
 
 
 def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:

@@ -44,33 +44,23 @@ class CensusReport:
     note: str = ""
 
 
-def _lagrange_cache(ctx):
-    """Dense Lagrange basis over the full field, one polynomial per node."""
-    key = "lagrange_full"
-    if key not in ctx._caches:
-        if ctx.Q > 512:
-            raise GuardError("full-graph interpolation cache refused above 512 elements")
-        basis = []
-        for li in poly.lagrange_basis(ctx, ctx.elements()):
-            dense = [ctx.zero] * ctx.Q
-            for e, c in li.items():
-                dense[e] = c
-            basis.append(dense)
-        ctx._caches[key] = basis
-    return ctx._caches[key]
-
-
 def interpolate_table(ctx, values) -> dict:
-    """Interpolant of a full value table given in canonical element order."""
-    basis = _lagrange_cache(ctx)
-    dense = [ctx.zero] * ctx.Q
-    for y, li in zip(values, basis):
-        if y == ctx.zero:
-            continue
-        for e in range(ctx.Q):
-            if li[e] != ctx.zero:
-                dense[e] = ctx.add(dense[e], ctx.mul(y, li[e]))
-    return {e: c for e, c in enumerate(dense) if c != ctx.zero}
+    """Interpolant of a full value table v given in canonical element order,
+    zero first: f = v(0) + sum_{e >= 1} c_e x^e with c_e = -sum_a v(a) *
+    a^(Q-1-e) and 0^0 = 1, read off a table of powers kept on the context."""
+    if "powers" not in ctx._caches:
+        ctx._caches["powers"] = [[ctx.pow_elem(a, ctx.Q - 1 - e) for e in range(ctx.Q)]
+                                 for a in ctx.elements()]
+    zero = ctx.zero
+    terms = [(v, row) for v, row in zip(values, ctx._caches["powers"]) if v != zero]
+    out = {0: values[0]} if values[0] != zero else {}
+    for e in range(1, ctx.Q):
+        acc = zero
+        for v, row in terms:
+            acc = ctx.add(acc, ctx.mul(v, row[e]))
+        if acc != zero:
+            out[e] = ctx.neg(acc)
+    return out
 
 
 def census_subfield_valued(ctx, guard=FUNCTION_SCAN_GUARD) -> CensusReport:

@@ -265,29 +265,6 @@ def roots(ctx, f: dict) -> tuple:
     return tuple(a for a in ctx.elements() if eval_at(ctx, f, a) == ctx.zero)
 
 
-def lagrange_basis(ctx, xs) -> list:
-    """For distinct abscissae xs, the polynomials l_a of degree < len(xs)
-    with l_a(a) = 1 and l_a(b) = 0 for the other b, in the order of xs."""
-    if len(set(xs)) != len(xs):
-        raise InputError("repeated abscissa")
-    master = {0: ctx.one}
-    for a in xs:
-        master = mul(ctx, master, linear(ctx, a))
-    dm = derivative(ctx, master)
-    return [scale(ctx, divmod_(ctx, master, linear(ctx, a))[0],
-                  ctx.inv(eval_at(ctx, dm, a))) for a in xs]
-
-
-def interpolate(ctx, points) -> dict:
-    """Unique polynomial of degree < len(points) through the given
-    (abscissa, value) pairs."""
-    pts = list(points)
-    out = {}
-    for (_, y), li in zip(pts, lagrange_basis(ctx, [a for a, _ in pts])):
-        out = add(ctx, out, scale(ctx, li, y))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # text and JSON forms
 # ---------------------------------------------------------------------------

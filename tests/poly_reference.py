@@ -7,10 +7,14 @@
   tokenizer `mvspoly.poly.from_text` had before it split on a regex.
 - `fold_termwise`: `FieldCtx.fold` summed term pair by term pair with
   `ctx.mul`, `ctx.frobenius_p` and `ctx.add` only.
+- `lagrange_basis` and `interpolate`: interpolation through the Lagrange
+  basis, the routine `mvspoly.oracle.interpolate_table` used before it read
+  the coefficients off a table of powers.
 """
 
 from mvspoly.errors import InputError
-from mvspoly.poly import EXP_LIMIT, add, const, mul, pow_
+from mvspoly.poly import (EXP_LIMIT, add, const, derivative, divmod_, eval_at, linear, mul,
+                          pow_, scale)
 
 
 def compose_horner(ctx, f: dict, g: dict) -> dict:
@@ -92,3 +96,26 @@ def fold_termwise(ctx, f: dict, rows) -> dict:
             key = e0 + e * ctx.p ** m
             acc[key] = ctx.add(acc.get(key, ctx.zero), ctx.mul(c0, ctx.frobenius_p(c, m)))
     return {e: c for e, c in acc.items() if c != ctx.zero}
+
+
+def lagrange_basis(ctx, xs) -> list:
+    """For distinct abscissae xs, the polynomials l_a of degree < len(xs)
+    with l_a(a) = 1 and l_a(b) = 0 for the other b, in the order of xs."""
+    if len(set(xs)) != len(xs):
+        raise InputError("repeated abscissa")
+    master = {0: ctx.one}
+    for a in xs:
+        master = mul(ctx, master, linear(ctx, a))
+    dm = derivative(ctx, master)
+    return [scale(ctx, divmod_(ctx, master, linear(ctx, a))[0],
+                  ctx.inv(eval_at(ctx, dm, a))) for a in xs]
+
+
+def interpolate(ctx, points) -> dict:
+    """Unique polynomial of degree < len(points) through the given
+    (abscissa, value) pairs."""
+    pts = list(points)
+    out = {}
+    for (_, y), li in zip(pts, lagrange_basis(ctx, [a for a, _ in pts])):
+        out = add(ctx, out, scale(ctx, li, y))
+    return out

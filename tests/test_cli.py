@@ -425,6 +425,23 @@ def test_large_fields_are_refused_at_once(argv):
     assert len(err.splitlines()) == 1 and err.startswith("guard refusal: ")
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    (["basis", "--field", "2^22:1", "--d", "2", "--alpha", "0"], 2,
+     "input error: solve_power needs a nonzero target\n"),
+    (["basis", "--field", "2^22:1", "--d", "2", "--alpha", "g"], 3,
+     "guard refusal: generator scan refused above 2^20 elements\n"),
+    (["lift", "--field", "2^22:1", "--A", "x^4+x"], 3,
+     "guard refusal: generator scan refused above 2^20 elements\n"),
+], ids=["basis-alpha-0", "basis-alpha-g", "lift"])
+def test_solve_power_without_tables_exit_codes(argv, code, err):
+    """Above 2^20 elements solve_power checks its arguments (exit 2) and
+    then refuses the generator scan (exit 3), at once."""
+    parse_field_spec("2^22:1")
+    t0 = time.perf_counter()
+    assert run(argv) == (code, "", err)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_a_large_prime_field_is_refused_at_once():
     """p = 2^61 - 1 is under the size limit, and Miller-Rabin proves it prime
     at once; the field build is timed with the refusal."""

@@ -1,5 +1,8 @@
+import ast
+import importlib
 import itertools
 import math
+import pathlib
 import random
 import sys
 import threading
@@ -8,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvspoly.errors import InputError
-from mvspoly.gf import (FieldCtx, find_modulus, is_prime, make_field, parse_field_spec,
-                        prime_factors)
+from gf_reference import solve_power_scan
+from mvspoly import gf
+from mvspoly.errors import GuardError, InputError
+from mvspoly.gf import (FieldCtx, PlainField, find_modulus, is_prime, make_field,
+                        parse_field_spec, prime_factors)
 from mvspoly.linalg import FpSpan
 from poly_reference import fold_termwise
 
@@ -56,6 +61,69 @@ def test_make_field_rejects_bad_input():
         make_field(2, 1, 100)
 
 
+def test_make_field_picks_the_back_end_by_order(monkeypatch):
+    """Tables up to 2^20 elements, a table-free PlainField above; FieldCtx
+    itself refuses to build tables above 2^20."""
+    assert type(make_field(2, 1, 16)) is FieldCtx
+    for params in ((2, 1, 21), (1031, 1, 2)):
+        plain = make_field(*params)
+        assert type(plain) is PlainField
+        assert not any(hasattr(plain, a) for a in ("_iexp", "_ilog", "_zech", "_exp", "_log"))
+    with pytest.raises(GuardError):
+        FieldCtx(2, 1, 21)
+    # the limit itself, lowered so that no large table is built
+    monkeypatch.setattr(gf, "TABLE_LIMIT", 64)
+    assert type(make_field.__wrapped__(2, 1, 6)) is FieldCtx
+    assert type(make_field.__wrapped__(2, 1, 7)) is PlainField
+    with pytest.raises(GuardError):
+        FieldCtx(2, 1, 7)
+
+
+def test_plain_field_refuses_solve_power_after_its_checks():
+    plain = PlainField(2, 1, 4)
+    with pytest.raises(InputError):
+        plain.solve_power(plain.zero, 3)
+    with pytest.raises(InputError):
+        plain.solve_power(plain.one, 0)
+    with pytest.raises(GuardError, match=r"generator scan refused above 2\^20 elements"):
+        plain.solve_power(plain.one, 3)
+
+
+BACK_END_NAMES = {"PlainField", "_zech", "_iexp", "_ilog", "_exp", "_log", "_log_of",
+                  "_intern", "_M"}
+
+
+def test_only_gf_names_the_back_end():
+    """No module but gf names a back-end class or table, as a name, an
+    attribute, an import or a string."""
+    src = pathlib.Path(gf.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gf.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+        assert not named & BACK_END_NAMES, (path.name, named & BACK_END_NAMES)
+
+
+def test_the_traced_ops_are_defined_on_the_table_class(monkeypatch):
+    """The benchmark's tracer wraps only the functions in vars(FieldCtx), so
+    every gf op it lists, and every public op PlainField replaces, must be
+    defined in FieldCtx's own body."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    listed = {name.split(".", 1)[1] for name in spans.LEAF_OPS if name.startswith("gf.")}
+    listed |= {name for name in vars(PlainField) if not name.startswith("_")}
+    assert listed - set(vars(FieldCtx)) == set()
+
+
 def test_parse_field_spec(f64):
     assert parse_field_spec("2^6:1") is f64
     assert parse_field_spec("2^4:2").q == 4
@@ -79,7 +147,7 @@ def test_field_axioms_random(params):
 
 def test_table_and_schoolbook_agree():
     fast = make_field(3, 1, 3)
-    slow = FieldCtx(3, 1, 3, use_table=False)
+    slow = PlainField(3, 1, 3)
     rng = random.Random(7)
     for _ in range(300):
         a = fast.elem_from_int(rng.randrange(fast.Q))
@@ -163,8 +231,8 @@ def test_solve_power_scans_generator_first(f9):
 
 @pytest.mark.parametrize("params", [(2, 1, 4), (2, 1, 6), (3, 1, 4)])
 def test_table_and_schoolbook_paths_agree(params):
-    table = FieldCtx(*params, use_table=True)
-    plain = FieldCtx(*params, use_table=False)
+    table = FieldCtx(*params)
+    plain = PlainField(*params)
     elems = table.elements()
     M = table.Q - 1
     exponents = (0, 1, 2, 3, 5, M - 1, M, M + 2)
@@ -177,15 +245,15 @@ def test_table_and_schoolbook_paths_agree(params):
             continue
         assert table.inv(a) == plain.inv(a)
         for e in (2, 3, 4, 5, 7):
-            assert table.solve_power(a, e) == plain.solve_power(a, e)
+            assert table.solve_power(a, e) == solve_power_scan(plain, a, e)
 
 
 def test_schoolbook_solve_power_finds_every_cube_root():
     # F_16: x -> x^3 has image the 5 cubes; each must get a root back
-    plain = FieldCtx(2, 1, 4, use_table=False)
+    plain = PlainField(2, 1, 4)
     cubes = {plain.pow_elem(a, 3) for a in plain.elements()[1:]}
     for alpha in plain.elements()[1:]:
-        beta = plain.solve_power(alpha, 3)
+        beta = solve_power_scan(plain, alpha, 3)
         assert (beta is not None) == (alpha in cubes)
         if beta is not None:
             assert plain.pow_elem(beta, 3) == alpha
@@ -355,8 +423,8 @@ def diff_pairs(ctx, rng):
 @pytest.mark.parametrize("p,k,n", DIFF_FIELDS)
 def test_log_domain_ops_match_the_digit_reference(p, k, n):
     table = FieldCtx(p, k, n)
-    plain = FieldCtx(p, k, n, use_table=False)
-    assert table._zech is not None and plain._zech is None
+    plain = PlainField(p, k, n)
+    assert len(table._zech) == table.Q - 1 and not hasattr(plain, "_zech")
     rng = random.Random(p * 1000 + k * 100 + n)
     M = table.Q - 1
     scalars = sorted({0, 1, 2, p - 1, p, p + 1, -1, -2, -p, -p - 1, 3 * p + 2})
@@ -415,13 +483,13 @@ def test_fp_basis_of_fq_spans_the_subfield(p, k, n):
 
 # -- the polynomial fold ------------------------------------------------------------
 
-@pytest.mark.parametrize("use_table", [True, False])
+@pytest.mark.parametrize("tables", [True, False])
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 1, 6), (3, 1, 6)])
-def test_fold_matches_termwise_reference(p, k, n, use_table):
+def test_fold_matches_termwise_reference(p, k, n, tables):
     """fold against the term-pair-by-term-pair sum, seeded, on rows with
     e0 != 0, repeated and distinct twists m (some past N), a zero c0, and a
     row followed by its negative, so that sums cancel to zero."""
-    ctx = FieldCtx(p, k, n, use_table=use_table)
+    ctx = (FieldCtx if tables else PlainField)(p, k, n)
     rng = random.Random(100 * p + n)
     cancelled = 0
     for _ in range(40):

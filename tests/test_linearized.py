@@ -11,7 +11,7 @@ from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import InputError
-from mvspoly.gf import FieldCtx, make_field, parse_field_spec
+from mvspoly.gf import FieldCtx, PlainField, make_field, parse_field_spec
 from mvspoly.linalg import FqSpan
 
 
@@ -43,34 +43,36 @@ def apply_poly_reference(ctx, a, f):
 
 
 @functools.lru_cache(maxsize=None)
-def apply_field(p, N, use_table):
-    return FieldCtx(p, 1, N, use_table=use_table)
+def apply_field(p, N, tables):
+    return (FieldCtx if tables else PlainField)(p, 1, N)
 
 
-APPLY_FIELDS = [(p, N, use_table) for p, N in ((2, 2), (2, 3), (3, 2), (2, 6), (3, 6))
-                for use_table in (True, False)]
+APPLY_FIELDS = [(p, N, tables) for p, N in ((2, 2), (2, 3), (3, 2), (2, 6), (3, 6))
+                for tables in (True, False)]
 # elements as ints; 0 is the zero element, so A and f can hold zero coefficients
 COEFFS = st.lists(st.integers(0, 10 ** 6), max_size=4)
 F_TERMS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 10 ** 6)), max_size=8)
 
 
-@pytest.mark.parametrize("p,N,use_table", APPLY_FIELDS)
+@pytest.mark.parametrize("p,N,tables", APPLY_FIELDS)
 @seed(20261018)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), COEFFS, F_TERMS)
-def test_apply_poly_matches_the_reference(p, N, use_table, base, coeffs, fterms):
-    ctx = apply_field(p, N, use_table)
+def test_apply_poly_matches_the_reference(p, N, tables, base, coeffs, fterms):
+    ctx = apply_field(p, N, tables)
     a = L.make(ctx, base, [ctx.elem_from_int(v % ctx.Q) for v in coeffs])
     f = {e: ctx.elem_from_int(v % ctx.Q) for e, v in fterms if v % ctx.Q}
     assert L.apply_poly(ctx, a, f) == apply_poly_reference(ctx, a, f)
+    for v in (ctx.zero, *f.values()):
+        assert L.apply_elem(ctx, a, v) == L.apply_poly(ctx, a, {0: v}).get(0, ctx.zero)
 
 
-@pytest.mark.parametrize("use_table", [True, False])
+@pytest.mark.parametrize("tables", [True, False])
 @pytest.mark.parametrize("p", [2, 3])
-def test_apply_poly_cancels_and_guards(p, use_table):
+def test_apply_poly_cancels_and_guards(p, tables):
     """(x^p - x)(x + x^p) = x^(p^2) - x cancels its x^p terms, and a result
     exponent past 2^62 is refused on both paths."""
-    ctx = apply_field(p, 2, use_table)
+    ctx = apply_field(p, 2, tables)
     a = L.make(ctx, 1, [ctx.neg(ctx.one), ctx.one])
     assert L.apply_poly(ctx, a, {1: ctx.one, p: ctx.one}) == {p * p: ctx.one, 1: ctx.neg(ctx.one)}
     big = 1 << 62
@@ -225,7 +227,7 @@ def test_kernel_subfield_binomial(f64):
 def test_kernel_above_the_element_guard_scans_no_field(monkeypatch):
     """On F_{2^22}, past the element guard, the kernel of x^4 + x is a basis
     of F_4, found with no element scan: FqSpan's F_p-basis of F_2 is [1]."""
-    ctx = FieldCtx(2, 1, 22)
+    ctx = PlainField(2, 1, 22)
 
     def refuse(self):
         raise AssertionError("element scan")

@@ -9,6 +9,7 @@ from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, make_field
+from poly_reference import interpolate
 
 
 # -- minimality ----------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_criterion_equivalence_exhaustive(params):
     for T, coset in tiny:
         roots = sorted(coset, key=ctx.elem_to_int)
         for table in itertools.product(roots, repeat=ctx.Q):
-            f = P.interpolate(ctx, list(zip(elems, table)))
+            f = interpolate(ctx, list(zip(elems, table)))
             d = P.degree(f)
             if d is P.NEG_INF or d < 1:
                 continue
