@@ -33,7 +33,7 @@ from array import array
 
 from . import poly
 from .errors import GuardError, InputError
-from .linalg import FpSpan, FqSpan
+from .linalg import FpSpan, FqSpan, fp_row
 
 # Multiplicative exp/log tables are built for fields up to this order.
 TABLE_LIMIT = 1 << 20
@@ -235,8 +235,8 @@ class FieldCtx:
             for i in range(M):
                 iexp[i] = v
                 ilog[v] = i
-                v = self.elem_to_int(self.sum([tab[v // place % size]
-                                               for place, tab in tables]))
+                v = self._digits_to_int(self.sum([tab[v // place % size]
+                                                  for place, tab in tables]))
         # nxt[v] = log(1 + element v): adding 1 raises digit 0 by one, and
         # digit 0 = p - 1 wraps to 0 (at p = 2 this is v XOR 1)
         nxt = ilog[1:]
@@ -263,11 +263,13 @@ class FieldCtx:
     def _log_of(self, a):
         """The log of element a (None for zero), stored in `_log` on first
         use; KeyError for a tuple that is not a field element."""
-        if a in self._log:
+        try:
             return self._log[a]
+        except KeyError:
+            pass
         if len(a) != self.N or not all(0 <= d < self.p for d in a):
             raise KeyError(a)
-        la = self._log[a] = self._ilog[self.elem_to_int(a)]
+        la = self._log[a] = self._ilog[self._digits_to_int(a)]
         return la
 
     def _mul_tables(self, g):
@@ -289,7 +291,7 @@ class FieldCtx:
                 tab = [tuple((x + d * y) % p for x, y in zip(t, b))
                        for d in range(p) for t in tab]
             if p == 2:
-                tables.append((low, [self.elem_to_int(t) for t in tab]))
+                tables.append((low, [self._digits_to_int(t) for t in tab]))
             else:
                 tables.append((p ** low, tab))
         return tables
@@ -304,6 +306,16 @@ class FieldCtx:
         return tuple(digits)
 
     def elem_to_int(self, a: tuple) -> int:
+        """The canonical int sum a_i * p^i of a: read off the tables for an
+        element already interned, by the digit loop otherwise."""
+        la = self._log.get(a, -1)
+        if la is None:
+            return 0
+        if la >= 0:
+            return self._iexp[la]
+        return self._digits_to_int(a)
+
+    def _digits_to_int(self, a: tuple) -> int:
         v = 0
         for d in reversed(a):
             v = v * self.p + d
@@ -484,7 +496,8 @@ class FieldCtx:
                                 for i in range(self.n)]) for j in range(self.N))
             span = FpSpan(self.p, self.N)
             candidates = itertools.chain([self.one], traces)
-            self._caches[key] = _first_independent(span.add, candidates, self.k)
+            self._caches[key] = _first_independent(lambda a: span.add(fp_row(self, (a,))),
+                                                   candidates, self.k)
         return self._caches[key]
 
     def subfield_basis(self, d: int) -> list:
@@ -558,6 +571,10 @@ class PlainField(FieldCtx):
         p = self.p
         return tuple([(x + y) % p for x, y in zip(a, b)])
 
+    def sub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
     def neg(self, a):
         p = self.p
         return tuple([-x % p for x in a])
@@ -567,6 +584,7 @@ class PlainField(FieldCtx):
         return tuple([c * x % p for x in a])
 
     mul = FieldCtx._mul_raw
+    elem_to_int = FieldCtx._digits_to_int
 
     def fold(self, f: dict, rows) -> dict:
         """`FieldCtx.fold` on digits: each exponent's digit convolutions are

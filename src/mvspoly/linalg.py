@@ -5,11 +5,13 @@ deterministic.  `FpSpan` is the one elimination engine; it keeps echelon
 rows only, never rewriting one, and nullspaces follow by back-substitution.
 At p = 2 a row is one Python int (entry i at bit i), at odd p a list of
 ints in [0, p).  `rank_gf2` ranks packed rows.  `FqSpan` tracks an F_q-span
-of vectors as the F_p-span of their multiples by an F_p-basis of F_q.
+of vectors as the F_p-span of their multiples by an F_p-basis of F_q, on
+rows made by `fp_row`; at p = 2 those are packed from element ints.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 
@@ -34,17 +36,24 @@ def rank_gf2(vectors) -> int:
 def nullspace_mod(matrix, p: int):
     """Basis of {v : M v = 0 (mod p)} for an (m x n) matrix M given as rows:
     each free variable, in increasing column order, set to 1 with the others
-    0, and the pivot variables solved by back-substitution."""
+    0, and the pivot variables solved by back-substitution.  At p = 2 the
+    rows are packed and a pivot variable is the parity of its row's known
+    entries."""
     ncols = len(matrix[0])
     span = FpSpan(p, ncols)
     for row in matrix:
-        span.add(row)
+        span.add(row if p > 2 else sum(1 << i for i, d in enumerate(row) if d & 1))
     pivot_set = set(span.pivots)
-    rows = span.rows if p > 2 else [[r >> i & 1 for i in range(ncols)] for r in span.rows]
-    solve = list(zip(rows, span.pivots))[::-1]
+    solve = list(zip(span.rows, span.pivots))[::-1]
     basis = []
     for f in range(ncols):
         if f in pivot_set:
+            continue
+        if p == 2:
+            v = 1 << f
+            for row, c in solve:
+                v |= ((row & v).bit_count() & 1) << c
+            basis.append([v >> i & 1 for i in range(ncols)])
             continue
         v = [0] * ncols
         v[f] = 1
@@ -56,8 +65,9 @@ def nullspace_mod(matrix, p: int):
 
 class FpSpan:
     """Row space mod p as echelon rows with pivot entry 1, each zero at every
-    earlier row's pivot, so one pass in insertion order reduces a vector:
-    packed int rows at p = 2, int lists at odd p."""
+    earlier row's pivot, so one pass in insertion order reduces a vector.
+    Vectors and rows are packed ints at p = 2 (entry i at bit i), int lists
+    at odd p."""
 
     def __init__(self, p: int, width: int):
         self.p = p
@@ -68,7 +78,7 @@ class FpSpan:
     def reduce(self, vec):
         p = self.p
         if p == 2:
-            v = sum(1 << i for i, d in enumerate(vec) if d & 1)     # entry i at bit i
+            v = vec
             for row, c in zip(self.rows, self.pivots):
                 if v >> c & 1:
                     v ^= row
@@ -107,6 +117,16 @@ class FpSpan:
         return len(self.rows)
 
 
+def fp_row(ctx, vec):
+    """A vector of elements of the field ctx as an FpSpan row: the digits of
+    its i-th element fill entries i*N .. i*N + N - 1.  At p = 2 the element
+    ints, which are their packed digits, are shifted into place."""
+    N = ctx.N
+    if ctx.p == 2:
+        return sum(map(operator.lshift, map(ctx.elem_to_int, vec), itertools.count(0, N)))
+    return [d for c in vec for d in c]
+
+
 class FqSpan:
     """The F_q-span of vectors of `length` elements of the field ctx, kept as
     the F_p-span of their multiples by `ctx.fp_basis_of_fq()`, whose first
@@ -116,16 +136,12 @@ class FqSpan:
         self.ctx = ctx
         self.fp = FpSpan(ctx.p, length * ctx.N)
 
-    def _digits(self, vec, u=None):
-        if u is not None:
-            vec = [self.ctx.mul(u, c) for c in vec]
-        return [d for c in vec for d in c]
-
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span, that is, if vec was
         outside it."""
-        if not self.fp.add(self._digits(vec)):
+        ctx = self.ctx
+        if not self.fp.add(fp_row(ctx, vec)):
             return False
-        for u in self.ctx.fp_basis_of_fq()[1:]:
-            self.fp.add(self._digits(vec, u))
+        for u in ctx.fp_basis_of_fq()[1:]:
+            self.fp.add(fp_row(ctx, [ctx.mul(u, c) for c in vec]))
         return True

@@ -65,8 +65,10 @@ class ValuePoly:
     """A value polynomial T that satisfies the standing hypothesis, with its
     roots and theta candidates -T'(root) in canonical order, T as an
     AdditivePoly when it is one (None otherwise), and its SplitAdditive
-    record when it is additive at the context level q (None otherwise)."""
+    record when it is additive at the context level q (None otherwise).
+    root_set is the roots as a frozenset, the value set of every member."""
     roots: tuple
+    root_set: frozenset
     thetas: tuple
     additive: lin.AdditivePoly | None
     split: lin.SplitAdditive | None = None
@@ -111,7 +113,8 @@ def _check_value_poly(ctx, T):
         if additive.base % ctx.k == 0:
             split = lin.SplitAdditive(lin.as_context_base(ctx, additive), tuple(null),
                                       len(null) // ctx.k)
-        return ValuePoly(roots=lin.root_span(ctx, null), thetas=(ctx.neg(T[1]),),
+        roots = lin.root_span(ctx, null)
+        return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=(ctx.neg(T[1]),),
                          additive=additive, split=split)
     if poly.degree(poly.field_gcd(ctx, T)) != d:
         raise InputError(not_split)
@@ -123,7 +126,8 @@ def _check_value_poly(ctx, T):
         th = ctx.neg(poly.eval_at(ctx, dT, r))
         if th not in thetas:
             thetas.append(th)
-    return ValuePoly(roots=roots, thetas=tuple(thetas), additive=None)
+    return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=tuple(thetas),
+                     additive=None)
 
 
 def split_additive(ctx, a: lin.AdditivePoly, refusal: str, admit_quadratic=False):
@@ -184,16 +188,19 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
                           reason="value set mismatch")
     lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
            else poly.compose(ctx, T, F))
-    rhs = poly.mul(ctx, {ctx.Q: ctx.one, 1: ctx.neg(ctx.one)}, dFpoly)
     # theta is forced by the leading coefficients, then checked everywhere
-    lead = ctx.Q + dFp
-    theta = ctx.div(lhs.get(lead, ctx.zero), rhs[lead])
-    if theta == ctx.zero or theta not in vp.thetas or lhs != poly.scale(ctx, rhs, theta):
-        return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
-                          theta=None, theta_candidates=vp.thetas, is_member=False,
-                          reason="value set mismatch")
-    return MvspReport(is_mvsp=True, value_set=frozenset(vp.roots), deg=dF, bound=bound,
-                      theta=theta, theta_candidates=vp.thetas, is_member=True)
+    theta = ctx.div(lhs.get(ctx.Q + dFp, ctx.zero), dFpoly[dFp])
+    if theta != ctx.zero and theta in vp.thetas:
+        # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
+        # gives deg F' + 1 <= deg F <= Q - 1, so its two halves never meet
+        rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
+        rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
+        if lhs == rhs:
+            return MvspReport(is_mvsp=True, value_set=vp.root_set, deg=dF, bound=bound,
+                              theta=theta, theta_candidates=vp.thetas, is_member=True)
+    return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
+                      theta=None, theta_candidates=vp.thetas, is_member=False,
+                      reason="value set mismatch")
 
 
 # ---------------------------------------------------------------------------

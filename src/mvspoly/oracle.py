@@ -9,8 +9,10 @@ both worlds agree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import linearized as lin
@@ -147,65 +149,54 @@ def linear_dim_w(ctx, a: lin.AdditivePoly, guard=DIM_GUARD) -> int:
     D = (ctx.Q - 1) // (ctx.q ** t - 1)
     if D * ctx.N > guard:
         raise GuardError(f"operator on {D * ctx.N} coordinates refused")
-    columns = list(_operator_columns(ctx, aq, theta, D))
-    nullity = len(columns) - _rank(ctx, columns)
+    nullity = (D + 1) * ctx.N - _operator_rank(ctx, aq, theta, D)
     assert nullity % ctx.k == 0
     return nullity // ctx.k
 
 
-def _operator_columns(ctx, aq, theta, D):
-    """The operator on the F_p-basis u*x^e (u = y^j, 0 <= e <= D), one column
-    per basis vector as a list of (exponent, coefficient) terms; exponents
-    may repeat and their terms add.  A(u*x^e) = sum_i c_i*u^(p^(base*i)) *
-    x^(e*p^(base*i)), so the products c_i*u^(p^(base*i)) are formed once per
-    unit u; theta*(x^Q - x)*(u*x^e)' = e*theta*u*(x^(Q+e-1) - x^e)."""
-    step = ctx.p ** aq.base
-    per_unit = []
-    for j in range(ctx.N):
-        u = ctx.elem_from_int(ctx.p ** j)
-        terms = [(step ** i, ctx.mul(c, ctx.frobenius_p(u, aq.base * i)))
-                 for i, c in enumerate(aq.coeffs) if c != ctx.zero]
-        per_unit.append((terms, ctx.mul(theta, u)))
-    for e in range(D + 1):
-        for terms, theta_u in per_unit:
-            col = [(e * s, c) for s, c in terms]
-            if e % ctx.p:
-                c = ctx.smul(e, theta_u)
-                col += [(ctx.Q + e - 1, ctx.neg(c)), (e, c)]
-            yield col
+def _operator_rank(ctx, aq, theta, D) -> int:
+    """F_p-rank of the operator on the F_p-basis u*x^e (u = y^j, 0 <= e <= D).
 
-
-def _rank(ctx, columns) -> int:
-    """F_p-rank of the columns, each as one vector whose digits at the i-th
-    distinct exponent fill entries i*N .. i*N + N - 1, so terms at a repeated
-    exponent add: at p = 2 packed into one int (adding is XOR) and ranked by
-    rank_gf2, at odd p an int list ranked by an FpSpan."""
-    N = ctx.N
+    With s = e mod p and theta = -c_0, u*x^e maps to (c_0 + s*theta)*u*x^e
+    + sum_{i >= 1} c_i*u^(p^(base*i))*x^(e*p^(base*i)) - s*theta*u*x^(Q+e-1):
+    fixed coefficients per unit u and s, placed at offsets found once per e.
+    The digits at the k-th distinct exponent are entries k*N .. k*N + N - 1,
+    and coefficients at a repeated exponent add.  At p = 2 a column XORs
+    element ints shifted to their offsets and rank_gf2 ranks it; at odd p it
+    is an int list of digits, ranked by an FpSpan."""
+    p, N = ctx.p, ctx.N
+    # c_0 = -theta != 0 (A is separable) leads the terms; x^e's theta part adds to it
+    terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
+    steps = [p ** (aq.base * i) for i, _ in terms]
     pos = {}
-    if ctx.p == 2:
-        packed = []
-        ints = {}                   # each distinct coefficient's int, made once
-        for col in columns:
-            v = 0
-            for e, c in col:
-                i = ints.get(c)
-                if i is None:
-                    i = ints[c] = ctx.elem_to_int(c)
-                v ^= i << (N * pos.setdefault(e, len(pos)))
-            packed.append(v)
-        return rank_gf2(packed)
-    for col in columns:
-        for e, _ in col:
-            pos.setdefault(e, len(pos))
+    layout = []
+    for e in range(D + 1):
+        exps = [e * m for m in steps]
+        if e % p:
+            exps.append(ctx.Q + e - 1)
+        layout.append((e % p, [N * pos.setdefault(x, len(pos)) for x in exps]))
+    vec = ctx.elem_to_int if p == 2 else tuple
+    per_unit = []
+    for j in range(N):
+        u = ctx.elem_from_int(p ** j)
+        a_u = [ctx.mul(c, ctx.frobenius_p(u, aq.base * i)) for i, c in terms]
+        theta_u = ctx.mul(theta, u)
+        by_s = [[vec(c) for c in a_u]]
+        for s in range(1, p):
+            su = ctx.smul(s, theta_u)
+            by_s.append([vec(c) for c in (ctx.add(a_u[0], su), *a_u[1:], ctx.neg(su))])
+        per_unit.append(by_s)
+    if p == 2:
+        return rank_gf2(functools.reduce(operator.xor, map(operator.lshift, unit[s], offsets))
+                        for s, offsets in layout for unit in per_unit)
     width = len(pos) * N
-    span = FpSpan(ctx.p, width)
-    for col in columns:
-        v = [0] * width
-        for e, c in col:
-            r = pos[e] * N
-            for i, d in enumerate(c):
-                v[r + i] += d
-        span.add(v)
+    span = FpSpan(p, width)
+    for s, offsets in layout:
+        for unit in per_unit:
+            v = [0] * width
+            for c, o in zip(unit[s], offsets):
+                v[o:o + N] = map(operator.add, v[o:o + N], c)
+            span.add(v)
     return span.rank
 
 

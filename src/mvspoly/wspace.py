@@ -117,7 +117,13 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     Per orbit of exponents with 0/1 digits base q' = q^d and per F_q-basis
     element beta_j of F_{q'^size}, emit the orbit trace
     sum_l (beta_j x^k)^(q'^l) reduced mod x^Q - x, then scale everything by
-    a beta with beta^(q'-1) = alpha when alpha != 1."""
+    a beta with beta^(q'-1) = alpha when alpha != 1.
+
+    The last basis built is kept on the context, one entry, and returned
+    again for the same d and alpha: it is shared, so it is read-only."""
+    last = ctx._caches.get("basis")
+    if last is not None and last.d == d and last.alpha == alpha:
+        return last
     if d < 1 or ctx.n % d != 0:
         raise InputError(f"d = {d} is not a positive divisor of n = {ctx.n}")
     if not lin._binomial_admissible(ctx, d, alpha):
@@ -146,7 +152,9 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
                                    orbit_size=orbit.size, beta=bj))
     dim = d * 2 ** nprime
     assert len(elems) == dim
-    return WBasis(d=d, alpha=alpha, scale=beta, elems=tuple(elems), dim=dim)
+    wb = ctx._caches["basis"] = WBasis(d=d, alpha=alpha, scale=beta, elems=tuple(elems),
+                                       dim=dim)
+    return wb
 
 
 def target_binomial(ctx, wb: WBasis) -> dict:

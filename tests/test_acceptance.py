@@ -38,7 +38,9 @@ def fq_rank(ctx, polys):
     for f in polys:
         for u in ctx.fp_basis_of_fq():
             g = P.scale(ctx, f, u)
-            span.add([d for e in exps for d in g.get(e, ctx.zero)])
+            digits = [d for e in exps for d in g.get(e, ctx.zero)]
+            # an FpSpan row is packed at p = 2 (entry i at bit i)
+            span.add(digits if ctx.p > 2 else sum(d << i for i, d in enumerate(digits)))
     assert span.rank % ctx.k == 0
     return span.rank // ctx.k
 

@@ -469,6 +469,24 @@ def refuse_non_elements(ctx):
                 fn(*args)
 
 
+@pytest.mark.parametrize("p,N", [(2, 10), (3, 6)])
+def test_elem_to_int_matches_the_digit_loop(p, N):
+    """The table read of an interned element, the digit loop of one not yet
+    seen and the PlainField's digit loop give sum a_i * p^i for every
+    element of F_{2^10} and F_{3^6}."""
+    ctx, plain = FieldCtx(p, 1, N), PlainField(p, 1, N)
+    elems = ctx.elements()
+    fresh = elems[-1]                        # no op has made or seen it yet
+    assert fresh not in ctx._log
+    assert ctx.elem_to_int(fresh) == sum(d * p ** i for i, d in enumerate(fresh))
+    assert fresh not in ctx._log
+    for v, a in enumerate(elems):
+        interned = ctx.mul(a, ctx.one)
+        assert interned == a and (a == ctx.zero or interned in ctx._log)
+        assert ctx.elem_to_int(interned) == ctx.elem_to_int(a) == plain.elem_to_int(a) == v
+        assert sum(d * p ** i for i, d in enumerate(a)) == v
+
+
 @pytest.mark.parametrize("p,k,n", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2)])
 def test_fp_basis_of_fq_spans_the_subfield(p, k, n):
     """The trace-built F_p-basis of F_q starts with 1, has k members and
@@ -477,8 +495,10 @@ def test_fp_basis_of_fq_spans_the_subfield(p, k, n):
     basis = ctx.fp_basis_of_fq()
     assert basis[0] == ctx.one and len(basis) == k
     span = FpSpan(p, ctx.N)
-    assert all(span.add(b) for b in basis)
-    assert all(span.contains(a) for a in ctx.subfield_elements(1))
+    # an FpSpan row is a packed int at p = 2 (digit i at bit i), a digit list at odd p
+    row = (lambda a: sum(d << i for i, d in enumerate(a))) if p == 2 else list
+    assert all(span.add(row(b)) for b in basis)
+    assert all(span.contains(row(a)) for a in ctx.subfield_elements(1))
 
 
 # -- the polynomial fold ------------------------------------------------------------

@@ -50,10 +50,12 @@ def check_against_the_reference(rows, p, other):
     """nullspace_mod and an FpSpan fed the rows agree with the numpy reference."""
     assert nullspace_mod(rows, p) == nullspace(rows, p)
     span = FpSpan(p, len(other))
-    grew = [span.add(r) for r in rows]
+    # at p = 2 an FpSpan row is one packed int
+    packed = pack if p == 2 else list
+    grew = [span.add(r) for r in packed(rows)]
     assert span.rank == sum(grew) == rank_mod(rows, p)
-    assert all(span.contains(r) for r in rows)
-    assert span.contains(other) == (rank_mod(rows + [other], p) == span.rank)
+    assert all(span.contains(r) for r in packed(rows))
+    assert span.contains(packed([other])[0]) == (rank_mod(rows + [other], p) == span.rank)
 
 
 @seed(20261019)
@@ -63,6 +65,19 @@ def test_packed_gf2_paths_match_numpy(nrows, ncols, salt):
     rng = random.Random(salt)
     density = rng.random()
     rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+    check_against_the_reference(rows, 2, [int(rng.random() < 0.5) for _ in range(ncols)])
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.integers(60, 140), st.integers(0, 2 ** 32))
+def test_packed_gf2_rows_wider_than_a_machine_word(nrows, ncols, salt):
+    # rows of 60-140 entries, as wide as the rows the lift and the oracle pack
+    rng = random.Random(salt)
+    density = rng.random()
+    rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:
+        rows.append([a ^ b for a, b in zip(rows[0], rows[-1])])    # a dependent row
     check_against_the_reference(rows, 2, [int(rng.random() < 0.5) for _ in range(ncols)])
 
 

@@ -7,8 +7,9 @@ from mvspoly import linearized as L
 from mvspoly import mvsp as M
 from mvspoly import oracle as O
 from mvspoly import poly as P
+from mvspoly import wspace as W
 from mvspoly.errors import InputError
-from mvspoly.gf import FieldCtx, make_field
+from mvspoly.gf import FieldCtx, make_field, parse_field_spec
 from poly_reference import interpolate
 
 
@@ -52,6 +53,64 @@ def test_mills_negative(f64):
     rep = M.mills_check(f64, P.from_text(f64, "x^2"),
                         P.from_text(f64, "x^4+x^2+x"))
     assert not rep.is_member and rep.reason == "value set mismatch"
+
+
+def reference_mills(ctx, F, T):
+    """(is_member, theta) from the identity T(F) = theta*(x^Q - x)*F' with
+    the right side formed as a product of polynomials, and T(F) by
+    composition."""
+    vp = M.validate_value_poly(ctx, T)
+    dF = P.derivative(ctx, F)
+    if not dF or P.degree(T) * P.degree(F) != ctx.Q + P.degree(dF):
+        return False, None
+    lhs = P.compose(ctx, T, F)
+    rhs = P.mul(ctx, {ctx.Q: ctx.one, 1: ctx.neg(ctx.one)}, dF)
+    lead = max(rhs)
+    theta = ctx.div(lhs.get(lead, ctx.zero), rhs[lead])
+    ok = theta != ctx.zero and theta in vp.thetas and lhs == P.scale(ctx, rhs, theta)
+    return ok, theta if ok else None
+
+
+@pytest.mark.parametrize("spec, T_text", [
+    ("2^6:1", "x^4+x^2+x"), ("2^6:1", "x^8+x"), ("3^2:1", "x^3-x"), ("3^4:1", "x^9-x"),
+    ("3^2:1", "x^3-1,1*x^2+g*x"),
+])
+def test_mills_check_matches_the_product_identity(spec, T_text):
+    """The term-by-term theta*(x^Q - x)*F' of mills_check against the
+    polynomial product: on members drawn from the lift's span, on those
+    members plus one term, and on random polynomials that pass the degree
+    equation.  A member's value set is the root set of T."""
+    ctx = parse_field_spec(spec)
+    T = P.from_text(ctx, T_text)
+    vp = M.validate_value_poly(ctx, T)
+    rng = random.Random(ctx.Q + len(T_text))
+    elems = ctx.elements()
+    dT = P.degree(T)
+    cands = []
+    if vp.additive is not None:
+        gens = W.lift_pipeline(ctx, vp.additive).generators
+        for _ in range(40):
+            f = W.random_span_member(ctx, gens, rng)
+            cands += [f, P.add(ctx, f, {rng.randrange(P.degree(f)): rng.choice(elems[1:])})]
+    # deg F = d with p | d, and deg F' = dT*d - Q from the term at k = dT*d - Q + 1:
+    # these pass the degree equation and reach the identity
+    degrees = [d for d in range(2, ctx.Q) if d % ctx.p == 0 and 0 <= dT * d - ctx.Q < d
+               and (dT * d - ctx.Q + 1) % ctx.p]
+    for _ in range(60):
+        d = rng.choice(degrees)
+        k = dT * d - ctx.Q + 1
+        f = {d: rng.choice(elems[1:]), k: rng.choice(elems[1:])}
+        f.update((e, rng.choice(elems[1:])) for e in rng.sample(range(k), min(k, 2)))
+        assert dT * d == ctx.Q + P.degree(P.derivative(ctx, f))
+        cands.append(f)
+    members = 0
+    for f in cands:
+        rep = M.mills_check(ctx, f, T)
+        assert (rep.is_member, rep.theta) == reference_mills(ctx, f, T), f
+        if rep.is_member and P.degree(f) > 0:
+            members += 1
+            assert rep.value_set == frozenset(vp.roots) == P.value_set(ctx, f)
+    assert members >= (40 if vp.additive is not None else 0)
 
 
 def test_mills_constant_membership(f64):

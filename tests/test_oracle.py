@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -121,6 +122,7 @@ def reference_dim(ctx, a):
 @pytest.mark.parametrize("params, t, count", [
     ((2, 1, 6), 2, 6), ((2, 1, 6), 3, 4), ((2, 1, 4), 2, 6), ((2, 2, 2), 1, 5),
     ((3, 1, 4), 2, 3), ((3, 1, 3), 1, 4), ((2, 1, 3), 1, 1),
+    ((2, 2, 2), 2, 1), ((3, 1, 4), 1, 4), ((3, 1, 4), 3, 3), ((3, 1, 4), 4, 1),
 ])
 def test_linear_dim_matches_the_reference_build(params, t, count):
     ctx = make_field(*params)
@@ -128,6 +130,32 @@ def test_linear_dim_matches_the_reference_build(params, t, count):
     if ctx.q ** t == 2:
         polys = [L.binomial(ctx, 1, ctx.one)]        # the carve-out x^2 - x
     for a in random.Random(7).sample(polys, min(count, len(polys))):
+        assert O.linear_dim_w(ctx, a) == reference_dim(ctx, a)
+
+
+@functools.lru_cache(maxsize=None)
+def f64_sweep_strata():
+    """Every split additive A of F_64 with 2 <= t <= 5, grouped by (t, d),
+    d the degree of its least binomial multiple: the strata of the
+    benchmark's sweep sample."""
+    ctx = make_field(2, 1, 6)
+    strata = {}
+    for t in range(2, 6):
+        for b in O.subspaces(ctx, t):
+            a = L.subspace_poly(ctx, b)
+            d, _ = L.minimal_binomial_multiple(ctx, M.split_additive(ctx, a, "not split"))
+            strata.setdefault((t, d), []).append(a)
+    return strata
+
+
+@pytest.mark.parametrize("t, d, count", [
+    (2, 2, 3), (2, 3, 3), (2, 6, 3), (3, 3, 2), (3, 6, 3), (4, 6, 2), (5, 6, 2),
+])
+def test_linear_dim_matches_the_reference_build_on_every_f64_stratum(t, d, count):
+    ctx = make_field(2, 1, 6)
+    strata = f64_sweep_strata()
+    assert sorted(strata) == [(2, 2), (2, 3), (2, 6), (3, 3), (3, 6), (4, 6), (5, 6)]
+    for a in random.Random(11 * t + d).sample(strata[t, d], count):
         assert O.linear_dim_w(ctx, a) == reference_dim(ctx, a)
 
 

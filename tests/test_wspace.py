@@ -256,6 +256,32 @@ def test_lift_checks_a_once(monkeypatch):
     assert gcds == []
 
 
+def test_basis_cache_keeps_one_read_only_basis():
+    """build_basis keeps its last basis on the context: a repeated call
+    returns an equal basis, the lift and a full enumeration leave it equal
+    to one built fresh, and the context never holds more than one."""
+    ctx = FieldCtx(2, 1, 6)
+
+    def cached():
+        bases = [v for v in ctx._caches.values() if isinstance(v, W.WBasis)]
+        assert len(bases) <= 1
+        return bases[0] if bases else None
+
+    cube = ctx.pow_elem(ctx.elem_from_int(2), 3)
+    for d, alpha in ((6, ctx.one), (3, ctx.one), (2, cube), (2, ctx.one), (6, ctx.one)):
+        wb = W.build_basis(ctx, d, alpha)
+        assert (wb.d, wb.alpha) == (d, alpha)
+        assert W.build_basis(ctx, d, alpha) == wb and cached() is wb
+    a = L.detect_additive(ctx, P.from_text(ctx, "x^4+x^2+x"))
+    rep = W.lift_pipeline(ctx, a)
+    wb = cached()
+    assert rep.basis is wb and (wb.d, wb.alpha) == (3, ctx.one)
+    assert sum(1 for _ in W.enumerate_w(ctx, wb)) == 2 ** wb.dim
+    del ctx._caches["basis"]
+    fresh = W.build_basis(ctx, 3, ctx.one)
+    assert fresh is not wb and fresh == wb
+
+
 def test_lift_binomial_identity(f64):
     rep = W.lift_pipeline(f64, L.binomial(f64, 3, f64.one))
     assert rep.dim_lower == 12
