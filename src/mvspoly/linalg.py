@@ -53,12 +53,12 @@ def nullspace_mod(matrix, p: int):
             v = 1 << f
             for row, c in solve:
                 v |= ((row & v).bit_count() & 1) << c
-            basis.append([v >> i & 1 for i in range(ncols)])
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for row, c in solve:
-            v[c] = -sum(map(operator.mul, row, v)) % p
+            v = [v >> i & 1 for i in range(ncols)]
+        else:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in solve:
+                v[c] = -sum(map(operator.mul, row, v)) % p
         basis.append(v)
     return basis
 
