@@ -165,42 +165,48 @@ def is_minimal(ctx, F: dict) -> MvspReport:
 def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     """Membership of F in the space of T-minimal polynomials.
 
-    For nonconstant F the polynomial identity is tested exactly; the degree
-    equation deg T * deg F = Q + deg F' filters hopeless inputs before any
-    composition happens.  Constants are members exactly when they are roots
+    For nonconstant F the polynomial identity is tested exactly.  Three
+    checks refuse hopeless inputs before any composition happens: the degree
+    equation deg T * deg F = Q + deg F'; the identity at x = 0, T(F(0)) = 0;
+    and its top term, which forces theta = lc(F)^deg T / lc(F'), to be one
+    of the candidates.  Constants are members exactly when they are roots
     of T."""
     vp = validate_value_poly(ctx, T)
     dT = poly.degree(T)
     dF = poly.degree(F)
     if dF is poly.NEG_INF or dF == 0:
         c = F.get(0, ctx.zero)
-        member = poly.eval_at(ctx, T, c) == ctx.zero
+        member = c in vp.root_set
         return MvspReport(is_mvsp=False, value_set=frozenset({c}), deg=0,
                           bound=None, theta=None, theta_candidates=vp.thetas,
                           is_member=member,
                           reason="" if member else "constant is not a root")
     bound = (ctx.Q - 1) // dF + 1
+    no = MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound, theta=None,
+                    theta_candidates=vp.thetas, is_member=False, reason="value set mismatch")
     dFpoly = poly.derivative(ctx, F)
     dFp = poly.degree(dFpoly)
     if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
-        return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
-                          theta=None, theta_candidates=vp.thetas, is_member=False,
-                          reason="value set mismatch")
+        return no
+    if dT * dF > poly.EXP_LIMIT:         # the refusal composing T(F) would raise
+        raise InputError("exponent overflow beyond 2^62")
+    if F.get(0, ctx.zero) not in vp.root_set:
+        return no
+    # T is monic, so T(F) has the top term lc(F)^deg T * x^(Q + deg F'),
+    # nonzero; theta is forced by it, and then checked everywhere
+    theta = ctx.div(ctx.pow_elem(F[dF], dT), dFpoly[dFp])
+    if theta not in vp.thetas:
+        return no
     lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
            else poly.compose(ctx, T, F))
-    # theta is forced by the leading coefficients, then checked everywhere
-    theta = ctx.div(lhs.get(ctx.Q + dFp, ctx.zero), dFpoly[dFp])
-    if theta != ctx.zero and theta in vp.thetas:
-        # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
-        # gives deg F' + 1 <= deg F <= Q - 1, so its two halves never meet
-        rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
-        rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
-        if lhs == rhs:
-            return MvspReport(is_mvsp=True, value_set=vp.root_set, deg=dF, bound=bound,
-                              theta=theta, theta_candidates=vp.thetas, is_member=True)
-    return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
-                      theta=None, theta_candidates=vp.thetas, is_member=False,
-                      reason="value set mismatch")
+    # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
+    # gives deg F' + 1 <= deg F <= Q - 1, so its two halves never meet
+    rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
+    rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
+    if lhs != rhs:
+        return no
+    return MvspReport(is_mvsp=True, value_set=vp.root_set, deg=dF, bound=bound,
+                      theta=theta, theta_candidates=vp.thetas, is_member=True)
 
 
 # ---------------------------------------------------------------------------

@@ -104,19 +104,23 @@ def frob_power(ctx, f: dict, m: int) -> dict:
 
 def pow_(ctx, f: dict, e: int) -> dict:
     """f^e using the base-p digits of e, so p-th powers stay termwise; the
-    product starts from the first factor, not from 1."""
+    product starts from the first factor, not from 1, and its first
+    self-product is a ctx.square."""
     if e < 0:
         raise InputError("negative exponent")
     if e == 0:
         return {0: ctx.one}
     if not f:
         return {}
+    if degree(f) * e > EXP_LIMIT:
+        raise InputError("exponent overflow beyond 2^62")
     out = None
     level = dict(f)
     while e:
         d = e % ctx.p
         for _ in range(d):
-            out = level if out is None else mul(ctx, out, level)
+            out = (level if out is None else ctx.square(out) if out is level
+                   else mul(ctx, out, level))
         e //= ctx.p
         if e:
             level = frob_power(ctx, level, 1)
@@ -126,26 +130,48 @@ def pow_(ctx, f: dict, e: int) -> dict:
 def compose(ctx, f: dict, g: dict) -> dict:
     """f(g(x)) as the sum of c_e * g^e over f's terms.  Each g^e is the
     product of the twists (g^d)^(p^j) over the base-p digits d of e (place
-    j), each multiplied into the running term by one ctx.fold of g^d.  Each
-    g^d, d < p, is made once per call and kept only for the digits that
-    occur, so sparse f at huge degree costs a few folds per term."""
+    j); each g^d, d < p, is made once per call, and only for the digits that
+    occur.  A term's rows start as the twist of g^d for its lowest digit,
+    times c_e (a term with one digit has the one row c_e), and each further
+    digit but the top multiplies them by one ctx.fold.  The top digits cost
+    one fold per digit value d: g^d by the rows of every term whose top digit
+    is d, each row twisted by its own place."""
     if not f:
         return {}
     if g and degree(f) * degree(g) > EXP_LIMIT:
         raise InputError("exponent overflow beyond 2^62")
     p = ctx.p
     small = {}                           # g^d for the digits d that occur
-    out = {}
+
+    def power(d):
+        if d not in small:
+            small[d] = pow_(ctx, g, d)
+        return small[d]
+
+    tops = {}                            # top digit d -> rows (e0, c0, place)
     for e, c in f.items():
-        term, j = {0: c}, 0
+        digits, j = [], 0                # the nonzero digits (d, place), low first
         while e:
             e, d = divmod(e, p)
             if d:
-                if d not in small:
-                    small[d] = pow_(ctx, g, d)
-                term = ctx.fold(small[d], [(e0, c0, j) for e0, c0 in term.items()])
+                digits.append((d, j))
             j += 1
-        out = add(ctx, out, term)
+        if not digits:
+            continue                     # the constant term, added below
+        top, place = digits.pop()
+        rows = {0: c}
+        if digits:
+            d, j = digits[0]
+            rows = scale(ctx, frob_power(ctx, power(d), j), c)
+            for d, j in digits[1:]:
+                rows = ctx.fold(power(d), [(e0, c0, j) for e0, c0 in rows.items()])
+        tops.setdefault(top, []).extend((e0, c0, place) for e0, c0 in rows.items())
+    out = {}
+    for i, (d, rows) in enumerate(tops.items()):
+        part = ctx.fold(power(d), rows)
+        out = add(ctx, out, part) if i else part
+    if 0 in f:
+        _add_term(ctx, out, 0, f[0])
     return out
 
 
@@ -245,7 +271,7 @@ def pow_mod(ctx, g: dict, e: int, f: dict) -> dict:
             out = base if out is None else divmod_(ctx, mul(ctx, out, base), f)[1]
         e >>= 1
         if e:
-            base = divmod_(ctx, mul(ctx, base, base), f)[1]
+            base = divmod_(ctx, ctx.square(base), f)[1]
     return out
 
 

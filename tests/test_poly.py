@@ -316,14 +316,18 @@ def test_mul_skips_a_stored_zero_coefficient(tables):
 
 
 def test_compose_makes_no_product_by_one(monkeypatch, f729):
-    """pow_ starts from its first factor.  T(F) for T = x^5 + x^2 + x on
-    F_729 makes g^2 = g * g (one mul; g^1 needs none), and each base-3
-    digit of 5 = 12_3, 2 and 1 multiplies its term by a twist of g^d in one
-    fold, with no mul: 1 mul in all, and at most the 80 term products that
-    five muls made when every digit was a product by a frob_power copy."""
+    """pow_ starts from its first factor, and its first self-product is a
+    square.  T(F) for T = x^5 + x^2 + x on F_729 and a 4-term F makes g^2
+    by one square (10 products; g^1 needs none) and no mul.  The rows of
+    x^5 = x^(12_3) are g^2 times its coefficient, with no fold; the top
+    digits make one fold of g by the rows of x^5 and x (11 rows, 44
+    products) and one of g^2 by the row of x^2 (10): 64 products in all,
+    where five muls made 80 when every digit was a product by a frob_power
+    copy."""
     calls = []
     products = []
-    real_mul, real_fold = P.mul, FieldCtx.fold
+    squares = []
+    real_mul, real_fold, real_square = P.mul, FieldCtx.fold, FieldCtx.square
 
     def counting_mul(ctx, f, g):
         calls.append((f, g))
@@ -333,16 +337,21 @@ def test_compose_makes_no_product_by_one(monkeypatch, f729):
         products.append(len(rows) * len(f))
         return real_fold(ctx, f, rows)
 
+    def counting_square(ctx, f):
+        squares.append(len(f) * (len(f) + 1) // 2)
+        return real_square(ctx, f)
+
     T = P.from_text(f729, "x^5+x^2+x")
     F = P.from_text(f729, "x^28 + 2,1*x^4 + x + 1")
     expected = P.compose(f729, T, F)
     assert expected == compose_horner(f729, T, F)
     monkeypatch.setattr(P, "mul", counting_mul)
     monkeypatch.setattr(FieldCtx, "fold", counting_fold)
+    monkeypatch.setattr(FieldCtx, "square", counting_square)
     assert P.compose(f729, T, F) == expected
-    assert len(calls) == 1 and sum(products) <= 80
+    assert calls == [] and squares == [10] and sorted(products) == [10, 44]
     assert P.pow_(f729, F, 1) == F and P.pow_(f729, F, 3) == P.frob_power(f729, F, 1)
-    assert len(calls) == 1
+    assert calls == [] and squares == [10]
 
 
 # -- compose against Horner's rule -------------------------------------------------------
