@@ -400,10 +400,11 @@ class FieldCtx:
         logs are summed by Zech addition, -1 marking a zero sum, and a
         non-element raises KeyError."""
         p = self.p
-        log, M = self._log_of, self._M
+        log, zech, M = self._log_of, self._zech, self._M
         terms = [(e, la) for e, c in f.items() if (la := log(c)) is not None]
         twists = {0: terms}
         acc = {}
+        get = acc.get
         for e0, c0, m in rows:
             l0 = log(c0)
             if l0 is None:
@@ -411,38 +412,43 @@ class FieldCtx:
             if m not in twists:
                 pm, t = p ** m, pow(p, m, M)
                 twists[m] = [(e * pm, t * l) for e, l in terms]
-            self._accumulate(acc, e0, l0, twists[m])
+            for e, l in twists[m]:
+                e += e0
+                l += l0
+                la = get(e, -1)
+                if la < 0:
+                    acc[e] = l
+                else:
+                    z = zech[(l - la) % M]
+                    acc[e] = la + z if z >= 0 else -1
         return self._from_logs(acc)
 
     def square(self, f: dict) -> dict:
         """f*f with each cross product made once: the diagonal c^2 * x^(2e),
-        then c * c' * x^(e + e') for each pair of terms, with log 2 added.
-        That is n(n+1)/2 products for n terms.  At p = 2 the cross terms
-        cancel in pairs and f*f is the termwise Frobenius.  A non-element
-        raises KeyError, as in `mul`."""
-        log = self._log_of
+        then c * c' * x^(e + e') for each pair of terms, with log 2 added,
+        summed as in `fold`.  That is n(n+1)/2 products for n terms.  At
+        p = 2 the cross terms cancel in pairs and f*f is the termwise
+        Frobenius.  A non-element raises KeyError, as in `mul`."""
+        log, zech, M = self._log_of, self._zech, self._M
         terms = [(e, la) for e, c in f.items() if (la := log(c)) is not None]
         acc = {2 * e: 2 * l for e, l in terms}
         log2 = self._scalar_log[2 % self.p]         # None at p = 2
         if log2 is not None:
+            # fold's Zech loop, repeated rather than shared: a call per row
+            # slowed the many small folds of the sweep workload by about 2%
+            get = acc.get
             for i, (e0, l0) in enumerate(terms):
-                self._accumulate(acc, e0, l0 + log2, terms[i + 1:])
+                l0 += log2
+                for e, l in terms[i + 1:]:
+                    e += e0
+                    l += l0
+                    la = get(e, -1)
+                    if la < 0:
+                        acc[e] = l
+                    else:
+                        z = zech[(l - la) % M]
+                        acc[e] = la + z if z >= 0 else -1
         return self._from_logs(acc)
-
-    def _accumulate(self, acc, e0, l0, terms):
-        """acc[e0 + e] += g^(l0 + l) for the (e, l) in terms, on Zech logs.
-        acc holds unreduced logs, -1 marking a zero sum."""
-        zech, M = self._zech, self._M
-        get = acc.get
-        for e, l in terms:
-            e += e0
-            l += l0
-            la = get(e, -1)
-            if la < 0:
-                acc[e] = l
-            else:
-                z = zech[(l - la) % M]
-                acc[e] = la + z if z >= 0 else -1
 
     def _from_logs(self, acc) -> dict:
         """The polynomial whose coefficients have the logs in acc."""
@@ -630,30 +636,11 @@ class PlainField(FieldCtx):
                     if conv is None:
                         conv = convs[e] = [0] * width
                     self._conv(c0, c, conv)
-        return self._reduce_all(convs)
+        return {e: s for e, conv in convs.items() if (s := self._reduce(conv)) != zero}
 
     def square(self, f: dict) -> dict:
-        """`FieldCtx.square` on digits: the diagonal and the cross products
-        (one operand's digits doubled) are summed as unreduced digit
-        convolutions, n(n+1)/2 of them for n terms, and reduced once."""
-        zero, width = self.zero, 2 * self.N - 1
-        terms = [(e, c) for e, c in f.items() if c != zero]
-        convs = {2 * e: self._conv(c, c, [0] * width) for e, c in terms}
-        if self.p > 2:
-            for i, (e0, c0) in enumerate(terms):
-                c0 = [2 * x for x in c0]
-                for e, c in terms[i + 1:]:
-                    e += e0
-                    conv = convs.get(e)
-                    if conv is None:
-                        conv = convs[e] = [0] * width
-                    self._conv(c0, c, conv)
-        return self._reduce_all(convs)
-
-    def _reduce_all(self, convs) -> dict:
-        """The polynomial whose coefficients have the digit convolutions in convs."""
-        zero = self.zero
-        return {e: s for e, conv in convs.items() if (s := self._reduce(conv)) != zero}
+        """f*f as the plain fold, n^2 digit convolutions for n terms."""
+        return self.fold(f, [(e, c, 0) for e, c in f.items()])
 
     def _unit_pow(self, a, e: int):
         return self._pow_raw(a, e % (self.Q - 1))

@@ -7,7 +7,10 @@ The two faces of the theory live here side by side:
 - mills_check tests the polynomial identity T(F) = theta*(x^Q - x)*F' for
   theta among -T'(gamma) over the roots gamma of T; by the Mills criterion
   this holds exactly when F is a minimal value set polynomial whose value
-  set is the root set of T.
+  set is the root set of T.  Before it composes T(F), it refuses F that
+  fail the degree equation, the identity at x = 0 (T(F(0)) = 0), or its
+  top term, which forces theta = lc(F)^deg T / lc(F') among the candidates.
+  These cost a few field operations where T(F) costs thousands.
 
 Everything else (additive reductions, power lifts, low degree normal forms,
 root profiles) is built from those two.  All of it reads T through
@@ -162,6 +165,12 @@ def is_minimal(ctx, F: dict) -> MvspReport:
                       reason="" if ok else "value set larger than the bound")
 
 
+def _mismatch(vp: ValuePoly, dF: int, bound: int) -> MvspReport:
+    """The report of a nonconstant F that is not a member."""
+    return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound, theta=None,
+                      theta_candidates=vp.thetas, is_member=False, reason="value set mismatch")
+
+
 def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     """Membership of F in the space of T-minimal polynomials.
 
@@ -182,21 +191,19 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
                           is_member=member,
                           reason="" if member else "constant is not a root")
     bound = (ctx.Q - 1) // dF + 1
-    no = MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound, theta=None,
-                    theta_candidates=vp.thetas, is_member=False, reason="value set mismatch")
     dFpoly = poly.derivative(ctx, F)
     dFp = poly.degree(dFpoly)
     if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
-        return no
+        return _mismatch(vp, dF, bound)
     if dT * dF > poly.EXP_LIMIT:         # the refusal composing T(F) would raise
         raise InputError("exponent overflow beyond 2^62")
     if F.get(0, ctx.zero) not in vp.root_set:
-        return no
+        return _mismatch(vp, dF, bound)
     # T is monic, so T(F) has the top term lc(F)^deg T * x^(Q + deg F'),
     # nonzero; theta is forced by it, and then checked everywhere
     theta = ctx.div(ctx.pow_elem(F[dF], dT), dFpoly[dFp])
     if theta not in vp.thetas:
-        return no
+        return _mismatch(vp, dF, bound)
     lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
            else poly.compose(ctx, T, F))
     # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
@@ -204,7 +211,7 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
     rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
     if lhs != rhs:
-        return no
+        return _mismatch(vp, dF, bound)
     return MvspReport(is_mvsp=True, value_set=vp.root_set, deg=dF, bound=bound,
                       theta=theta, theta_candidates=vp.thetas, is_member=True)
 

@@ -1,0 +1,43 @@
+"""Reference Mills check, kept for the tests only.
+
+`mills_check_composing` is `mvspoly.mvsp.mills_check` as it was before the
+identity at x = 0 and the forced theta were checked ahead of composing T(F):
+after the degree equation it always composes T(F), and it reads theta off
+the top coefficient of T(F).  A constant is decided by evaluating T at it.
+"""
+
+from mvspoly import linearized as lin
+from mvspoly import poly
+from mvspoly.mvsp import MvspReport, validate_value_poly
+
+
+def mills_check_composing(ctx, F: dict, T: dict) -> MvspReport:
+    vp = validate_value_poly(ctx, T)
+    dT = poly.degree(T)
+    dF = poly.degree(F)
+    if dF is poly.NEG_INF or dF == 0:
+        c = F.get(0, ctx.zero)
+        member = poly.eval_at(ctx, T, c) == ctx.zero
+        return MvspReport(is_mvsp=False, value_set=frozenset({c}), deg=0,
+                          bound=None, theta=None, theta_candidates=vp.thetas,
+                          is_member=member,
+                          reason="" if member else "constant is not a root")
+    bound = (ctx.Q - 1) // dF + 1
+    dFpoly = poly.derivative(ctx, F)
+    dFp = poly.degree(dFpoly)
+    if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
+        return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
+                          theta=None, theta_candidates=vp.thetas, is_member=False,
+                          reason="value set mismatch")
+    lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
+           else poly.compose(ctx, T, F))
+    theta = ctx.div(lhs.get(ctx.Q + dFp, ctx.zero), dFpoly[dFp])
+    if theta != ctx.zero and theta in vp.thetas:
+        rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
+        rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
+        if lhs == rhs:
+            return MvspReport(is_mvsp=True, value_set=vp.root_set, deg=dF, bound=bound,
+                              theta=theta, theta_candidates=vp.thetas, is_member=True)
+    return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
+                      theta=None, theta_candidates=vp.thetas, is_member=False,
+                      reason="value set mismatch")

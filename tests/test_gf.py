@@ -459,7 +459,8 @@ def refuse_non_elements(ctx):
     too_short = one[:-1] if ctx.N > 1 else ()
     for bad in (big_digit, too_long, too_short, zero + (0,)):
         calls = [(ctx.neg, bad), (ctx.inv, bad), (ctx.pow_elem, bad, 3), (ctx.mul, bad, one),
-                 (ctx.mul, bad, zero), (ctx.mul, zero, bad)]
+                 (ctx.mul, bad, zero), (ctx.mul, zero, bad), (ctx.square, {1: bad}),
+                 (ctx.square, {2: one, 0: bad})]
         calls += [(ctx.smul, c, bad) for c in (0, 1, -1, p)]
         for other in (zero, one):
             calls += [(ctx.add, bad, other), (ctx.add, other, bad),

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, make_field, parse_field_spec
+from mvsp_reference import mills_check_composing
 from poly_reference import interpolate
 
 
@@ -111,6 +113,130 @@ def test_mills_check_matches_the_product_identity(spec, T_text):
             members += 1
             assert rep.value_set == frozenset(vp.roots) == P.value_set(ctx, f)
     assert members >= (40 if vp.additive is not None else 0)
+
+
+def affine_value_poly(ctx, T, a, b):
+    """The monic polynomial whose roots are a*r + b over the roots r of T:
+    a T-member F maps to its member a*F + b.  For additive T and b outside
+    a times its roots, it is not additive, so its check composes."""
+    out = {0: ctx.one}
+    for r in M.validate_value_poly(ctx, T).roots:
+        out = P.mul(ctx, out, P.linear(ctx, ctx.add(ctx.mul(a, r), b)))
+    return out
+
+
+def mills_path(ctx, F, T, rep):
+    """Which return of mills_check decides F, read off F and T directly."""
+    vp = M.validate_value_poly(ctx, T)
+    dF = P.degree(F)
+    if dF is P.NEG_INF or dF == 0:
+        return "constant"
+    dFpoly = P.derivative(ctx, F)
+    if not dFpoly or P.degree(T) * dF != ctx.Q + P.degree(dFpoly):
+        return "degree"
+    if F.get(0, ctx.zero) not in vp.root_set:
+        return "x = 0"
+    theta = ctx.div(ctx.pow_elem(F[dF], P.degree(T)), dFpoly[P.degree(dFpoly)])
+    if theta not in vp.thetas:
+        return "theta"
+    return "member" if rep.is_member else "identity"
+
+
+@pytest.mark.parametrize("spec, A_text, B_text, power", [
+    ("3^2:1", "x^3-x", "x^3-1,1*x^2+g*x", None),
+    ("3^3:1", "x^3-x", "x^5+x^2+x", None),
+    ("3^4:1", "x^9-x", None, None),
+    ("3^6:1", "x^9+x^3+x", "x^5+x^2+x", 2),
+])
+def test_early_checks_match_the_composing_reference(spec, A_text, B_text, power):
+    """mills_check returns the whole MvspReport of the reference that always
+    composes T(F), on every return path: constants, degree non-members, F
+    with F(0) not a root, F whose leading coefficient forces theta outside
+    the candidates, F that fail the identity itself, and members.  T is the
+    additive A, an affine image of A, and a non-additive B whose members, if
+    any, are the power-th powers of A-members (x^5 + x^2 + x at x^2, over
+    x, is x^9 + x^3 + x)."""
+    ctx = parse_field_spec(spec)
+    rng = random.Random(1700 + ctx.Q)
+    elems, zero = ctx.elements(), ctx.zero
+    A = P.from_text(ctx, A_text)
+    gens = W.lift_pipeline(ctx, M.validate_value_poly(ctx, A).additive).generators
+    span = [W.random_span_member(ctx, gens, rng) for _ in range(10)]
+    a, b = elems[2], elems[-1]
+    cases = [(A, span), (affine_value_poly(ctx, A, a, b),
+                         [P.add(ctx, P.scale(ctx, F, a), {0: b}) for F in span])]
+    if B_text is not None:
+        cases.append((P.from_text(ctx, B_text),
+                      [P.pow_(ctx, F, power) for F in span] if power else []))
+    paths = collections.Counter()
+    for T, members in cases:
+        vp = M.validate_value_poly(ctx, T)
+        non_roots = [c for c in elems if c not in vp.root_set]
+        dT = P.degree(T)
+        cands = [{}] + [{0: c} for c in rng.sample(elems, 4)] + list(members)
+        for F in members:
+            c0 = F.get(0, zero)
+            cands.append(P.add(ctx, F, {0: ctx.sub(rng.choice(vp.roots), c0)}))
+            cands.append(P.add(ctx, F, {0: ctx.sub(rng.choice(non_roots), c0)}))
+            scaled = P.scale(ctx, F, rng.choice(elems[2:]))
+            cands.append(P.add(ctx, scaled, {0: ctx.sub(rng.choice(vp.roots),
+                                                         scaled.get(0, zero))}))
+            cands.append(P.add(ctx, F, {P.degree(F) + 1: ctx.one}))
+            low = P.degree(P.derivative(ctx, F))
+            if low > 1:
+                cands.append(P.add(ctx, F, {rng.randrange(1, low): rng.choice(elems[1:])}))
+        # deg F = d with p | d and the degree equation met through the term at
+        # k = dT*d - Q + 1, its constant term a root half of the time
+        degrees = [d for d in range(2, ctx.Q) if d % ctx.p == 0 and 0 <= dT * d - ctx.Q < d
+                   and (dT * d - ctx.Q + 1) % ctx.p]
+        for d in degrees[:12]:
+            k = dT * d - ctx.Q + 1
+            f = {d: rng.choice(elems[1:]), k: rng.choice(elems[1:])}
+            f[0] = rng.choice(vp.roots if rng.random() < 0.5 else elems)
+            cands.append({e: c for e, c in f.items() if c != zero})
+        for F in cands:
+            rep = M.mills_check(ctx, F, T)
+            assert rep == mills_check_composing(ctx, F, T), (P.to_text(ctx, T), F)
+            paths[mills_path(ctx, F, T, rep)] += 1
+    assert set(paths) == {"constant", "degree", "x = 0", "theta", "identity", "member"}, paths
+
+
+def test_f729_shift_non_member_composes_nothing(monkeypatch, f729):
+    """A member of x^5 + x^2 + x on F_729 shifted off the roots at x = 0 is
+    refused before T(F) is composed: no fold and no square.  The member
+    itself composes."""
+    T = P.from_text(f729, "x^5+x^2+x")
+    A = M.validate_value_poly(f729, P.from_text(f729, "x^9+x^3+x")).additive
+    rng = random.Random(729)
+    F = P.pow_(f729, W.random_span_member(f729, W.lift_pipeline(f729, A).generators, rng), 2)
+    roots = M.validate_value_poly(f729, T).root_set
+    c0 = F.get(0, f729.zero)
+    c = next(c for c in f729.elements() if f729.add(c0, c) not in roots)
+    calls = []
+    real_fold, real_square = FieldCtx.fold, FieldCtx.square
+    monkeypatch.setattr(FieldCtx, "fold",
+                        lambda ctx, f, rows: calls.append("fold") or real_fold(ctx, f, rows))
+    monkeypatch.setattr(FieldCtx, "square",
+                        lambda ctx, f: calls.append("square") or real_square(ctx, f))
+    rep = M.mills_check(f729, P.add(f729, F, {0: c}), T)
+    assert not rep.is_member and rep.reason == "value set mismatch" and calls == []
+    assert M.mills_check(f729, F, T).is_member and "fold" in calls and "square" in calls
+
+
+def test_mills_check_keeps_the_overflow_refusal(monkeypatch, f9):
+    """Where deg T * deg F passes the exponent limit, composing T(F) refuses
+    with InputError, and that refusal still comes before the checks at
+    x = 0 and on theta, as in the reference.  Only Q = 2^62 reaches it (for
+    example x^4 + x with F = x^(2^60 + 2) + x^9 + g), so the limit is
+    lowered to 8 below Q + deg F' on F_9."""
+    T = P.from_text(f9, "x^3-x")
+    F = P.from_text(f9, "x^3+x")                 # meets the degree equation, F(0) = 0
+    y = f9.elem_from_int(3)                      # not in F_3, so not a root
+    monkeypatch.setattr(P, "EXP_LIMIT", 8)
+    for G in (F, P.add(f9, F, {0: y}), P.scale(f9, F, y)):
+        for check in (M.mills_check, mills_check_composing):
+            with pytest.raises(InputError, match="exponent overflow"):
+                check(f9, G, T)
 
 
 def test_mills_constant_membership(f64):

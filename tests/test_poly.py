@@ -11,7 +11,7 @@ from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, PlainField, make_field
-from poly_reference import compose_horner, from_text_char_loop, interpolate
+from poly_reference import compose_horner, fold_termwise, from_text_char_loop, interpolate
 
 
 def rand_poly(ctx, rng, max_deg=8, terms=4):
@@ -313,6 +313,57 @@ def test_mul_skips_a_stored_zero_coefficient(tables):
     ctx = mul_field(3, 2, tables)
     f, g = {3: ctx.one, 1: ctx.zero}, {2: ctx.elem_from_int(5), 0: ctx.zero}
     assert P.mul(ctx, f, g) == P.mul(ctx, g, f) == {5: ctx.elem_from_int(5)}
+
+
+SQUARE_FIELDS = [(p, N, tables) for p, N in ((3, 2), (3, 3), (3, 6), (5, 3), (1021, 1), (2, 6))
+                 for tables in (True, False)]
+
+
+@pytest.mark.parametrize("p,N,tables", SQUARE_FIELDS)
+def test_square_matches_mul_and_the_termwise_fold(p, N, tables):
+    """ctx.square(f) equals poly.mul(f, f) and the term-pair reference fold
+    on both back ends, for random f and for f whose products cancel: at
+    x^3, a*d*x^3 + b*c*x^3 with a*d = -b*c, and at x^2, the diagonal e^2
+    against the cross product 2*b*c' with c' = -e^2 / 2b (at odd p)."""
+    ctx = mul_field(p, N, tables)
+    rng = random.Random(p ** N)
+    units = [ctx.elem_from_int(v) for v in rng.sample(range(1, ctx.Q), min(ctx.Q - 1, 40))]
+    cases = [{}, {5: units[0]}] + [rand_poly(ctx, rng, 30, 12) for _ in range(20)]
+    for _ in range(10):
+        a, b, c, e = (rng.choice(units) for _ in range(4))
+        d = ctx.neg(ctx.div(ctx.mul(b, c), a))
+        cases.append({0: a, 1: b, 2: c, 3: d})
+        if p > 2:
+            cases.append({0: b, 1: e, 2: ctx.neg(ctx.div(ctx.mul(e, e), ctx.smul(2, b)))})
+    cancelled = 0
+    for f in cases:
+        sq = ctx.square(f)
+        assert sq == P.mul(ctx, f, f) == fold_termwise(ctx, f, [(e, c, 0) for e, c in f.items()])
+        if p > 2:
+            cancelled += len(sq) < len({e1 + e2 for e1 in f for e2 in f})
+        else:
+            assert sq == P.frob_power(ctx, f, 1)
+    assert p == 2 or cancelled >= 10
+
+
+@pytest.mark.parametrize("tables", [True, False])
+def test_pow_and_pow_mod_square_once(monkeypatch, tables):
+    """pow_ makes its first self-product by ctx.square, and pow_mod each of
+    its squarings, with results equal to repeated products."""
+    ctx = mul_field(5, 2, tables)
+    f = rand_poly(ctx, random.Random(52), 9, 6)
+    m = {7: ctx.one, 2: ctx.elem_from_int(3), 0: ctx.elem_from_int(11)}
+    squares = []
+    real = type(ctx).square
+    monkeypatch.setattr(type(ctx), "square",
+                        lambda c, g: squares.append(len(g)) or real(c, g))
+    assert P.pow_(ctx, f, 3) == mul_pairwise(ctx, mul_pairwise(ctx, f, f), f)
+    assert len(squares) == 1
+    expected = {0: ctx.one}
+    for _ in range(13):
+        expected = P.divmod_(ctx, mul_pairwise(ctx, expected, f), m)[1]
+    del squares[:]
+    assert P.pow_mod(ctx, f, 13, m) == expected and len(squares) == 3
 
 
 def test_compose_makes_no_product_by_one(monkeypatch, f729):
