@@ -162,7 +162,9 @@ def compose(ctx, f: dict, g: dict) -> dict:
         rows = {0: c}
         if digits:
             d, j = digits[0]
-            rows = scale(ctx, frob_power(ctx, power(d), j), c)
+            rows = frob_power(ctx, power(d), j)
+            if c != ctx.one:             # a monic T's top term makes no product by 1
+                rows = scale(ctx, rows, c)
             for d, j in digits[1:]:
                 rows = ctx.fold(power(d), [(e0, c0, j) for e0, c0 in rows.items()])
         tops.setdefault(top, []).extend((e0, c0, place) for e0, c0 in rows.items())

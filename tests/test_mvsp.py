@@ -201,25 +201,33 @@ def test_early_checks_match_the_composing_reference(spec, A_text, B_text, power)
     assert set(paths) == {"constant", "degree", "x = 0", "theta", "identity", "member"}, paths
 
 
-def test_f729_shift_non_member_composes_nothing(monkeypatch, f729):
-    """A member of x^5 + x^2 + x on F_729 shifted off the roots at x = 0 is
-    refused before T(F) is composed: no fold and no square.  The member
-    itself composes."""
+def test_f729_non_members_refused_early_compose_nothing(monkeypatch, f729):
+    """A member F of x^5 + x^2 + x on F_729 shifted off the roots at x = 0,
+    or l*F shifted back to the root F(0) at x = 0, with l^4 * theta outside
+    the candidates, is refused before T(F) is composed: no fold and no
+    square.  The member itself composes."""
     T = P.from_text(f729, "x^5+x^2+x")
     A = M.validate_value_poly(f729, P.from_text(f729, "x^9+x^3+x")).additive
     rng = random.Random(729)
     F = P.pow_(f729, W.random_span_member(f729, W.lift_pipeline(f729, A).generators, rng), 2)
-    roots = M.validate_value_poly(f729, T).root_set
+    vp = M.validate_value_poly(f729, T)
+    theta = M.mills_check(f729, F, T).theta
     c0 = F.get(0, f729.zero)
-    c = next(c for c in f729.elements() if f729.add(c0, c) not in roots)
+    assert theta is not None and c0 in vp.root_set
+    c = next(c for c in f729.elements() if f729.add(c0, c) not in vp.root_set)
+    lam = next(a for a in f729.elements()[1:]
+               if f729.mul(f729.pow_elem(a, 4), theta) not in vp.thetas)
     calls = []
     real_fold, real_square = FieldCtx.fold, FieldCtx.square
     monkeypatch.setattr(FieldCtx, "fold",
                         lambda ctx, f, rows: calls.append("fold") or real_fold(ctx, f, rows))
     monkeypatch.setattr(FieldCtx, "square",
                         lambda ctx, f: calls.append("square") or real_square(ctx, f))
-    rep = M.mills_check(f729, P.add(f729, F, {0: c}), T)
-    assert not rep.is_member and rep.reason == "value set mismatch" and calls == []
+    scaled = P.scale(f729, F, lam)
+    for G in (P.add(f729, F, {0: c}),
+              P.add(f729, scaled, {0: f729.sub(c0, scaled.get(0, f729.zero))})):
+        rep = M.mills_check(f729, G, T)
+        assert not rep.is_member and rep.reason == "value set mismatch" and calls == []
     assert M.mills_check(f729, F, T).is_member and "fold" in calls and "square" in calls
 
 

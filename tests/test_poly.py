@@ -179,10 +179,14 @@ def test_eval_compose(f64):
             P.eval_at(f64, f, P.eval_at(f64, g, a))
 
 
-def test_exponent_overflow_guard(f4):
+def test_exponent_overflow_guard(f4, f9):
     big = {1 << 62: f4.one}
     with pytest.raises(InputError):
         P.mul(f4, big, {1 << 62: f4.one})
+    # pow_ refuses a power past 2^62 itself: its square has no such check
+    with pytest.raises(InputError):
+        P.pow_(f9, {(1 << 61) + 1: f9.one, 0: f9.one}, 2)
+    assert P.degree(P.pow_(f9, {1 << 61: f9.one, 0: f9.one}, 2)) == 1 << 62
 
 
 @pytest.mark.parametrize("text", ["x^abc", "x^-3", "x^4^2", "x^", "x^4+x^2.5",
@@ -374,11 +378,14 @@ def test_compose_makes_no_product_by_one(monkeypatch, f729):
     digits make one fold of g by the rows of x^5 and x (11 rows, 44
     products) and one of g^2 by the row of x^2 (10): 64 products in all,
     where five muls made 80 when every digit was a product by a frob_power
-    copy."""
+    copy.  Every coefficient of T is 1, so no element product is made
+    either."""
     calls = []
     products = []
     squares = []
+    elem_products = []
     real_mul, real_fold, real_square = P.mul, FieldCtx.fold, FieldCtx.square
+    real_elem_mul = FieldCtx.mul
 
     def counting_mul(ctx, f, g):
         calls.append((f, g))
@@ -399,8 +406,11 @@ def test_compose_makes_no_product_by_one(monkeypatch, f729):
     monkeypatch.setattr(P, "mul", counting_mul)
     monkeypatch.setattr(FieldCtx, "fold", counting_fold)
     monkeypatch.setattr(FieldCtx, "square", counting_square)
+    monkeypatch.setattr(FieldCtx, "mul",
+                        lambda ctx, a, b: elem_products.append(1) or real_elem_mul(ctx, a, b))
     assert P.compose(f729, T, F) == expected
     assert calls == [] and squares == [10] and sorted(products) == [10, 44]
+    assert elem_products == []
     assert P.pow_(f729, F, 1) == F and P.pow_(f729, F, 3) == P.frob_power(f729, F, 1)
     assert calls == [] and squares == [10]
 
