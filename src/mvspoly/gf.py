@@ -16,8 +16,8 @@ order Q.  `FieldCtx` computes on exp/log/Zech tables, up to 2^20 elements;
 they hold ints, and `_exp` and `_log` make and record element tuples on
 first use.  `PlainField` keeps no tables and works digit by digit; it also
 runs the modulus search, and it refuses `solve_power`, which would need a
-generator scan.  No other module knows the back end: `fold` is the one
-polynomial product that `poly` and `linearized` call.
+generator scan.  No other module knows the back end: `fold` and `square`
+are the polynomial products that `poly` and `linearized` call.
 
 All operations are pure.  Each fill of a tuple table stores the value every
 other fill would store, so contexts and elements can be shared freely across
