@@ -3,12 +3,12 @@
 
 Usage:
     python3 perfbench/gen.py --workload verify --seed 7 > inputs.json
-    python3 scripts/ab_inprocess.py OLD_CHECKOUT NEW_CHECKOUT inputs.json [--rounds 7]
+    python3 scripts/ab_inprocess.py OLD_CHECKOUT NEW_CHECKOUT inputs.json
 
 Each checkout's `src/mvspoly` is imported under its own name, so both live in
 one process.  Every op of a verify or sweep input (see perfbench/gen.py) runs
-through both, the order alternating op by op and round by round, and each op
-gets the median of its times per checkout.  The script prints, per op, those
+through both ROUNDS times, the order alternating op by op and round by round,
+and each op gets the median of its times per checkout.  The script prints, per op, those
 medians and their ratio new/old, then the median ratio per group (field and
 kind for verify, (t, d) for sweep) and over all ops, and the ratio at the
 benchmark's tail rank (the 11th slowest op).
@@ -32,6 +32,7 @@ from time import perf_counter
 
 LAYERS = ("cli", "gf", "poly", "linearized", "oracle", "wspace")
 TAIL_BEYOND = 10
+ROUNDS = 7                  # times each op runs per side
 
 
 def load(checkout: Path, alias: str):
@@ -94,7 +95,6 @@ def main():
     ap.add_argument("old", type=Path, help="checkout holding the reference src/")
     ap.add_argument("new", type=Path, help="checkout holding the changed src/")
     ap.add_argument("inputs", type=Path, help="a perfbench/gen.py output (verify or sweep)")
-    ap.add_argument("--rounds", type=int, default=7, help="times each op runs per side")
     args = ap.parse_args()
     inputs = json.loads(args.inputs.read_text())
     make_ops = {"verify": verify_ops, "sweep": sweep_ops}.get(inputs["workload"])
@@ -104,7 +104,7 @@ def main():
     new_ops, _ = make_ops(load(args.new.resolve(), "mvspoly_new"), inputs)
     n = len(old_ops)
     times = {"old": [[] for _ in range(n)], "new": [[] for _ in range(n)]}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for i in range(n):
             first_old = (r + i) % 2 == 0
             for side in (("old", "new") if first_old else ("new", "old")):

@@ -434,8 +434,11 @@ class FieldCtx:
         acc = {2 * e: 2 * l for e, l in terms}
         log2 = self._scalar_log[2 % self.p]         # None at p = 2
         if log2 is not None:
-            # fold's Zech loop, repeated rather than shared: a call per row
-            # slowed the many small folds of the sweep workload by about 2%
+            # fold's Zech loop, repeated rather than shared.  In process, one
+            # shared loop called once per fold made the sweep workload 0.8-1.7%
+            # slower per op when fed fold's rows as (e0, log c0, terms), and
+            # 3-4% (F_729 members 9%) when fed a generator of products; the
+            # tree against itself read 0.993-1.000
             get = acc.get
             for i, (e0, l0) in enumerate(terms):
                 l0 += log2

@@ -115,8 +115,8 @@ def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
     """A(f) = sum_i c_i * f^(p^m), m = base*i, as one ctx.fold of f's terms
     twisted by p^m and scaled by c_i."""
     rows = [(0, c, a.base * i) for i, c in enumerate(a.coeffs) if c != ctx.zero]
-    if f and rows and poly.degree(f) * ctx.p ** rows[-1][2] > poly.EXP_LIMIT:
-        raise InputError("exponent overflow beyond 2^62")
+    if f and rows:
+        poly.check_exponent(poly.degree(f) * ctx.p ** rows[-1][2])
     return ctx.fold(f, rows)
 
 

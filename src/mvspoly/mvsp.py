@@ -195,8 +195,7 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     dFp = poly.degree(dFpoly)
     if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
         return _mismatch(vp, dF, bound)
-    if dT * dF > poly.EXP_LIMIT:         # the refusal composing T(F) would raise
-        raise InputError("exponent overflow beyond 2^62")
+    poly.check_exponent(dT * dF)        # the refusal composing T(F) would raise
     if F.get(0, ctx.zero) not in vp.root_set:
         return _mismatch(vp, dF, bound)
     # T is monic, so T(F) has the top term lc(F)^deg T * x^(Q + deg F'),

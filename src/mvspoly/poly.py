@@ -19,6 +19,12 @@ DENSE_GUARD = 1 << 20
 _SIGN = re.compile(r"([+-])")
 
 
+def check_exponent(n: int) -> None:
+    """Refuse a product whose degree n would pass 2^62."""
+    if n > EXP_LIMIT:
+        raise InputError("exponent overflow beyond 2^62")
+
+
 def zero() -> dict:
     return {}
 
@@ -87,8 +93,7 @@ def mul(ctx, f: dict, g: dict) -> dict:
     """f*g, as one ctx.fold of g's terms by the rows of f's terms."""
     if not f or not g:
         return {}
-    if degree(f) + degree(g) > EXP_LIMIT:
-        raise InputError("exponent overflow beyond 2^62")
+    check_exponent(degree(f) + degree(g))
     return ctx.fold(g, [(e, c, 0) for e, c in f.items()])
 
 
@@ -97,8 +102,8 @@ def frob_power(ctx, f: dict, m: int) -> dict:
     if m == 0:
         return dict(f)
     pe = ctx.p ** m
-    if f and degree(f) * pe > EXP_LIMIT:
-        raise InputError("exponent overflow beyond 2^62")
+    if f:
+        check_exponent(degree(f) * pe)
     return {e * pe: ctx.frobenius_p(c, m) for e, c in f.items()}
 
 
@@ -112,8 +117,7 @@ def pow_(ctx, f: dict, e: int) -> dict:
         return {0: ctx.one}
     if not f:
         return {}
-    if degree(f) * e > EXP_LIMIT:
-        raise InputError("exponent overflow beyond 2^62")
+    check_exponent(degree(f) * e)
     out = None
     level = dict(f)
     while e:
@@ -138,8 +142,8 @@ def compose(ctx, f: dict, g: dict) -> dict:
     is d, each row twisted by its own place."""
     if not f:
         return {}
-    if g and degree(f) * degree(g) > EXP_LIMIT:
-        raise InputError("exponent overflow beyond 2^62")
+    if g:
+        check_exponent(degree(f) * degree(g))
     p = ctx.p
     small = {}                           # g^d for the digits d that occur
 

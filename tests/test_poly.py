@@ -187,6 +187,14 @@ def test_exponent_overflow_guard(f4, f9):
     with pytest.raises(InputError):
         P.pow_(f9, {(1 << 61) + 1: f9.one, 0: f9.one}, 2)
     assert P.degree(P.pow_(f9, {1 << 61: f9.one, 0: f9.one}, 2)) == 1 << 62
+    # every product refusal is check_exponent's, with its one message
+    P.check_exponent(1 << 62)
+    for refuse in (lambda: P.check_exponent((1 << 62) + 1),
+                   lambda: P.mul(f4, big, {1: f4.one}),
+                   lambda: P.frob_power(f4, {1 << 61: f4.one}, 2),
+                   lambda: P.compose(f4, {2: f4.one}, {(1 << 61) + 1: f4.one})):
+        with pytest.raises(InputError, match=r"^exponent overflow beyond 2\^62$"):
+            refuse()
 
 
 @pytest.mark.parametrize("text", ["x^abc", "x^-3", "x^4^2", "x^", "x^4+x^2.5",
