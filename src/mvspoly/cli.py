@@ -25,8 +25,6 @@ from . import wspace
 from .errors import GuardError, InputError
 from .gf import is_prime, make_field, parse_field_spec
 
-HARD_GUARD_MAX = 1 << 24
-
 
 def _elems(ctx, items):
     return [list(a) for a in sorted(items, key=ctx.elem_to_int)]
@@ -270,8 +268,7 @@ def cmd_enumerate(args) -> int:
     ctx = parse_field_spec(args.field)
     d, alpha = _parse_binomial_args(ctx, args)
     wb = wspace.build_basis(ctx, d, alpha)
-    limit = min(args.guard_max, HARD_GUARD_MAX)
-    members = list(wspace.enumerate_w(ctx, wb, limit=limit))
+    members = list(wspace.enumerate_w(ctx, wb, limit=args.guard_max))
     payload = {
         "kind": "enumerate",
         "field": ctx.spec_str(),
@@ -286,12 +283,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_oracle_census(args) -> int:
     ctx = parse_field_spec(args.field)
-    guard = min(args.guard_max, HARD_GUARD_MAX)
     if args.values is not None:
         S = [ctx.parse_elem(s) for s in args.values.split(";")]
-        rep = oracle.census_fixed_valueset(ctx, S, max_deg=args.max_deg, guard=guard)
+        rep = oracle.census_fixed_valueset(ctx, S, max_deg=args.max_deg, guard=args.guard_max)
     else:
-        rep = oracle.census_subfield_valued(ctx, guard=guard)
+        rep = oracle.census_subfield_valued(ctx, guard=args.guard_max)
     payload = {
         "kind": "census",
         "field": rep.field_spec,
@@ -316,7 +312,7 @@ def cmd_oracle_census(args) -> int:
 def cmd_oracle_dim(args) -> int:
     ctx = parse_field_spec(args.field)
     a = _parse_additive(ctx, args.A)
-    dim = oracle.linear_dim_w(ctx, a, guard=min(args.guard_max, HARD_GUARD_MAX))
+    dim = oracle.linear_dim_w(ctx, a, guard=args.guard_max)
     payload = {
         "kind": "dim",
         "field": ctx.spec_str(),
@@ -330,7 +326,7 @@ def cmd_oracle_dim(args) -> int:
 def cmd_oracle_theorems(args) -> int:
     ctx = parse_field_spec(args.field)
     reports = oracle.verify_low_degree_forms(ctx, branch=args.branch,
-                                             guard=min(args.guard_max, HARD_GUARD_MAX))
+                                             guard=args.guard_max)
     payload = {
         "kind": "forms",
         "field": ctx.spec_str(),
@@ -490,8 +486,8 @@ def _add_common(sp):
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; execution is serial")
     sp.add_argument("--guard-max", dest="guard_max", type=int,
-                    default=HARD_GUARD_MAX,
-                    help=f"override scan guards, capped at {HARD_GUARD_MAX}")
+                    default=wspace.ENUM_HARD_GUARD,
+                    help=f"override scan guards, capped at {wspace.ENUM_HARD_GUARD}")
 
 
 _REQUIRED = dict(required=True)
@@ -562,8 +558,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "guard_max", 0) > HARD_GUARD_MAX:
-        args.guard_max = HARD_GUARD_MAX
+    if getattr(args, "guard_max", 0) > wspace.ENUM_HARD_GUARD:
+        args.guard_max = wspace.ENUM_HARD_GUARD
     try:
         if getattr(args, "jobs", 1) < 1:
             raise InputError("--jobs must be >= 1")

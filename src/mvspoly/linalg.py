@@ -1,12 +1,12 @@
 """Exact linear algebra over F_p, in plain Python.
 
-Pivot selection is always "first nonzero", so every routine is
-deterministic.  `FpSpan` is the one elimination engine; it keeps echelon
-rows only, never rewriting one, and nullspaces follow by back-substitution.
-At p = 2 a row is one Python int (entry i at bit i), at odd p a list of
-ints in [0, p).  `rank_gf2` ranks packed rows.  `FqSpan` tracks an F_q-span
-of vectors as the F_p-span of their multiples by an F_p-basis of F_q, on
-rows made by `fp_row`; at p = 2 those are packed from element ints.
+`FpSpan` is the one elimination engine: it keeps echelon rows only, never
+rewriting one.  At p = 2 a row is one Python int (entry i at bit i), keyed
+by its leading bit; at odd p it is a list of ints in [0, p), keyed by its
+first nonzero entry.  So every routine is deterministic.  `fp_kernel` reads
+a kernel off the same span.  `FqSpan` tracks an F_q-span of vectors as the
+F_p-span of their multiples by an F_p-basis of F_q, on rows made by
+`fp_row`; at p = 2 those are packed from element ints.
 """
 
 from __future__ import annotations
@@ -15,76 +15,31 @@ import itertools
 import operator
 
 
-def rank_gf2(vectors) -> int:
-    """Rank over F_2 of vectors packed as Python ints (bit i = entry i).
-
-    An XOR basis keyed by leading bit: each vector is reduced by the basis
-    vector sharing its current top bit until it vanishes or has a new top
-    bit, which then joins the basis."""
-    basis = {}
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            b = basis.get(top)
-            if b is None:
-                basis[top] = v
-                break
-            v ^= b
-    return len(basis)
-
-
-def nullspace_mod(matrix, p: int):
-    """Basis of {v : M v = 0 (mod p)} for an (m x n) matrix M given as rows:
-    each free variable, in increasing column order, set to 1 with the others
-    0, and the pivot variables solved by back-substitution.  At p = 2 the
-    rows are packed and a pivot variable is the parity of its row's known
-    entries."""
-    ncols = len(matrix[0])
-    span = FpSpan(p, ncols)
-    for row in matrix:
-        span.add(row if p > 2 else sum(1 << i for i, d in enumerate(row) if d & 1))
-    pivot_set = set(span.pivots)
-    solve = list(zip(span.rows, span.pivots))[::-1]
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        if p == 2:
-            v = 1 << f
-            for row, c in solve:
-                v |= ((row & v).bit_count() & 1) << c
-            v = [v >> i & 1 for i in range(ncols)]
-        else:
-            v = [0] * ncols
-            v[f] = 1
-            for row, c in solve:
-                v[c] = -sum(map(operator.mul, row, v)) % p
-        basis.append(v)
-    return basis
-
-
 class FpSpan:
-    """Row space mod p as echelon rows with pivot entry 1, each zero at every
-    earlier row's pivot, so one pass in insertion order reduces a vector.
-    Vectors and rows are packed ints at p = 2 (entry i at bit i), int lists
-    at odd p."""
+    """Row space mod p as echelon rows keyed by pivot column.  At p = 2 the
+    pivot is a row's leading bit, and a vector is reduced by the row at its
+    current leading bit until it vanishes or leads with a new bit.  At odd p
+    the pivot is the first nonzero entry, scaled to 1, and each row is zero
+    at every earlier row's pivot, so one pass in insertion order reduces a
+    vector."""
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.rows = []          # echelon rows, each with a recorded pivot column
-        self.pivots = []
+        self.rows = {}          # pivot column -> echelon row
 
     def reduce(self, vec):
         p = self.p
         if p == 2:
             v = vec
-            for row, c in zip(self.rows, self.pivots):
-                if v >> c & 1:
-                    v ^= row
+            while v:
+                row = self.rows.get(v.bit_length() - 1)
+                if row is None:
+                    break
+                v ^= row
             return v
         v = [d % p for d in vec]
-        for row, c in zip(self.rows, self.pivots):
+        for c, row in self.rows.items():
             a = v[c]
             if a:
                 v = [(d - a * r) % p for d, r in zip(v, row)]
@@ -96,25 +51,55 @@ class FpSpan:
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
-        v = self.reduce(vec)
         p = self.p
         if p == 2:
-            if not v:
-                return False
-            c = (v & -v).bit_length() - 1           # the first nonzero entry
-        else:
-            c = next((i for i, d in enumerate(v) if d), None)
-            if c is None:
-                return False
-            s = pow(v[c], -1, p)
-            v = [d * s % p for d in v]
-        self.rows.append(v)
-        self.pivots.append(c)
+            rows = self.rows
+            v = vec
+            while v:
+                top = v.bit_length() - 1
+                row = rows.get(top)
+                if row is None:
+                    rows[top] = v
+                    return True
+                v ^= row
+            return False
+        v = self.reduce(vec)
+        c = next((i for i, d in enumerate(v) if d), None)
+        if c is None:
+            return False
+        s = pow(v[c], -1, p)
+        self.rows[c] = [d * s % p for d in v]
         return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def fp_kernel(p: int, width: int, images: list) -> list:
+    """F_p-basis of the kernel of the map sending unit vector c to images[c],
+    FpSpan rows of `width` entries, as FpSpan rows of len(images) entries.
+
+    Each image goes into one span beside its unit vector (below the image's
+    bits at p = 2, after its entries at odd p, so pivots fall in the image
+    part), and the unit part of every image that reduces to zero is kept.
+    That vector has entry c = 1 and is zero at every other dependent input,
+    in increasing c: the basis that back-substitution gives."""
+    n = len(images)
+    span = FpSpan(p, width + n)
+    basis = []
+    for c, image in enumerate(images):
+        if p == 2:
+            v = span.reduce(image << n | 1 << c)
+            unit = None if v >> n else v
+        else:
+            v = span.reduce([*image, *(int(i == c) for i in range(n))])
+            unit = None if any(v[:width]) else v[width:]
+        if unit is None:
+            span.add(v)
+        else:
+            basis.append(unit)
+    return basis
 
 
 def fp_row(ctx, vec):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import poly
 from .errors import GuardError, InputError
 from .gf import TABLE_LIMIT
-from .linalg import FqSpan, nullspace_mod
+from .linalg import FqSpan, fp_kernel, fp_row
 
 
 @dataclass(frozen=True)
@@ -183,11 +183,12 @@ def kernel(ctx, a: AdditivePoly):
 
 def fp_nullspace(ctx, a: AdditivePoly) -> list:
     """F_p-basis of the zeros of A in the ambient field: the nullspace of A
-    as an F_p-linear map, which is the same at every level A is read at."""
-    cols = [apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)) for c in range(ctx.N)]
-    # matrix rows are images' digit rows: M[r][c] = digit r of A(y^c)
-    matrix = [[cols[c][r] for c in range(ctx.N)] for r in range(ctx.N)]
-    return [tuple(v) for v in nullspace_mod(matrix, ctx.p)]
+    as an F_p-linear map, which is the same at every level A is read at:
+    the kernel of y^c -> A(y^c), whose vectors are the zeros' digits."""
+    images = [fp_row(ctx, (apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)),))
+              for c in range(ctx.N)]
+    null = fp_kernel(ctx.p, ctx.N, images)
+    return [ctx.elem_from_int(v) if ctx.p == 2 else tuple(v) for v in null]
 
 
 def root_span(ctx, null) -> tuple:
@@ -204,16 +205,6 @@ def root_span(ctx, null) -> tuple:
 
 
 STAR_REFUSAL = "lift pipeline needs a monic split separable A of degree > 2"
-
-
-@dataclass(frozen=True)
-class SplitAdditive:
-    """A q-additive polynomial that satisfies the standing hypothesis, with
-    an F_p-basis of its root space, whose F_q-dimension is t.  Only
-    mvsp.validate_value_poly builds it, from the nullspace it decides on."""
-    a: AdditivePoly    # at the context level
-    basis: tuple
-    t: int
 
 
 def subspace_poly(ctx, vectors) -> AdditivePoly:
@@ -248,17 +239,18 @@ def _binomial_admissible(ctx, d: int, alpha) -> bool:
     return ctx.q ** d == 2 and alpha == ctx.one
 
 
-def minimal_binomial_multiple(ctx, sa: SplitAdditive):
+def minimal_binomial_multiple(ctx, null):
     """Least d | n with an alpha making A divide x^(q^d) - alpha*x while the
-    binomial still splits; alpha = rho^(q^d - 1) for any nonzero root rho,
-    checked consistent across a basis of the root space (the condition
-    b^(q^d) = alpha*b is F_p-linear in b)."""
-    rho = sa.basis[0]
+    binomial still splits, for null an F_p-basis of the roots of a split
+    additive A; alpha = rho^(q^d - 1) for any nonzero root rho, checked
+    consistent across the basis (the condition b^(q^d) = alpha*b is
+    F_p-linear in b)."""
+    rho = null[0]
     for d in sorted(d for d in range(1, ctx.n + 1) if ctx.n % d == 0):
         alpha = ctx.pow_elem(rho, ctx.q ** d - 1)
         if not _binomial_admissible(ctx, d, alpha):
             continue
-        if all(ctx.frobenius(b, d) == ctx.mul(alpha, b) for b in sa.basis):
+        if all(ctx.frobenius(b, d) == ctx.mul(alpha, b) for b in null):
             return d, alpha
     raise AssertionError("d = n always admits alpha = 1")
 
@@ -273,13 +265,14 @@ class LiftWitness:
     t: int
 
 
-def factor_through_binomial(ctx, sa: SplitAdditive, d: int, alpha) -> LiftWitness:
-    """Solve x^(q^d) - alpha*x = gamma * A(M(x)) constructively.
+def factor_through_binomial(ctx, aq: AdditivePoly, d: int, alpha) -> LiftWitness:
+    """Solve x^(q^d) - alpha*x = gamma * A(M(x)) constructively, for aq a
+    split additive A at the context level (mvsp.split_additive).
 
     The problem is first scaled monic with a beta satisfying
     beta^(q^d - 1) = alpha, solved by twisted left division, then unscaled;
     the witness identity is verified by full expansion before returning."""
-    aq, t = sa.a, sa.t
+    t = aq.tau_deg()
     beta = ctx.solve_power(alpha, ctx.q ** d - 1)
     if beta is None:
         raise InputError("alpha is not a (q^d - 1)-th power; the binomial does not split")
@@ -345,6 +338,8 @@ def tau_to_text(ctx, a: AdditivePoly) -> str:
 
 
 def tau_from_text(ctx, s: str) -> AdditivePoly:
+    if "x" in s:
+        raise InputError(f"{s!r}: twisted form is written in T, not x")
     f = poly.from_text(ctx, s.replace("T", "x"))
     coeffs = [ctx.zero] * (max(f) + 1 if f else 0)
     for e, c in f.items():

@@ -66,15 +66,16 @@ class FormWitness:
 @dataclass(frozen=True)
 class ValuePoly:
     """A value polynomial T that satisfies the standing hypothesis, with its
-    roots and theta candidates -T'(root) in canonical order, T as an
-    AdditivePoly when it is one (None otherwise), and its SplitAdditive
-    record when it is additive at the context level q (None otherwise).
-    root_set is the roots as a frozenset, the value set of every member."""
+    roots and theta candidates -T'(root) in canonical order.  root_set is
+    the roots as a frozenset, the value set of every member.  When T is
+    additive, `additive` is T as an AdditivePoly, at the context level q
+    when T is additive there (then its tau-degree t has q^t = deg T), and
+    `null` an F_p-basis of its roots; otherwise None and ()."""
     roots: tuple
     root_set: frozenset
     thetas: tuple
     additive: lin.AdditivePoly | None
-    split: lin.SplitAdditive | None = None
+    null: tuple = ()
 
 
 def validate_value_poly(ctx, T: dict) -> ValuePoly:
@@ -112,13 +113,11 @@ def _check_value_poly(ctx, T):
         null = lin.fp_nullspace(ctx, additive)
         if ctx.p ** len(null) != d:
             raise InputError(not_split)
-        split = None
         if additive.base % ctx.k == 0:
-            split = lin.SplitAdditive(lin.as_context_base(ctx, additive), tuple(null),
-                                      len(null) // ctx.k)
+            additive = lin.as_context_base(ctx, additive)
         roots = lin.root_span(ctx, null)
         return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=(ctx.neg(T[1]),),
-                         additive=additive, split=split)
+                         additive=additive, null=tuple(null))
     if poly.degree(poly.field_gcd(ctx, T)) != d:
         raise InputError(not_split)
     roots = poly.roots(ctx, T)
@@ -134,18 +133,18 @@ def _check_value_poly(ctx, T):
 
 
 def split_additive(ctx, a: lin.AdditivePoly, refusal: str, admit_quadratic=False):
-    """The SplitAdditive record of a q-additive A from its checked value
-    polynomial.  InputError(refusal) when A fails the standing hypothesis,
-    or has degree 2 and admit_quadratic is False; as_context_base refuses an A
-    that is not additive at the context level q."""
+    """The checked value polynomial of a q-additive A, whose `additive` is A
+    at the context level q.  InputError(refusal) when A fails the standing
+    hypothesis, or has degree 2 and admit_quadratic is False; as_context_base
+    refuses an A that is not additive at the context level q."""
     T = lin.to_sparse(ctx, lin.as_context_base(ctx, a))
     try:
-        sa = validate_value_poly(ctx, T).split
+        vp = validate_value_poly(ctx, T)
     except InputError:
         raise InputError(refusal) from None
-    if ctx.q ** sa.t <= 2 and not admit_quadratic:
+    if len(vp.roots) <= 2 and not admit_quadratic:
         raise InputError(refusal)
-    return sa
+    return vp
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,7 @@ def power_lift(ctx, F: dict, v: int, T: dict) -> dict:
         raise InputError("T(x^v)/x^(v-1) is not additive")
     if not _divides_a_level(ctx, v, a.base):
         raise InputError("v does not divide p^b - 1 at any additivity level of A")
-    sa = split_additive(ctx, a, "the additive reduction of T fails the standing hypothesis")
+    vp = split_additive(ctx, a, "the additive reduction of T fails the standing hypothesis")
     rep = mills_check(ctx, F, lin.to_sparse(ctx, a))
     if not rep.is_member:
         raise InputError("F is not a member of the additive space")
@@ -279,7 +278,7 @@ def power_lift(ctx, F: dict, v: int, T: dict) -> dict:
     if not check.is_member:
         raise AssertionError("power lift image failed verification")
     if poly.degree(F) >= 1:
-        expected = ctx.neg(ctx.div(sa.a.coeffs[0], ctx.int_elem(v)))
+        expected = ctx.neg(ctx.div(vp.additive.coeffs[0], ctx.int_elem(v)))
         if check.theta != expected:
             raise AssertionError("power lift produced an unexpected theta")
     return image

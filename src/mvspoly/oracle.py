@@ -21,7 +21,7 @@ from . import poly
 from . import wspace
 from .errors import GuardError, InputError
 from .gf import power_exceeds
-from .linalg import FpSpan, rank_gf2
+from .linalg import FpSpan
 
 FUNCTION_SCAN_GUARD = 1 << 20
 POLY_SCAN_GUARD = 1 << 22
@@ -142,9 +142,9 @@ def linear_dim_w(ctx, a: lin.AdditivePoly, guard=DIM_GUARD) -> int:
     nonconstant kernel element must satisfy the identity (A(F) cannot vanish
     identically for nonconstant F), and every member has degree <= D, so
     the kernel is exactly the member space."""
-    sa = mvsp.split_additive(ctx, a, "dimension oracle needs a monic split separable A "
-                             "of degree > 2", admit_quadratic=True)
-    aq, t = sa.a, sa.t
+    aq = mvsp.split_additive(ctx, a, "dimension oracle needs a monic split separable A "
+                             "of degree > 2", admit_quadratic=True).additive
+    t = aq.tau_deg()
     theta = ctx.neg(aq.coeffs[0])
     D = (ctx.Q - 1) // (ctx.q ** t - 1)
     if D * ctx.N > guard:
@@ -161,9 +161,9 @@ def _operator_rank(ctx, aq, theta, D) -> int:
     + sum_{i >= 1} c_i*u^(p^(base*i))*x^(e*p^(base*i)) - s*theta*u*x^(Q+e-1):
     fixed coefficients per unit u and s, placed at offsets found once per e.
     The digits at the k-th distinct exponent are entries k*N .. k*N + N - 1,
-    and coefficients at a repeated exponent add.  At p = 2 a column XORs
-    element ints shifted to their offsets and rank_gf2 ranks it; at odd p it
-    is an int list of digits, ranked by an FpSpan."""
+    and coefficients at a repeated exponent add.  Each column goes into one
+    FpSpan: at p = 2 it XORs element ints shifted to their offsets, at odd p
+    it is an int list of digits."""
     p, N = ctx.p, ctx.N
     # c_0 = -theta != 0 (A is separable) leads the terms; x^e's theta part adds to it
     terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
@@ -186,16 +186,16 @@ def _operator_rank(ctx, aq, theta, D) -> int:
             su = ctx.smul(s, theta_u)
             by_s.append([vec(c) for c in (ctx.add(a_u[0], su), *a_u[1:], ctx.neg(su))])
         per_unit.append(by_s)
-    if p == 2:
-        return rank_gf2(functools.reduce(operator.xor, map(operator.lshift, unit[s], offsets))
-                        for s, offsets in layout for unit in per_unit)
     width = len(pos) * N
     span = FpSpan(p, width)
     for s, offsets in layout:
         for unit in per_unit:
-            v = [0] * width
-            for c, o in zip(unit[s], offsets):
-                v[o:o + N] = map(operator.add, v[o:o + N], c)
+            if p == 2:
+                v = functools.reduce(operator.xor, map(operator.lshift, unit[s], offsets))
+            else:
+                v = [0] * width
+                for c, o in zip(unit[s], offsets):
+                    v[o:o + N] = map(operator.add, v[o:o + N], c)
             span.add(v)
     return span.rank
 

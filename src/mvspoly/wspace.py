@@ -22,7 +22,7 @@ from .errors import GuardError, InputError
 from .gf import power_exceeds
 from .linalg import FqSpan
 
-ENUM_HARD_GUARD = 1 << 24
+ENUM_HARD_GUARD = 1 << 24      # the cap on every guard, --guard-max included
 ORBIT_GUARD = 24
 
 
@@ -265,9 +265,9 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     space of M, which consists of constants), and every generator is
     re-verified against A by the Mills criterion.  A must satisfy the
     standing hypothesis without the quadratic carve-out."""
-    sa = mvsp.split_additive(ctx, a, lin.STAR_REFUSAL)
-    d, alpha = lin.minimal_binomial_multiple(ctx, sa)
-    witness = lin.factor_through_binomial(ctx, sa, d, alpha)
+    vp = mvsp.split_additive(ctx, a, lin.STAR_REFUSAL)
+    d, alpha = lin.minimal_binomial_multiple(ctx, vp.null)
+    witness = lin.factor_through_binomial(ctx, vp.additive, d, alpha)
     wb = build_basis(ctx, d, alpha)
     raw = [poly.reduce_mod_field(ctx, lin.apply_poly(ctx, witness.M, b.elem))
            for b in wb.elems]
@@ -277,7 +277,7 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     bound = d * 2 ** (ctx.n // d) - d + witness.t
     if len(kept) != bound:
         raise AssertionError(f"lift rank {len(kept)} != expected {bound}")
-    asp = lin.to_sparse(ctx, sa.a)
+    asp = lin.to_sparse(ctx, vp.additive)
     for g in kept:
         if not mvsp.mills_check(ctx, g, asp).is_member:
             raise AssertionError("lift generator failed verification")

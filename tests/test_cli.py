@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -205,6 +206,18 @@ def test_lift_command_tau_input():
     assert d["dim_lower"] == 11 and d["M"] == "T + 1,0,0,0,0,0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lift", "--field", "2^6:1", "--A", "T^2+x+1"],
+    ["oracle", "dim", "--field", "2^6:1", "--A", "x+T^2+1"],
+], ids=["lift", "oracle-dim"])
+def test_twisted_form_with_an_x_is_an_input_error(argv):
+    """Text with a T is read as twisted form, where an x is refused rather
+    than read as T."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {argv[-1]!r}: twisted form is written in T, not x\n"
+
+
 def test_lift_command_sparse_input():
     code, d = run_json(["lift", "--field", "2^6:1", "--A", "x^4+x^2+x"])
     assert code == 0 and d["d"] == 3 and d["t"] == 2
@@ -324,6 +337,25 @@ def test_outputs_byte_identical():
     _, out1, _ = run(argv)
     _, out2, _ = run(argv + ["--jobs", "4"])
     assert out1 == out2
+
+
+# sha256 of the stdout of each script run; a change to these bytes is a
+# change to the outputs, argued for where it is made
+SCRIPT_DIGESTS = {
+    ("run_examples.py",):
+        "da4c1ab2a4f6aac3762bcb7b68ae7a78156ed9276e1c19c060624527d82d1050",
+    ("dimension_sweep.py", "--fields", "2^4:1,3^3:1,2^4:2,5^2:1,7^2:1,2^5:1"):
+        "97a845d15aee59299bcc376e7ab43ffabc05c115940052e26b27be3875f231c0",
+}
+
+
+@pytest.mark.parametrize("argv", list(SCRIPT_DIGESTS), ids=lambda argv: argv[0])
+def test_script_output_bytes_are_unchanged(argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == SCRIPT_DIGESTS[argv]
 
 
 def test_unknown_flag_rejected():

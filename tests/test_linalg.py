@@ -10,11 +10,29 @@ from hypothesis import strategies as st
 
 from linalg_reference import nullspace, rank_mod
 from mvspoly.gf import make_field
-from mvspoly.linalg import FpSpan, FqSpan, nullspace_mod, rank_gf2
+from mvspoly.linalg import FpSpan, FqSpan, fp_kernel
 
 
 def pack(rows):
     return [sum(bit << i for i, bit in enumerate(row)) for row in rows]
+
+
+def rank_gf2(vectors):
+    """The rank of an FpSpan at p = 2 fed the packed vectors."""
+    span = FpSpan(2, 0)
+    for v in vectors:
+        span.add(v)
+    return span.rank
+
+
+def with_zero_and_repeated_columns(rows, rng):
+    """rows with an all-zero column and a copy of one of its columns inserted
+    at random places, so that a kernel of the columns meets zero and
+    repeated images."""
+    cols = [list(c) for c in zip(*rows)]
+    cols.insert(rng.randrange(len(cols) + 1), [0] * len(rows))
+    cols.insert(rng.randrange(len(cols) + 1), list(rng.choice(cols)))
+    return [list(r) for r in zip(*cols)]
 
 
 @pytest.mark.parametrize("rows", [
@@ -47,8 +65,15 @@ def test_rank_gf2_matches_rref_mod(nrows, ncols, salt):
 
 
 def check_against_the_reference(rows, p, other):
-    """nullspace_mod and an FpSpan fed the rows agree with the numpy reference."""
-    assert nullspace_mod(rows, p) == nullspace(rows, p)
+    """fp_kernel, fed the columns of the rows and then the rows themselves as
+    images, and an FpSpan fed the rows agree with the numpy reference, each
+    kernel basis and its order exactly."""
+    cols = [list(c) for c in zip(*rows)]
+    for matrix, images in ((rows, cols), (cols, rows)):
+        null = fp_kernel(p, len(matrix), pack(images) if p == 2 else images)
+        if p == 2:
+            null = [[v >> i & 1 for i in range(len(images))] for v in null]
+        assert null == nullspace(matrix, p)
     span = FpSpan(p, len(other))
     # at p = 2 an FpSpan row is one packed int
     packed = pack if p == 2 else list
@@ -65,7 +90,9 @@ def test_packed_gf2_paths_match_numpy(nrows, ncols, salt):
     rng = random.Random(salt)
     density = rng.random()
     rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
-    check_against_the_reference(rows, 2, [int(rng.random() < 0.5) for _ in range(ncols)])
+    if rng.random() < 0.5:
+        rows = with_zero_and_repeated_columns(rows, rng)
+    check_against_the_reference(rows, 2, [int(rng.random() < 0.5) for _ in rows[0]])
 
 
 @seed(20261021)
@@ -78,7 +105,9 @@ def test_packed_gf2_rows_wider_than_a_machine_word(nrows, ncols, salt):
     rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
     if rng.random() < 0.3:
         rows.append([a ^ b for a, b in zip(rows[0], rows[-1])])    # a dependent row
-    check_against_the_reference(rows, 2, [int(rng.random() < 0.5) for _ in range(ncols)])
+    if rng.random() < 0.5:
+        rows = with_zero_and_repeated_columns(rows, rng)
+    check_against_the_reference(rows, 2, [int(rng.random() < 0.5) for _ in rows[0]])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -93,7 +122,9 @@ def test_odd_p_paths_match_the_reference(p, nrows, ncols, salt):
             for _ in range(nrows)]
     if rng.random() < 0.3:
         rows.append([rng.randrange(p) * d for d in rows[rng.randrange(nrows)]])
-    other = rows[0] if rng.random() < 0.3 else [rng.randrange(p) for _ in range(ncols)]
+    if rng.random() < 0.5:
+        rows = with_zero_and_repeated_columns(rows, rng)
+    other = rows[0] if rng.random() < 0.3 else [rng.randrange(p) for _ in rows[0]]
     check_against_the_reference(rows, p, other)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from linalg_reference import nullspace
 from mvspoly import linearized as L
 from mvspoly import mvsp as M
 from mvspoly import oracle as O
@@ -16,9 +17,9 @@ from mvspoly.linalg import FqSpan
 
 
 def split_of(ctx, a):
-    """A's SplitAdditive record, or None when A fails the standing hypothesis."""
+    """A's checked value polynomial, or None when A fails the standing hypothesis."""
     try:
-        return M.validate_value_poly(ctx, L.to_sparse(ctx, a)).split
+        return M.validate_value_poly(ctx, L.to_sparse(ctx, a))
     except InputError:
         return None
 
@@ -283,10 +284,10 @@ def test_additivity_as_function(f64):
 
 def test_split_additive_keeps_its_kernel(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    sa = M.split_additive(f64, a, "refused")
-    assert sa.a == L.as_context_base(f64, a) and sa.t == 2
-    assert (list(sa.basis), sa.t) == L.kernel(f64, a)
-    assert split_of(f64, a) is sa
+    vp = M.split_additive(f64, a, "refused")
+    assert vp.additive == L.as_context_base(f64, a) and vp.additive.tau_deg() == 2
+    assert (list(vp.null), 2) == L.kernel(f64, a)
+    assert split_of(f64, a) is vp
 
 
 @pytest.mark.parametrize("field, text, admitted", [
@@ -298,7 +299,7 @@ def test_split_additive_keeps_its_kernel(f64):
         ("2^2:1", "x^4+x^2+x", False),      # roots lie in F_8, not F_4
     ]])
 def test_split_additive_refusals_match_the_lift(field, text, admitted):
-    """The lift refuses every A that has no SplitAdditive record, and also
+    """The lift refuses every A that fails the standing hypothesis, and also
     the quadratic that the value polynomial check admits at q = 2."""
     ctx = parse_field_spec(field)
     a = L.detect_additive(ctx, P.from_text(ctx, text))
@@ -309,7 +310,8 @@ def test_split_additive_refusals_match_the_lift(field, text, admitted):
         M.split_additive(ctx, a, "refused")
     assert (split_of(ctx, a) is not None) == admitted
     if admitted:
-        assert M.split_additive(ctx, a, "refused", admit_quadratic=True).t == 1
+        vp = M.split_additive(ctx, a, "refused", admit_quadratic=True)
+        assert vp.additive.tau_deg() == 1
     else:
         with pytest.raises(InputError, match="^refused$"):
             M.split_additive(ctx, a, "refused", admit_quadratic=True)
@@ -359,13 +361,13 @@ def test_subspace_poly_rejects_dependent(f64):
 
 def test_minimal_binomial_example(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    assert L.minimal_binomial_multiple(f64, split_of(f64, a)) == (3, f64.one)
+    assert L.minimal_binomial_multiple(f64, split_of(f64, a).null) == (3, f64.one)
 
 
 def test_minimal_binomial_of_binomial(f64):
     for d in (2, 3, 6):
         a = L.binomial(f64, d, f64.one)
-        assert L.minimal_binomial_multiple(f64, split_of(f64, a)) == (d, f64.one)
+        assert L.minimal_binomial_multiple(f64, split_of(f64, a).null) == (d, f64.one)
 
 
 def test_minimal_binomial_non_stable_subspace():
@@ -384,23 +386,23 @@ def test_minimal_binomial_non_stable_subspace():
                 break
         if found:
             break
-    sa = split_of(ctx, L.subspace_poly(ctx, found))
-    d, alpha = L.minimal_binomial_multiple(ctx, sa)
+    vp = split_of(ctx, L.subspace_poly(ctx, found))
+    d, alpha = L.minimal_binomial_multiple(ctx, vp.null)
     assert d == 4
-    w = L.factor_through_binomial(ctx, sa, d, alpha)
+    w = L.factor_through_binomial(ctx, vp.additive, d, alpha)
     assert w.t == 2 and w.M.tau_deg() == 2
 
 
 def test_factor_example(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    w = L.factor_through_binomial(f64, split_of(f64, a), 3, f64.one)
+    w = L.factor_through_binomial(f64, split_of(f64, a).additive, 3, f64.one)
     assert L.to_sparse(f64, w.M) == P.from_text(f64, "x^2+x")
     assert w.gamma == f64.one and w.t == 2
 
 
 def test_factor_binomial_itself(f64):
     a = L.binomial(f64, 3, f64.one)
-    w = L.factor_through_binomial(f64, split_of(f64, a), 3, f64.one)
+    w = L.factor_through_binomial(f64, split_of(f64, a).additive, 3, f64.one)
     assert w.M.coeffs == (f64.one,) and w.gamma == f64.one
 
 
@@ -424,9 +426,8 @@ def test_factor_roundtrip_random_chain(f64):
 
 def test_factor_nondivisor_raises(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
-    sa = split_of(f64, a)
     with pytest.raises(InputError):
-        L.factor_through_binomial(f64, sa, 2, f64.one)
+        L.factor_through_binomial(f64, split_of(f64, a).additive, 2, f64.one)
 
 
 def test_witness_alpha_twist(f64):
@@ -435,9 +436,9 @@ def test_witness_alpha_twist(f64):
     alpha = f64.pow_elem(beta, 2 ** 3 - 1)
     if alpha != f64.one:
         a = L.binomial(f64, 3, alpha)
-        sa = split_of(f64, a)
-        assert sa is not None
-        w = L.factor_through_binomial(f64, sa, 3, alpha)
+        vp = split_of(f64, a)
+        assert vp is not None
+        w = L.factor_through_binomial(f64, vp.additive, 3, alpha)
         assert w.t == 3 and w.M.tau_deg() == 0
 
 
@@ -449,23 +450,41 @@ def test_tau_text_roundtrip(f64):
 
 # -- roots from the nullspace ------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", ["2^4:1", "2^6:1", "2^4:2", "3^3:1", "3^4:1"])
-def test_roots_match_field_scan(spec):
-    """Every split separable p-additive T (one per F_p-subspace, built over
-    the prime base): the nullspace span is the scanned root set, also where
-    T is not additive at the context base, and it is what the checked value
-    polynomial keeps."""
-    ctx = parse_field_spec(spec)
+def split_p_additive(ctx):
+    """(t, A) for every split separable p-additive A of the field ctx, one
+    per nonzero F_p-subspace of dimension t, built over the prime base."""
     prime = make_field(ctx.p, 1, ctx.N)         # same modulus, same elements
-    count = 0
     for t in range(1, ctx.N + 1):
         for basis in O.subspaces(prime, t):
-            a = L.subspace_poly(prime, basis)
-            T = L.to_sparse(ctx, a)
-            roots = L.root_span(ctx, L.fp_nullspace(ctx, a))
-            assert roots == P.roots(ctx, T)
-            assert len(roots) == ctx.p ** t
-            if ctx.p ** t > 2:
-                assert M.validate_value_poly(ctx, T).roots == roots
-            count += 1
+            yield t, L.subspace_poly(prime, basis)
+
+
+@pytest.mark.parametrize("spec", ["2^4:1", "2^6:1", "2^4:2", "3^3:1", "3^4:1"])
+def test_roots_match_field_scan(spec):
+    """Every split separable p-additive T: the nullspace span is the scanned
+    root set, also where T is not additive at the context base, and it is
+    what the checked value polynomial keeps."""
+    ctx = parse_field_spec(spec)
+    count = 0
+    for t, a in split_p_additive(ctx):
+        T = L.to_sparse(ctx, a)
+        roots = L.root_span(ctx, L.fp_nullspace(ctx, a))
+        assert roots == P.roots(ctx, T)
+        assert len(roots) == ctx.p ** t
+        if ctx.p ** t > 2:
+            assert M.validate_value_poly(ctx, T).roots == roots
+        count += 1
     assert count == {"2^4": 66, "2^6": 2824, "3^3": 27, "3^4": 211}[spec.split(":")[0]]
+
+
+@pytest.mark.parametrize("spec", ["2^4:1", "2^6:1", "3^3:1", "2^4:2"])
+def test_fp_nullspace_matches_the_reference_back_substitution(spec):
+    """For every split separable p-additive A, fp_nullspace is the numpy
+    reference nullspace of the digit matrix M[r][c] = digit r of A(y^c),
+    basis and order exactly: entry c = 1 at each dependent input c, in
+    increasing c, zero at the other dependent inputs."""
+    ctx = parse_field_spec(spec)
+    for _, a in split_p_additive(ctx):
+        cols = [L.apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)) for c in range(ctx.N)]
+        matrix = [[col[r] for col in cols] for r in range(ctx.N)]
+        assert L.fp_nullspace(ctx, a) == [tuple(v) for v in nullspace(matrix, ctx.p)]

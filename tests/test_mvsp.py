@@ -318,8 +318,9 @@ def additive_value_polys(ctx, rng, every=4096):
                                     (3, 1, 3), (3, 1, 4)])
 def test_additive_split_decision_matches_field_gcd(params):
     """validate_value_poly decides an additive T from one nullspace; the
-    decision, the roots and the thetas are those of the field_gcd path.  A T
-    additive at the context level keeps an F_p-basis of its roots."""
+    decision, the roots and the thetas are those of the field_gcd path.  An
+    accepted T keeps an F_p-basis of its roots, and T as an AdditivePoly at
+    the context level when it is additive there."""
     ctx = FieldCtx(*params)
     rng = random.Random(1100 + sum(params))
     seen = {"accepted": 0, "not split": 0, "c0 = 0": 0, "level p only": 0}
@@ -335,15 +336,16 @@ def test_additive_split_decision_matches_field_gcd(params):
             continue
         assert (vp.roots, vp.thetas) == expected, T
         seen["accepted"] += 1
-        if vp.split is None:
-            assert L.detect_additive(ctx, T).base % ctx.k != 0
+        span = {ctx.zero}
+        for b in vp.null:
+            span = {ctx.add(s, ctx.smul(c, b)) for s in span for c in range(ctx.p)}
+        assert span == set(vp.roots) and ctx.p ** len(vp.null) == P.degree(T)
+        assert L.to_sparse(ctx, vp.additive) == T
+        if L.detect_additive(ctx, T).base % ctx.k != 0:
+            assert vp.additive == L.detect_additive(ctx, T)
             seen["level p only"] += 1
             continue
-        assert L.to_sparse(ctx, vp.split.a) == T and ctx.q ** vp.split.t == P.degree(T)
-        span = {ctx.zero}
-        for b in vp.split.basis:
-            span = {ctx.add(s, ctx.smul(c, b)) for s in span for c in range(ctx.p)}
-        assert span == set(vp.roots) and len(vp.split.basis) == ctx.k * vp.split.t
+        assert vp.additive.base == ctx.k and ctx.q ** vp.additive.tau_deg() == P.degree(T)
     assert seen["accepted"] and seen["not split"] and seen["c0 = 0"]
     assert bool(seen["level p only"]) == (ctx.k > 1)
 

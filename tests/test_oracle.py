@@ -143,7 +143,7 @@ def f64_sweep_strata():
     for t in range(2, 6):
         for b in O.subspaces(ctx, t):
             a = L.subspace_poly(ctx, b)
-            d, _ = L.minimal_binomial_multiple(ctx, M.split_additive(ctx, a, "not split"))
+            d, _ = L.minimal_binomial_multiple(ctx, M.split_additive(ctx, a, "not split").null)
             strata.setdefault((t, d), []).append(a)
     return strata
 
