@@ -45,10 +45,6 @@ class FpSpan:
                 v = [(d - a * r) % p for d, r in zip(v, row)]
         return v
 
-    def contains(self, vec) -> bool:
-        v = self.reduce(vec)
-        return not (v if self.p == 2 else any(v))
-
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
         p = self.p

@@ -102,15 +102,6 @@ def as_context_base(ctx, a: AdditivePoly) -> AdditivePoly:
     return rebase(ctx, a, ctx.k)
 
 
-def apply_elem(ctx, a: AdditivePoly, v):
-    """A(v) = sum_i c_i * v^(p^(base*i))."""
-    acc = ctx.zero
-    for i, c in enumerate(a.coeffs):
-        if c != ctx.zero:
-            acc = ctx.add(acc, ctx.mul(c, ctx.frobenius_p(v, a.base * i)))
-    return acc
-
-
 def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
     """A(f) = sum_i c_i * f^(p^m), m = base*i, as one ctx.fold of f's terms
     twisted by p^m and scaled by c_i."""
@@ -185,7 +176,8 @@ def fp_nullspace(ctx, a: AdditivePoly) -> list:
     """F_p-basis of the zeros of A in the ambient field: the nullspace of A
     as an F_p-linear map, which is the same at every level A is read at:
     the kernel of y^c -> A(y^c), whose vectors are the zeros' digits."""
-    images = [fp_row(ctx, (apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)),))
+    sa = to_sparse(ctx, a)
+    images = [fp_row(ctx, (poly.eval_at(ctx, sa, ctx.elem_from_int(ctx.p ** c)),))
               for c in range(ctx.N)]
     null = fp_kernel(ctx.p, ctx.N, images)
     return [ctx.elem_from_int(v) if ctx.p == 2 else tuple(v) for v in null]
@@ -212,14 +204,12 @@ def subspace_poly(ctx, vectors) -> AdditivePoly:
     on the F_q-span of the given independent list."""
     m = AdditivePoly(ctx.k, (ctx.one,))          # x
     for v in vectors:
-        val = apply_elem(ctx, m, v)
+        val = poly.eval_at(ctx, to_sparse(ctx, m), v)
         if val == ctx.zero:
             raise InputError("subspace generators are F_q-dependent")
-        shifted = [ctx.zero] + [ctx.frobenius(c, 1) for c in m.coeffs]   # M^q
+        # M^q - val^(q-1) * M, which vanishes at v and on the old span
         fac = ctx.pow_elem(val, ctx.q - 1)
-        coeffs = [ctx.sub(s, ctx.mul(fac, c)) for s, c in
-                  zip(shifted, list(m.coeffs) + [ctx.zero])]
-        m = make(ctx, ctx.k, coeffs)
+        m = tau_compose(ctx, AdditivePoly(ctx.k, (ctx.neg(fac), ctx.one)), m)
     return m
 
 

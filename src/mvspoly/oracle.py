@@ -395,19 +395,10 @@ def subspaces(ctx, t: int):
         # free entries live at (row i, column c) with c > pivots[i], c free
         slots = [(i, c) for i in range(t) for c in free_cols if c > pivots[i]]
         for fill in itertools.product(fq, repeat=len(slots)):
-            rows = []
-            mat = {}
+            rows = [basis_field[c] for c in pivots]
             for (i, c), v in zip(slots, fill):
-                mat[(i, c)] = v
-            for i in range(t):
-                vec = ctx.zero
-                vec = ctx.add(vec, basis_field[pivots[i]])
-                for c in free_cols:
-                    if c > pivots[i]:
-                        v = mat[(i, c)]
-                        if v != ctx.zero:
-                            vec = ctx.add(vec, ctx.mul(v, basis_field[c]))
-                rows.append(vec)
+                if v != ctx.zero:
+                    rows[i] = ctx.add(rows[i], ctx.mul(v, basis_field[c]))
             yield rows
 
 

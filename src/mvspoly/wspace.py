@@ -7,6 +7,12 @@ direct sum of components, one per necklace, and an explicit F_q-basis of
 size d * 2^(n/d).  The lift pipeline pushes that basis through M(x) from a
 binomial factorization gamma * A(M(x)) to generate the member space of a
 general split additive polynomial A, with rank d*2^(n/d) - d + t.
+
+Every orbit is one walk, `_orbit`: e -> e*q' mod (Q-1), which is the
+exponent rule of reduction mod x^Q - x applied to (x^e)^q', with its two
+fixed points 0 (the constant) and Q-1 (x^(Q-1), the all-ones exponent at
+q' = 2).  Membership is a round trip: read the coordinates off the orbit
+representatives and accept exactly when reconstruction gives F back.
 """
 
 from __future__ import annotations
@@ -62,6 +68,22 @@ def _necklaces(n: int):
     return out
 
 
+def _orbit(e: int, qd: int, M: int) -> list:
+    """e, e*qd, e*qd^2, ... mod M up to the first repeat; 0 and M are fixed
+    points, as in `poly.reduce_mod_field` applied to (x^e)^qd."""
+    orbit = [e]
+    # off 0 and M the walk never hits 0 mod M, so `or e` fires only there
+    while (nxt := orbit[-1] * qd % M or e) != e:
+        orbit.append(nxt)
+    return orbit
+
+
+def _trace(ctx, e: int, c, d: int) -> dict:
+    """The orbit trace sum_l c^(q'^l) x^(e*q'^l) mod x^Q - x, q' = q^d."""
+    return {k: ctx.frobenius(c, d * l)
+            for l, k in enumerate(_orbit(e, ctx.q ** d, ctx.Q - 1))}
+
+
 def orbit_table(q: int, n: int) -> OrbitTable:
     """Necklace orbits of {0,1}^n under digit rotation, i.e. of 0/1-digit
     exponents under e -> q*e mod (q^n - 1).  The stored representative is
@@ -76,13 +98,7 @@ def orbit_table(q: int, n: int) -> OrbitTable:
     orbits = []
     counts = {}
     for bits, per in _necklaces(n):
-        e = sum(b * q ** i for i, b in enumerate(bits))
-        best = e
-        cur = e
-        for _ in range(per - 1):
-            cur = cur * q % M if cur else 0
-            if cur < best:
-                best = cur
+        best = min(_orbit(sum(b * q ** i for i, b in enumerate(bits)), q, M))
         digits = tuple((best // q ** i) % q for i in range(n))
         orbits.append(Orbit(bits=digits, exponent=best, size=per))
         counts[per] = counts.get(per, 0) + 1
@@ -137,15 +153,10 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     ctx.elements()
     nprime = ctx.n // d
     table = orbit_table(qd, nprime)
-    M = ctx.Q - 1
     elems = []
     for orbit in table.orbits:
         for bj in ctx.subfield_basis(d * orbit.size):
-            f = {}
-            e = orbit.exponent
-            for l in range(orbit.size):
-                f[e if e else 0] = ctx.frobenius(bj, d * l)
-                e = e * qd % M if e else 0
+            f = _trace(ctx, orbit.exponent, bj, d)
             if beta != ctx.one:
                 f = poly.scale(ctx, f, beta)
             elems.append(BasisElem(elem=f, orbit_exponent=orbit.exponent,
@@ -164,61 +175,23 @@ def target_binomial(ctx, wb: WBasis) -> dict:
 def membership_coordinates(ctx, F: dict, wb: WBasis):
     """Per-orbit coordinates of F in the basis, or None.
 
-    After unscaling, every exponent must have 0/1 digits base q', and the
-    coefficients along each orbit must follow the Frobenius chain
-    c(rot^j(k)) = c(k)^(q'^j) with the whole orbit present."""
+    After unscaling, the coordinate of an orbit is the coefficient at its
+    representative when that lies in F_{q'^size}; F is a member exactly
+    when the coordinates reconstruct it."""
     for e in F:
         if e < 0 or e > ctx.Q - 1:
             raise InputError("membership needs a polynomial reduced mod x^Q - x")
-    qd = ctx.q ** wb.d
-    nprime = ctx.n // wb.d
-    M = ctx.Q - 1
     g = F if wb.scale == ctx.one else poly.scale(ctx, F, ctx.inv(wb.scale))
-    seen = set()
-    coords = {}
-    for e in sorted(g):
-        if e in seen:
-            continue
-        digits = [(e // qd ** i) % qd for i in range(nprime)]
-        if any(dig > 1 for dig in digits):
-            return None
-        # walk the rotation cycle
-        cycle = [e]
-        cur = e * qd % M if e else 0
-        while cur != e:
-            cycle.append(cur)
-            cur = cur * qd % M if cur else 0
-        rep = min(cycle)
-        size = len(cycle)
-        c = g.get(rep)
-        if c is None:
-            return None
-        if ctx.frobenius(c, wb.d * size) != c:
-            return None
-        cur = rep
-        for j in range(size):
-            expected = ctx.frobenius(c, wb.d * j)
-            if g.get(cur) != expected:
-                return None
-            seen.add(cur)
-            cur = cur * qd % M if cur else 0
-        coords[rep] = c
-    return coords
+    sizes = {b.orbit_exponent: b.orbit_size for b in wb.elems}
+    coords = {e: g[e] for e, size in sizes.items()
+              if e in g and ctx.in_subfield(g[e], wb.d * size)}
+    return coords if reconstruct_from_coordinates(ctx, wb, coords) == F else None
 
 
 def reconstruct_from_coordinates(ctx, wb: WBasis, coords: dict) -> dict:
-    qd = ctx.q ** wb.d
-    M = ctx.Q - 1
     f = {}
     for rep, c in coords.items():
-        e = rep
-        j = 0
-        while True:
-            f[e] = ctx.frobenius(c, wb.d * j)
-            e = e * qd % M if e else 0
-            j += 1
-            if e == rep:
-                break
+        f.update(_trace(ctx, rep, c, wb.d))
     if wb.scale != ctx.one:
         f = poly.scale(ctx, f, wb.scale)
     return {e: c for e, c in f.items() if c != ctx.zero}

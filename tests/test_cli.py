@@ -358,6 +358,23 @@ def test_script_output_bytes_are_unchanged(argv):
     assert hashlib.sha256(done.stdout).hexdigest() == SCRIPT_DIGESTS[argv]
 
 
+# sha256 of the stdout of CLI commands at q' = 2, where the orbit of the
+# all-ones exponent is x^(Q-1) alone; the README commands cover no such orbit
+CLI_DIGESTS = {
+    ("basis", "--field", "2^4:1", "--d", "1"):
+        "1ddb17d540110bfb1f44fcac28c31a010d614e505dc7b58780d2142d9bab7883",
+    ("enumerate", "--field", "2^3:1", "--d", "1"):
+        "254cee933d7216783a58cf0fedbd4267b84c32f206b39f7f1e252f9107608d2c",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_DIGESTS), ids=lambda argv: argv[0])
+def test_cli_output_bytes_at_q_prime_2_are_unchanged(argv):
+    code, out, _ = run(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[argv]
+
+
 def test_unknown_flag_rejected():
     code, out, err = run(["verify", "--field", "2^2:1", "--T", "x^2+x",
                           "--F", "x^2+x", "--bogus", "1"])

@@ -79,8 +79,11 @@ def check_against_the_reference(rows, p, other):
     packed = pack if p == 2 else list
     grew = [span.add(r) for r in packed(rows)]
     assert span.rank == sum(grew) == rank_mod(rows, p)
-    assert all(span.contains(r) for r in packed(rows))
-    assert span.contains(packed([other])[0]) == (rank_mod(rows + [other], p) == span.rank)
+    # a row in the span reduces to the zero row
+    zero = 0 if p == 2 else [0] * len(other)
+    assert all(span.reduce(r) == zero for r in packed(rows))
+    assert (span.reduce(packed([other])[0]) == zero) == \
+        (rank_mod(rows + [other], p) == span.rank)
 
 
 @seed(20261019)

@@ -65,7 +65,8 @@ def test_apply_poly_matches_the_reference(p, N, tables, base, coeffs, fterms):
     f = {e: ctx.elem_from_int(v % ctx.Q) for e, v in fterms if v % ctx.Q}
     assert L.apply_poly(ctx, a, f) == apply_poly_reference(ctx, a, f)
     for v in (ctx.zero, *f.values()):
-        assert L.apply_elem(ctx, a, v) == L.apply_poly(ctx, a, {0: v}).get(0, ctx.zero)
+        assert P.eval_at(ctx, L.to_sparse(ctx, a), v) == \
+            L.apply_poly(ctx, a, {0: v}).get(0, ctx.zero)
 
 
 @pytest.mark.parametrize("tables", [True, False])
@@ -269,15 +270,15 @@ def test_splits_examples(f4, f64):
 
 def test_additivity_as_function(f64):
     rng = random.Random(101)
-    a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
+    a = L.to_sparse(f64, L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x")))
     for _ in range(50):
         x = f64.elem_from_int(rng.randrange(64))
         y = f64.elem_from_int(rng.randrange(64))
-        assert L.apply_elem(f64, a, f64.add(x, y)) == \
-            f64.add(L.apply_elem(f64, a, x), L.apply_elem(f64, a, y))
+        assert P.eval_at(f64, a, f64.add(x, y)) == \
+            f64.add(P.eval_at(f64, a, x), P.eval_at(f64, a, y))
         for c in f64.subfield_elements(1):
-            assert L.apply_elem(f64, a, f64.mul(c, x)) == \
-                f64.mul(c, L.apply_elem(f64, a, x))
+            assert P.eval_at(f64, a, f64.mul(c, x)) == \
+                f64.mul(c, P.eval_at(f64, a, x))
 
 
 # -- the checked split additive polynomial ------------------------------------
@@ -485,6 +486,7 @@ def test_fp_nullspace_matches_the_reference_back_substitution(spec):
     increasing c, zero at the other dependent inputs."""
     ctx = parse_field_spec(spec)
     for _, a in split_p_additive(ctx):
-        cols = [L.apply_elem(ctx, a, ctx.elem_from_int(ctx.p ** c)) for c in range(ctx.N)]
+        sa = L.to_sparse(ctx, a)
+        cols = [P.eval_at(ctx, sa, ctx.elem_from_int(ctx.p ** c)) for c in range(ctx.N)]
         matrix = [[col[r] for col in cols] for r in range(ctx.N)]
         assert L.fp_nullspace(ctx, a) == [tuple(v) for v in nullspace(matrix, ctx.p)]

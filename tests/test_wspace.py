@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,8 +9,8 @@ from mvspoly import mvsp as M
 from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
-from mvspoly.errors import GuardError
-from mvspoly.gf import FieldCtx, make_field
+from mvspoly.errors import GuardError, InputError
+from mvspoly.gf import FieldCtx, make_field, parse_field_spec
 from mvspoly.linalg import FpSpan
 
 
@@ -139,7 +140,6 @@ def test_basis_rejects_nonsplitting_alpha():
     g = ctx.elem_from_int(2)
     # (q^2 - 1)-th powers in F_16* are only 1, so alpha = g cannot split
     assert ctx.solve_power(g, 15) is None
-    from mvspoly.errors import InputError
     with pytest.raises(InputError):
         W.build_basis(ctx, 2, g)
 
@@ -179,6 +179,73 @@ def test_membership_random_combinations(f9):
         coords = W.membership_coordinates(f9, f, wb)
         assert coords is not None
         assert W.reconstruct_from_coordinates(f9, wb, coords) == f
+
+
+def admissible_bases(ctx):
+    """The basis of W(x^(q^d) - alpha*x) for every d | n and every alpha
+    that build_basis admits."""
+    for d in range(1, ctx.n + 1):
+        if ctx.n % d:
+            continue
+        for alpha in ctx.elements()[1:]:
+            try:
+                yield W.build_basis(ctx, d, alpha)
+            except InputError:
+                pass
+
+
+def member_both_ways(ctx, F, wb):
+    """Whether F is a member by its coordinates and by the Mills check, which
+    must agree."""
+    by_coords = W.membership_coordinates(ctx, F, wb) is not None
+    assert by_coords == M.mills_check(ctx, F, W.target_binomial(ctx, wb)).is_member, F
+    return by_coords
+
+
+@pytest.mark.parametrize("spec", ["2^2:1", "2^2:2"])
+def test_membership_matches_mills_on_every_reduced_f4_poly(spec):
+    ctx = parse_field_spec(spec)
+    polys = [{e: c for e, c in enumerate(cs) if c != ctx.zero}
+             for cs in itertools.product(ctx.elements(), repeat=ctx.Q)]
+    assert len(polys) == 256
+    for wb in admissible_bases(ctx):
+        members = sum(member_both_ways(ctx, F, wb) for F in polys)
+        assert members == ctx.q ** wb.dim
+
+
+@pytest.mark.parametrize("spec", ["2^3:1", "3^2:1", "2^4:1", "3^3:1", "5^2:1"])
+def test_membership_matches_mills_on_seeded_samples(spec):
+    """Basis combinations (members), the same with one coefficient changed,
+    and random sparse polynomials, for every admissible binomial."""
+    ctx = parse_field_spec(spec)
+    rng = random.Random(spec)
+    elems = ctx.elements()
+    fq = ctx.subfield_elements(1)
+    for wb in admissible_bases(ctx):
+        for _ in range(3):
+            f = {}
+            for b in wb.elems:
+                f = P.add(ctx, f, P.scale(ctx, b.elem, rng.choice(fq)))
+            assert member_both_ways(ctx, f, wb)
+            e = rng.randrange(ctx.Q)
+            g = dict(f)
+            g[e] = rng.choice([c for c in elems if c != f.get(e, ctx.zero)])
+            member_both_ways(ctx, {k: c for k, c in g.items() if c != ctx.zero}, wb)
+            member_both_ways(ctx, {rng.randrange(ctx.Q): rng.choice(elems[1:])
+                                   for _ in range(rng.randrange(1, 5))}, wb)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_membership_roundtrip_at_q_prime_2(N):
+    """At q' = 2 the all-ones exponent Q-1 is a fixed point of the orbit
+    walk, and x^(Q-1) is a basis element like any other."""
+    ctx = make_field(2, 1, N)
+    wb = W.build_basis(ctx, 1, ctx.one)
+    assert {ctx.Q - 1: ctx.one} in [b.elem for b in wb.elems]
+    for b in wb.elems:
+        coords = W.membership_coordinates(ctx, b.elem, wb)
+        assert coords == {b.orbit_exponent: b.elem[b.orbit_exponent]}
+        assert W.reconstruct_from_coordinates(ctx, wb, coords) == b.elem
 
 
 # -- enumeration ----------------------------------------------------------------------
@@ -312,7 +379,7 @@ def test_lift_kernel_is_root_space(f8):
     d, t = rep.witness.d, rep.witness.t
     assert zeros == f8.q ** (d - t)
     # and those preimages are the constants from the root space of M
-    roots = {v for v in f8.elements() if L.apply_elem(f8, m, v) == f8.zero}
+    roots = {v for v in f8.elements() if P.eval_at(f8, L.to_sparse(f8, m), v) == f8.zero}
     assert len(roots) == zeros
 
 
