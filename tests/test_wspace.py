@@ -228,8 +228,7 @@ def test_membership_matches_mills_on_seeded_samples(spec):
                 f = P.add(ctx, f, P.scale(ctx, b.elem, rng.choice(fq)))
             assert member_both_ways(ctx, f, wb)
             e = rng.randrange(ctx.Q)
-            g = dict(f)
-            g[e] = rng.choice([c for c in elems if c != f.get(e, ctx.zero)])
+            g = {**f, e: rng.choice([c for c in elems if c != f.get(e, ctx.zero)])}
             member_both_ways(ctx, {k: c for k, c in g.items() if c != ctx.zero}, wb)
             member_both_ways(ctx, {rng.randrange(ctx.Q): rng.choice(elems[1:])
                                    for _ in range(rng.randrange(1, 5))}, wb)
