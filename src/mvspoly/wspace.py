@@ -189,6 +189,9 @@ def membership_coordinates(ctx, F: dict, wb: WBasis):
 
 
 def reconstruct_from_coordinates(ctx, wb: WBasis, coords: dict) -> dict:
+    """The member with the given coordinates, keyed by orbit representative."""
+    if not coords.keys() <= {b.orbit_exponent for b in wb.elems}:
+        raise InputError("coordinates are keyed by the basis's orbit representatives")
     f = {}
     for rep, c in coords.items():
         f.update(_trace(ctx, rep, c, wb.d))

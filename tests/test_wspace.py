@@ -247,6 +247,15 @@ def test_membership_roundtrip_at_q_prime_2(N):
         assert W.reconstruct_from_coordinates(ctx, wb, coords) == b.elem
 
 
+def test_reconstruct_refuses_keys_that_are_not_representatives(f8):
+    # 2 is in the orbit of 1; 9 and 14 lie past Q - 1 = 7, where the orbit
+    # walk of 9 would never return
+    wb = W.build_basis(f8, 1, f8.one)
+    for key in (2, 9, 14):
+        with pytest.raises(InputError):
+            W.reconstruct_from_coordinates(f8, wb, {key: f8.one})
+
+
 # -- enumeration ----------------------------------------------------------------------
 
 def test_enumerate_counts(f4, f8, f9):
