@@ -437,8 +437,7 @@ def _examples_section4(ctx, q, seed, samples):
         f = wspace.random_span_member(ctx, rep.generators, rng)
         mvsp.power_lift(ctx, f, 2, T)       # raises if the image fails
         verified += 1
-    bound = wspace.power_image_count(ctx, T, 2, rep.generators,
-                                     limit=1, samples=8, seed=seed)
+    bound = wspace.power_image_count(ctx, T, 2, rep.generators, samples=8, seed=seed)
     ok = hit is not None and rep.dim_lower == 11 and verified == samples
     return {
         "T": poly.to_text(ctx, T),

@@ -6,11 +6,14 @@ by its leading bit; at odd p it is a list of ints in [0, p), keyed by its
 first nonzero entry.  So every routine is deterministic.  `fp_kernel` reads
 a kernel off the same span.  `FqSpan` tracks an F_q-span of vectors as the
 F_p-span of their multiples by an F_p-basis of F_q, on rows made by
-`fp_row`; at p = 2 those are packed from element ints.
+`fp_row`; at p = 2 those are packed from element ints.  `fp_elem` reads an
+element back off a row, and `fp_sum_at` adds elements packed by `fp_parts`
+at offsets, so no caller needs to know which form a row takes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -106,6 +109,28 @@ def fp_row(ctx, vec):
     if ctx.p == 2:
         return sum(map(operator.lshift, map(ctx.elem_to_int, vec), itertools.count(0, N)))
     return [d for c in vec for d in c]
+
+
+def fp_elem(ctx, row):
+    """The inverse of `fp_row` on a row of one element, entries in [0, p)."""
+    return ctx.elem_from_int(row) if ctx.p == 2 else tuple(row)
+
+
+def fp_parts(ctx, elems) -> list:
+    """Each element's own `fp_row`: its int at p = 2, its digits at odd p."""
+    return list(map(ctx.elem_to_int, elems)) if ctx.p == 2 else list(elems)
+
+
+def fp_sum_at(ctx, width: int, parts, offsets):
+    """The sum of `fp_parts` at their entry offsets, as a row of `width`
+    entries (at odd p, not yet reduced mod p)."""
+    if ctx.p == 2:
+        return functools.reduce(operator.xor, map(operator.lshift, parts, offsets))
+    N = ctx.N
+    v = [0] * width
+    for c, o in zip(parts, offsets):
+        v[o:o + N] = map(operator.add, v[o:o + N], c)
+    return v
 
 
 class FqSpan:

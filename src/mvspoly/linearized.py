@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import poly
 from .errors import GuardError, InputError
 from .gf import TABLE_LIMIT
-from .linalg import FqSpan, fp_kernel, fp_row
+from .linalg import FqSpan, fp_elem, fp_kernel, fp_row
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def fp_nullspace(ctx, a: AdditivePoly) -> list:
     images = [fp_row(ctx, (poly.eval_at(ctx, sa, ctx.elem_from_int(ctx.p ** c)),))
               for c in range(ctx.N)]
     null = fp_kernel(ctx.p, ctx.N, images)
-    return [ctx.elem_from_int(v) if ctx.p == 2 else tuple(v) for v in null]
+    return [fp_elem(ctx, v) for v in null]
 
 
 def root_span(ctx, null) -> tuple:

@@ -96,7 +96,7 @@ def _check_value_poly(ctx, T):
     d = poly.degree(T)
     if d is poly.NEG_INF or d < 1:
         raise InputError("value polynomial must be nonconstant")
-    if not poly.is_monic(ctx, T):
+    if poly.lc(ctx, T) != ctx.one:
         raise InputError("value polynomial must be monic")
     carve_out = (ctx.q == 2 and T == {2: ctx.one, 1: ctx.one})
     if d <= 2 and not carve_out:
@@ -347,7 +347,7 @@ def extract_shift_power_form(ctx, F: dict) -> FormWitness | None:
     if s * s != ctx.Q or poly.degree(F) != s + 1:
         return None
     alpha = poly.lc(ctx, F)
-    beta = ctx.div(poly.coeff(ctx, F, s), alpha)   # (s+1 choose s) = 1 in char p
+    beta = ctx.div(F.get(s, ctx.zero), alpha)   # (s+1 choose s) = 1 in char p
     gamma = poly.eval_at(ctx, F, ctx.neg(beta))
     L = poly.linear(ctx, ctx.neg(beta))
     candidate = poly.add(ctx, poly.scale(ctx, poly.pow_(ctx, L, s + 1), alpha),
@@ -369,22 +369,6 @@ def classify_low_degree(ctx, F: dict) -> FormWitness | None:
     if d <= s:
         return extract_linearized_power_form(ctx, F)
     raise InputError("degree out of the classification range")
-
-
-def affine_equivalent(ctx, F: dict, G: dict):
-    """First (a, b) in canonical scan order with G = F(ax + b), or None."""
-    if poly.degree(F) != poly.degree(G):
-        return None
-    if ctx.Q > 4096:
-        raise GuardError("affine search refused above 4096 elements")
-    for a in ctx.elements():
-        if a == ctx.zero:
-            continue
-        for b in ctx.elements():
-            inner = {1: a} if b == ctx.zero else {1: a, 0: b}
-            if poly.compose(ctx, F, inner) == G:
-                return a, b
-    return None
 
 
 # ---------------------------------------------------------------------------

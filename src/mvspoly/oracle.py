@@ -9,10 +9,8 @@ both worlds agree.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import linearized as lin
@@ -21,7 +19,7 @@ from . import poly
 from . import wspace
 from .errors import GuardError, InputError
 from .gf import power_exceeds
-from .linalg import FpSpan
+from .linalg import FpSpan, fp_parts, fp_sum_at
 
 FUNCTION_SCAN_GUARD = 1 << 20
 POLY_SCAN_GUARD = 1 << 22
@@ -159,11 +157,10 @@ def _operator_rank(ctx, aq, theta, D) -> int:
 
     With s = e mod p and theta = -c_0, u*x^e maps to (c_0 + s*theta)*u*x^e
     + sum_{i >= 1} c_i*u^(p^(base*i))*x^(e*p^(base*i)) - s*theta*u*x^(Q+e-1):
-    fixed coefficients per unit u and s, placed at offsets found once per e.
-    The digits at the k-th distinct exponent are entries k*N .. k*N + N - 1,
-    and coefficients at a repeated exponent add.  Each column goes into one
-    FpSpan: at p = 2 it XORs element ints shifted to their offsets, at odd p
-    it is an int list of digits."""
+    fixed coefficients per unit u and s, packed once (`fp_parts`) and placed
+    at offsets found once per e.  The digits at the k-th distinct exponent
+    are entries k*N .. k*N + N - 1, and coefficients at a repeated exponent
+    add (`fp_sum_at`).  Each column goes into one FpSpan."""
     p, N = ctx.p, ctx.N
     # c_0 = -theta != 0 (A is separable) leads the terms; x^e's theta part adds to it
     terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
@@ -175,28 +172,21 @@ def _operator_rank(ctx, aq, theta, D) -> int:
         if e % p:
             exps.append(ctx.Q + e - 1)
         layout.append((e % p, [N * pos.setdefault(x, len(pos)) for x in exps]))
-    vec = ctx.elem_to_int if p == 2 else tuple
     per_unit = []
     for j in range(N):
         u = ctx.elem_from_int(p ** j)
         a_u = [ctx.mul(c, ctx.frobenius_p(u, aq.base * i)) for i, c in terms]
         theta_u = ctx.mul(theta, u)
-        by_s = [[vec(c) for c in a_u]]
+        by_s = [fp_parts(ctx, a_u)]
         for s in range(1, p):
             su = ctx.smul(s, theta_u)
-            by_s.append([vec(c) for c in (ctx.add(a_u[0], su), *a_u[1:], ctx.neg(su))])
+            by_s.append(fp_parts(ctx, (ctx.add(a_u[0], su), *a_u[1:], ctx.neg(su))))
         per_unit.append(by_s)
     width = len(pos) * N
     span = FpSpan(p, width)
     for s, offsets in layout:
         for unit in per_unit:
-            if p == 2:
-                v = functools.reduce(operator.xor, map(operator.lshift, unit[s], offsets))
-            else:
-                v = [0] * width
-                for c, o in zip(unit[s], offsets):
-                    v[o:o + N] = map(operator.add, v[o:o + N], c)
-            span.add(v)
+            span.add(fp_sum_at(ctx, width, unit[s], offsets))
     return span.rank
 
 
@@ -204,13 +194,13 @@ def _operator_rank(ctx, aq, theta, D) -> int:
 # fixed value set census
 # ---------------------------------------------------------------------------
 
-def census_fixed_valueset(ctx, S, max_deg=None, mode=None,
-                          guard=POLY_SCAN_GUARD) -> CensusReport:
+def census_fixed_valueset(ctx, S, max_deg=None, guard=POLY_SCAN_GUARD) -> CensusReport:
     """Count members whose value set is exactly the given S, by brute scan.
 
-    mode "functions" scans all maps F_Q -> S (needs |S|^Q within the guard);
-    mode "polys" scans coefficient tuples up to max_deg.  If T = prod(x - s)
-    fails the standing hypothesis the census is empty by precondition."""
+    When |S|^Q is within the guard, mode "functions" scans all maps
+    F_Q -> S; otherwise mode "polys" scans coefficient tuples up to max_deg.
+    If T = prod(x - s) fails the standing hypothesis the census is empty by
+    precondition."""
     if max_deg is not None and max_deg < 0:
         raise InputError("max_deg must be >= 0")
     s_list = sorted(set(S), key=ctx.elem_to_int)
@@ -225,16 +215,13 @@ def census_fixed_valueset(ctx, S, max_deg=None, mode=None,
                             total=0, members=0, nonconstant_members=0,
                             degree_histogram={},
                             note=f"empty by precondition: {exc}")
-    too_many_maps = power_exceeds(len(s_list), ctx.Q, guard)
-    if mode is None:
-        mode = "polys" if too_many_maps else "functions"
-    if mode == "functions":
-        if too_many_maps:
-            raise GuardError(f"function scan of {len(s_list)}^{ctx.Q} maps refused")
+    if not power_exceeds(len(s_list), ctx.Q, guard):
+        mode = "functions"
         total = len(s_list) ** ctx.Q
         candidates = (interpolate_table(ctx, table)
                       for table in itertools.product(s_list, repeat=ctx.Q))
-    elif mode == "polys":
+    else:
+        mode = "polys"
         if max_deg is None:
             raise InputError("poly scan needs max_deg")
         if power_exceeds(ctx.Q, max_deg + 1, guard):
@@ -242,8 +229,6 @@ def census_fixed_valueset(ctx, S, max_deg=None, mode=None,
         total = ctx.Q ** (max_deg + 1)
         candidates = ({e: c for e, c in enumerate(coeffs) if c != ctx.zero}
                       for coeffs in itertools.product(ctx.elements(), repeat=max_deg + 1))
-    else:
-        raise InputError(f"unknown census mode {mode!r}")
     members = 0
     nonconst = 0
     histogram = {}
@@ -413,7 +398,7 @@ class SweepRecord:
     attained: bool | None
 
 
-def dimension_sweep(ctx, include_oracle=True, oracle_guard=DIM_GUARD):
+def dimension_sweep(ctx, include_oracle=True):
     """Every monic split separable additive polynomial of degree > 2 over the
     context (one per subspace of each dimension), through the lift pipeline,
     with the exact dimension oracle alongside where its guard allows."""
@@ -429,7 +414,7 @@ def dimension_sweep(ctx, include_oracle=True, oracle_guard=DIM_GUARD):
             attained = None
             if include_oracle:
                 try:
-                    oracle_dim = linear_dim_w(ctx, a, guard=oracle_guard)
+                    oracle_dim = linear_dim_w(ctx, a)
                     attained = oracle_dim == rep.dim_lower
                 except GuardError:
                     pass

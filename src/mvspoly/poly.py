@@ -25,10 +25,6 @@ def check_exponent(n: int) -> None:
         raise InputError("exponent overflow beyond 2^62")
 
 
-def zero() -> dict:
-    return {}
-
-
 def const(ctx, c) -> dict:
     return {} if c == ctx.zero else {0: c}
 
@@ -49,14 +45,6 @@ def degree(f: dict):
 def lc(ctx, f: dict):
     """Leading coefficient; zero element for the zero polynomial."""
     return f[max(f)] if f else ctx.zero
-
-
-def is_monic(ctx, f: dict) -> bool:
-    return bool(f) and lc(ctx, f) == ctx.one
-
-
-def coeff(ctx, f: dict, e: int):
-    return f.get(e, ctx.zero)
 
 
 def add(ctx, f: dict, g: dict) -> dict:
@@ -363,15 +351,3 @@ def from_text(ctx, s: str) -> dict:
 
 def to_json_obj(ctx, f: dict) -> dict:
     return {"terms": [{"e": e, "c": list(f[e])} for e in sorted(f, reverse=True)]}
-
-
-def from_json_obj(ctx, obj) -> dict:
-    out = {}
-    for t in obj["terms"]:
-        e = int(t["e"])
-        c = tuple(int(d) for d in t["c"])
-        if len(c) != ctx.N or any(d < 0 or d >= ctx.p for d in c):
-            raise InputError("bad coefficient digits")
-        if c != ctx.zero:
-            out[e] = c
-    return out

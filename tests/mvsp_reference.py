@@ -1,13 +1,18 @@
-"""Reference Mills check, kept for the tests only.
+"""Reference routines of the mvsp layer, kept for the tests only.
 
-`mills_check_composing` is `mvspoly.mvsp.mills_check` as it was before the
-identity at x = 0 and the forced theta were checked ahead of composing T(F):
-after the degree equation it always composes T(F), and it reads theta off
-the top coefficient of T(F).  A constant is decided by evaluating T at it.
+- `mills_check_composing`: `mvspoly.mvsp.mills_check` as it was before the
+  identity at x = 0 and the forced theta were checked ahead of composing
+  T(F): after the degree equation it always composes T(F), and it reads
+  theta off the top coefficient of T(F).  A constant is decided by
+  evaluating T at it.
+- `affine_equivalent`: the first affine substitution taking F to G, by a
+  scan of the field.  It calls `poly.compose` through the module, so a
+  test can swap the composition routine under it.
 """
 
 from mvspoly import linearized as lin
 from mvspoly import poly
+from mvspoly.errors import GuardError
 from mvspoly.mvsp import MvspReport, validate_value_poly
 
 
@@ -41,3 +46,19 @@ def mills_check_composing(ctx, F: dict, T: dict) -> MvspReport:
     return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
                       theta=None, theta_candidates=vp.thetas, is_member=False,
                       reason="value set mismatch")
+
+
+def affine_equivalent(ctx, F: dict, G: dict):
+    """First (a, b) in canonical scan order with G = F(ax + b), or None."""
+    if poly.degree(F) != poly.degree(G):
+        return None
+    if ctx.Q > 4096:
+        raise GuardError("affine search refused above 4096 elements")
+    for a in ctx.elements():
+        if a == ctx.zero:
+            continue
+        for b in ctx.elements():
+            inner = {1: a} if b == ctx.zero else {1: a, 0: b}
+            if poly.compose(ctx, F, inner) == G:
+                return a, b
+    return None

@@ -10,6 +10,8 @@
 - `lagrange_basis` and `interpolate`: interpolation through the Lagrange
   basis, the routine `mvspoly.oracle.interpolate_table` used before it read
   the coefficients off a table of powers.
+- `from_json_obj`: the inverse of `mvspoly.poly.to_json_obj`, which no
+  command reads back.
 """
 
 from mvspoly.errors import InputError
@@ -118,4 +120,16 @@ def interpolate(ctx, points) -> dict:
     out = {}
     for (_, y), li in zip(pts, lagrange_basis(ctx, [a for a, _ in pts])):
         out = add(ctx, out, scale(ctx, li, y))
+    return out
+
+
+def from_json_obj(ctx, obj) -> dict:
+    out = {}
+    for t in obj["terms"]:
+        e = int(t["e"])
+        c = tuple(int(d) for d in t["c"])
+        if len(c) != ctx.N or any(d < 0 or d >= ctx.p for d in c):
+            raise InputError("bad coefficient digits")
+        if c != ctx.zero:
+            out[e] = c
     return out

@@ -265,6 +265,16 @@ def test_oracle_census_fixed_values():
     assert code == 0 and d["members"] == 3
 
 
+def test_oracle_census_fixed_values_scans_polys_past_the_function_guard():
+    # 3^9 maps F_9 -> F_3 exceed --guard-max 3^9 - 1, so the census scans
+    # the 9^4 polynomials of degree <= 3
+    code, d = run_json(["oracle", "census", "--field", "3^2:1", "--values", "0;1;2",
+                        "--max-deg", "3", "--guard-max", str(3 ** 9 - 1)])
+    assert code == 0 and d["note"] == "mode=polys"
+    assert d["total"] == 9 ** 4 and d["members"] == 27
+    assert d["degree_histogram"] == {"0": 3, "3": 24}
+
+
 def test_oracle_census_refuses_empty_values():
     # an empty --values is a bad element, not a request for the subfield census
     code, out, err = run(["oracle", "census", "--field", "2^2:1", "--values", ""])

@@ -30,8 +30,13 @@ def test_census_f8(f8):
     assert rep.disagreements == 0
 
 
-def test_census_f9(f9):
-    rep = O.census_subfield_valued(f9)
+@pytest.fixture(scope="module")
+def f9_census(f9):
+    return O.census_subfield_valued(f9)
+
+
+def test_census_f9(f9_census):
+    rep = f9_census
     assert rep.total == 3 ** 9 and rep.members == 81
     assert rep.disagreements == 0
     assert max(P.degree(w) for w in rep.witnesses if w) <= 4
@@ -198,11 +203,20 @@ def test_census_affine_twist_invariance(f8):
     assert r1.nonconstant_members == r2.nonconstant_members
 
 
-def test_census_fixed_poly_mode(f4):
-    S = f4.subfield_elements(1)
-    rep = O.census_fixed_valueset(f4, S, max_deg=3, mode="polys")
-    # all members of the base space have degree <= 3; count matches 2^(2^2)
+def test_census_fixed_poly_mode(f4, f9, f9_census):
+    # over F_4 the 2^4 maps lie within the guard, so the scan runs over
+    # functions; all members of the base space have degree <= 3, which is
+    # what a poly scan to degree 3 would see; count matches 2^(2^2)
+    rep = O.census_fixed_valueset(f4, f4.subfield_elements(1), max_deg=3)
+    assert rep.note == "mode=functions" and max(rep.degree_histogram) <= 3
     assert rep.members == 16
+    # over F_9 the 3^9 maps exceed the guard 3^9 - 1, so the scan runs over
+    # the 9^4 coefficient tuples of degree <= 3
+    rep = O.census_fixed_valueset(f9, f9.subfield_elements(1), max_deg=3, guard=3 ** 9 - 1)
+    assert rep.note == "mode=polys" and rep.total == 9 ** 4
+    low = {d: c for d, c in f9_census.degree_histogram.items() if d <= 3}
+    assert rep.degree_histogram == low
+    assert rep.members == sum(low.values()) == 27
 
 
 # -- low degree form checks -----------------------------------------------------------

@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import math
 import random
+import signal
 
 import pytest
 
@@ -12,6 +14,8 @@ from mvspoly import wspace as W
 from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import FieldCtx, make_field, parse_field_spec
 from mvspoly.linalg import FpSpan
+from wspace_reference import (membership_coordinates, power_image_count_exact,
+                              reconstruct_from_coordinates)
 
 
 def euler_phi(n):
@@ -149,20 +153,20 @@ def test_basis_rejects_nonsplitting_alpha():
 def test_membership_rejects_partial_orbit(f64):
     wb = W.build_basis(f64, 3, f64.one)
     G = P.from_text(f64, "x^18+x^9")
-    assert W.membership_coordinates(f64, G, wb) is None
+    assert membership_coordinates(f64, G, wb) is None
 
 
 def test_membership_roundtrip_basis(f64):
     wb = W.build_basis(f64, 3, f64.one)
     for b in wb.elems:
-        coords = W.membership_coordinates(f64, b.elem, wb)
+        coords = membership_coordinates(f64, b.elem, wb)
         assert coords is not None
-        assert W.reconstruct_from_coordinates(f64, wb, coords) == b.elem
+        assert reconstruct_from_coordinates(f64, wb, coords) == b.elem
 
 
 def test_membership_x2_over_f4(f4):
     wb = W.build_basis(f4, 1, f4.one)
-    assert W.membership_coordinates(f4, P.from_text(f4, "x^2"), wb) is None
+    assert membership_coordinates(f4, P.from_text(f4, "x^2"), wb) is None
     assert P.value_set(f4, P.from_text(f4, "x^2")) == frozenset(f4.elements())
 
 
@@ -176,9 +180,9 @@ def test_membership_random_combinations(f9):
             c = fq[rng.randrange(3)]
             if c != f9.zero:
                 f = P.add(f9, f, P.scale(f9, b.elem, c))
-        coords = W.membership_coordinates(f9, f, wb)
+        coords = membership_coordinates(f9, f, wb)
         assert coords is not None
-        assert W.reconstruct_from_coordinates(f9, wb, coords) == f
+        assert reconstruct_from_coordinates(f9, wb, coords) == f
 
 
 def admissible_bases(ctx):
@@ -197,7 +201,7 @@ def admissible_bases(ctx):
 def member_both_ways(ctx, F, wb):
     """Whether F is a member by its coordinates and by the Mills check, which
     must agree."""
-    by_coords = W.membership_coordinates(ctx, F, wb) is not None
+    by_coords = membership_coordinates(ctx, F, wb) is not None
     assert by_coords == M.mills_check(ctx, F, W.target_binomial(ctx, wb)).is_member, F
     return by_coords
 
@@ -242,9 +246,9 @@ def test_membership_roundtrip_at_q_prime_2(N):
     wb = W.build_basis(ctx, 1, ctx.one)
     assert {ctx.Q - 1: ctx.one} in [b.elem for b in wb.elems]
     for b in wb.elems:
-        coords = W.membership_coordinates(ctx, b.elem, wb)
+        coords = membership_coordinates(ctx, b.elem, wb)
         assert coords == {b.orbit_exponent: b.elem[b.orbit_exponent]}
-        assert W.reconstruct_from_coordinates(ctx, wb, coords) == b.elem
+        assert reconstruct_from_coordinates(ctx, wb, coords) == b.elem
 
 
 def test_reconstruct_refuses_keys_that_are_not_representatives(f8):
@@ -253,7 +257,7 @@ def test_reconstruct_refuses_keys_that_are_not_representatives(f8):
     wb = W.build_basis(f8, 1, f8.one)
     for key in (2, 9, 14):
         with pytest.raises(InputError):
-            W.reconstruct_from_coordinates(f8, wb, {key: f8.one})
+            reconstruct_from_coordinates(f8, wb, {key: f8.one})
 
 
 # -- enumeration ----------------------------------------------------------------------
@@ -395,17 +399,44 @@ def test_power_image_count_v1_full(f64):
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
     rep = W.lift_pipeline(f64, a)
     T = L.to_sparse(f64, a)
-    count = W.power_image_count(f64, T, 1, rep.generators, limit=1 << 12)
+    count = W.power_image_count(f64, T, 1, rep.generators)
     assert count == 2 ** 11
+    # at v = 1 the images are the span itself, so the lower bound is tight
+    assert power_image_count_exact(f64, T, 1, rep.generators, limit=1 << 12) == count
 
 
 def test_power_image_count_guarded_bound(f729):
     a = L.detect_additive(f729, P.from_text(f729, "x^9+x^3+x"))
     rep = W.lift_pipeline(f729, a)
     T = P.from_text(f729, "x^5+x^2+x")
-    bound = W.power_image_count(f729, T, 2, rep.generators, limit=1,
-                                samples=20, seed=3)
+    bound = W.power_image_count(f729, T, 2, rep.generators, samples=20, seed=3)
     assert bound == (3 ** 11 - 1) // 2 + 1 == 88574
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds` of wall time."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("gens", [[], [{}], [{}, {}]])
+def test_a_span_with_no_nonzero_member_is_refused(gens):
+    # a zero combination is drawn again, so without the check both calls
+    # would loop forever (or count the zero span): bound them
+    ctx = make_field(2, 1, 4)
+    with time_limit(5):
+        with pytest.raises(InputError):
+            W.random_span_member(ctx, gens, random.Random(0))
+        with pytest.raises(InputError):
+            W.power_image_count(ctx, {2: ctx.one, 1: ctx.one}, 2, gens, samples=0)
 
 
 def test_degree_law_exhaustive(f8, f9):
