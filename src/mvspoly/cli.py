@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -267,17 +268,22 @@ def cmd_lift(args) -> int:
 def cmd_enumerate(args) -> int:
     ctx = parse_field_spec(args.field)
     d, alpha = _parse_binomial_args(ctx, args)
+    # the span has q^(d * 2^(n/d)) members: refuse it before building its basis
+    wspace.binomial_scale(ctx, d, alpha)
+    wspace.check_span_size(ctx, d * 2 ** (ctx.n // d), args.guard_max)
     wb = wspace.build_basis(ctx, d, alpha)
-    members = list(wspace.enumerate_w(ctx, wb, limit=args.guard_max))
+    stream = wspace.enumerate_w(ctx, wb, limit=args.guard_max)
+    members = [poly.to_json_obj(ctx, f) for f in itertools.islice(stream, 4097)]
+    count = len(members) + sum(1 for _ in stream)
     payload = {
         "kind": "enumerate",
         "field": ctx.spec_str(),
         "d": d,
         "alpha": list(alpha),
-        "count": len(members),
-        "members": [poly.to_json_obj(ctx, f) for f in members] if len(members) <= 4096 else None,
+        "count": count,
+        "members": members if count <= 4096 else None,
     }
-    _emit(args, payload, text_lines=[f"count {len(members)}"])
+    _emit(args, payload, text_lines=[f"count {count}"])
     return 0
 
 

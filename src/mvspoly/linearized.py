@@ -112,20 +112,13 @@ def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
 
 
 def tau_compose(ctx, a: AdditivePoly, b: AdditivePoly) -> AdditivePoly:
-    """Coefficients of A(B(x)): (A o B)_l = sum_{i+j=l} a_i * b_j^(p^(base*i))."""
+    """Coefficients of A(B(x)), (A o B)_l = sum_{i+j=l} a_i * b_j^(p^(base*i)),
+    read off `apply_poly` at the level of A and B."""
     if a.base != b.base:
         raise InputError("compose needs matching additivity levels")
-    if a.is_zero() or b.is_zero():
-        return AdditivePoly(a.base, ())
-    out = [ctx.zero] * (a.tau_deg() + b.tau_deg() + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai == ctx.zero:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if bj == ctx.zero:
-                continue
-            out[i + j] = ctx.add(out[i + j], ctx.mul(ai, ctx.frobenius_p(bj, a.base * i)))
-    return make(ctx, a.base, out)
+    ab = apply_poly(ctx, a, to_sparse(ctx, b))
+    return make(ctx, a.base, [ab.get(ctx.p ** (a.base * l), ctx.zero)
+                              for l in range(a.tau_deg() + b.tau_deg() + 1)])
 
 
 def tau_left_divide(ctx, c: AdditivePoly, a: AdditivePoly):
@@ -290,9 +283,8 @@ def factor_through_binomial(ctx, aq: AdditivePoly, d: int, alpha) -> LiftWitness
 def verify_witness(ctx, a: AdditivePoly, w: LiftWitness) -> None:
     if w.M.tau_deg() != w.d - w.t:
         raise AssertionError("witness degree mismatch")
-    comp = tau_compose(ctx, a, w.M)
-    scaled = make(ctx, ctx.k, [ctx.mul(w.gamma, c) for c in comp.coeffs])
-    if to_sparse(ctx, scaled) != to_sparse(ctx, binomial(ctx, w.d, w.alpha)):
+    expanded = poly.scale(ctx, apply_poly(ctx, a, to_sparse(ctx, w.M)), w.gamma)
+    if expanded != to_sparse(ctx, binomial(ctx, w.d, w.alpha)):
         raise AssertionError("witness expansion failed")
     # M must split with all roots inside the root space of the binomial
     # (for alpha = 1 that space is F_{q^d} itself; otherwise it is the

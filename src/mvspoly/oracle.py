@@ -5,6 +5,10 @@ membership is recomputed from scratch, either by enumerating whole function
 spaces and interpolating, or by exact nullspace computation for the linear
 operator F -> A(F) - theta*(x^Q - x)*F'.  The test suite then insists that
 both worlds agree.
+
+Both censuses feed their stream of members to one tally (`_tally`), and
+both normal-form branches run through the one scan loop of
+`verify_low_degree_forms`, a branch being its degrees and its extractor.
 """
 
 from __future__ import annotations
@@ -63,6 +67,26 @@ def interpolate_table(ctx, values) -> dict:
     return out
 
 
+def _tally(ctx, desc: str, total: int, members, **extra) -> CensusReport:
+    """The census of a stream of members out of `total` candidates: their
+    count, their degree histogram (a constant counts at degree 0), the
+    nonconstant count and the first WITNESS_KEEP members as witnesses, kept
+    only when no member was left out."""
+    histogram = {}
+    witnesses = []
+    for f in members:
+        d = poly.degree(f)
+        d = 0 if d is poly.NEG_INF else d
+        histogram[d] = histogram.get(d, 0) + 1
+        if len(witnesses) < WITNESS_KEEP:
+            witnesses.append(f)
+    count = sum(histogram.values())
+    return CensusReport(field_spec=ctx.spec_str(), value_set_desc=desc, total=total,
+                        members=count, nonconstant_members=count - histogram.get(0, 0),
+                        degree_histogram=histogram,
+                        witnesses=witnesses if count <= WITNESS_KEEP else None, **extra)
+
+
 def census_subfield_valued(ctx, guard=FUNCTION_SCAN_GUARD) -> CensusReport:
     """Scan every function F_{q^n} -> F_q, interpolate, and classify by the
     four equivalent membership conditions (minimality onto the base field,
@@ -72,59 +96,38 @@ def census_subfield_valued(ctx, guard=FUNCTION_SCAN_GUARD) -> CensusReport:
     not an assumption.  Total member count must equal q^(2^n)."""
     if power_exceeds(ctx.q, ctx.Q, guard):
         raise GuardError(f"function scan of {ctx.q}^{ctx.Q} maps refused")
-    total = ctx.q ** ctx.Q
     fq = ctx.subfield_elements(1)
     fq_set = frozenset(fq)
     xqx = {ctx.Q: ctx.one, 1: ctx.neg(ctx.one)}
     deg_cap = (ctx.Q - 1) // (ctx.q - 1)
-    counts = {c: 0 for c in CONDITIONS}
     agreement = {}
-    disagreements = 0
-    members = 0
-    nonconst = 0
-    histogram = {}
-    witnesses = []
-    for table in itertools.product(fq, repeat=ctx.Q):
-        f = interpolate_table(ctx, table)
-        d = poly.degree(f)
-        if d is poly.NEG_INF or d == 0:
-            # constants with a base-field value are members (roots of x^q - x)
-            members += 1
-            histogram[0] = histogram.get(0, 0) + 1
-            if len(witnesses) < WITNESS_KEEP:
-                witnesses.append(f)
-            continue
-        vset = frozenset(table)
-        c1 = vset == fq_set and len(vset) == (ctx.Q - 1) // d + 1
-        c2 = poly.sub(ctx, poly.frob_power(ctx, f, ctx.k), f) == \
-            poly.mul(ctx, xqx, poly.derivative(ctx, f))
-        c3 = ctx.q ** (ctx.n - 1) <= d <= deg_cap
-        c4 = 1 <= d <= deg_cap
-        flags = (c1, c2, c3, c4)
-        for name, fl in zip(CONDITIONS, flags):
-            counts[name] += fl
-        agreement[flags] = agreement.get(flags, 0) + 1
-        if len(set(flags)) > 1:
-            disagreements += 1
-        if c2:
-            members += 1
-            nonconst += 1
-            histogram[d] = histogram.get(d, 0) + 1
-            if len(witnesses) < WITNESS_KEEP:
-                witnesses.append(f)
-    return CensusReport(
-        field_spec=ctx.spec_str(),
-        value_set_desc=f"F_{ctx.q}",
-        total=total,
-        members=members,
-        nonconstant_members=nonconst,
-        degree_histogram=histogram,
-        condition_counts=counts,
-        disagreements=disagreements,
-        agreement={"".join("1" if b else "0" for b in k): v
-                   for k, v in sorted(agreement.items())},
-        witnesses=witnesses if members <= WITNESS_KEEP else None,
-    )
+
+    def members():
+        for table in itertools.product(fq, repeat=ctx.Q):
+            f = interpolate_table(ctx, table)
+            d = poly.degree(f)
+            if d is poly.NEG_INF or d == 0:
+                # constants with a base-field value are members (roots of x^q - x)
+                yield f
+                continue
+            vset = frozenset(table)
+            c1 = vset == fq_set and len(vset) == (ctx.Q - 1) // d + 1
+            c2 = poly.sub(ctx, poly.frob_power(ctx, f, ctx.k), f) == \
+                poly.mul(ctx, xqx, poly.derivative(ctx, f))
+            c3 = ctx.q ** (ctx.n - 1) <= d <= deg_cap
+            c4 = 1 <= d <= deg_cap
+            flags = (c1, c2, c3, c4)
+            agreement[flags] = agreement.get(flags, 0) + 1
+            if c2:
+                yield f
+
+    rep = _tally(ctx, f"F_{ctx.q}", ctx.q ** ctx.Q, members())
+    rep.condition_counts = {name: sum(v for flags, v in agreement.items() if flags[i])
+                            for i, name in enumerate(CONDITIONS)}
+    rep.disagreements = sum(v for flags, v in agreement.items() if len(set(flags)) > 1)
+    rep.agreement = {"".join("1" if b else "0" for b in k): v
+                     for k, v in sorted(agreement.items())}
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +214,7 @@ def census_fixed_valueset(ctx, S, max_deg=None, guard=POLY_SCAN_GUARD) -> Census
     try:
         mvsp.validate_value_poly(ctx, T)
     except InputError as exc:
-        return CensusReport(field_spec=ctx.spec_str(), value_set_desc=desc,
-                            total=0, members=0, nonconstant_members=0,
-                            degree_histogram={},
-                            note=f"empty by precondition: {exc}")
+        return _tally(ctx, desc, 0, (), note=f"empty by precondition: {exc}")
     if not power_exceeds(len(s_list), ctx.Q, guard):
         mode = "functions"
         total = len(s_list) ** ctx.Q
@@ -229,26 +229,8 @@ def census_fixed_valueset(ctx, S, max_deg=None, guard=POLY_SCAN_GUARD) -> Census
         total = ctx.Q ** (max_deg + 1)
         candidates = ({e: c for e, c in enumerate(coeffs) if c != ctx.zero}
                       for coeffs in itertools.product(ctx.elements(), repeat=max_deg + 1))
-    members = 0
-    nonconst = 0
-    histogram = {}
-    witnesses = []
-    for f in candidates:
-        if mvsp.mills_check(ctx, f, T).is_member:
-            members += 1
-            d = poly.degree(f)
-            dd = 0 if d is poly.NEG_INF else d
-            histogram[dd] = histogram.get(dd, 0) + 1
-            if dd:
-                nonconst += 1
-            if len(witnesses) < WITNESS_KEEP:
-                witnesses.append(f)
-    return CensusReport(field_spec=ctx.spec_str(), value_set_desc=desc,
-                        total=total, members=members,
-                        nonconstant_members=nonconst,
-                        degree_histogram=histogram,
-                        witnesses=witnesses if members <= WITNESS_KEEP else None,
-                        note=f"mode={mode}")
+    members = (f for f in candidates if mvsp.mills_check(ctx, f, T).is_member)
+    return _tally(ctx, desc, total, members, note=f"mode={mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,71 +275,51 @@ def _check_scan_size(Q, degrees, guard):
 
 
 def verify_low_degree_forms(ctx, branch="both", guard=POLY_SCAN_GUARD):
-    """Exhaustively compare minimality-by-definition against the normal form
-    extractor on square fields.
+    """Exhaustively compare minimality by definition (`mvsp.is_minimal`)
+    against the normal form extractor on square fields.
 
     branch "power" scans degrees 1..sqrt(Q) against the linearized power
     shape alpha*L^v + gamma; branch "shift" scans degree sqrt(Q)+1 against
-    alpha*(x+beta)^(sqrt(Q)+1) + gamma and also rebuilds that family
-    explicitly to check set equality."""
+    alpha*(x+beta)^(sqrt(Q)+1) + gamma, and after the scan rebuilds that
+    family explicitly to check set equality."""
     s = math.isqrt(ctx.Q)
     if s * s != ctx.Q:
         raise InputError("form verification is defined on square fields")
+    forms = {"power": (tuple(range(1, s + 1)), mvsp.extract_linearized_power_form),
+             "shift": ((s + 1,), mvsp.extract_shift_power_form)}
     out = []
-    branches = ("power", "shift") if branch == "both" else (branch,)
-    for br in branches:
-        if br == "power":
-            _check_scan_size(ctx.Q, range(1, s + 1), guard)
-            degrees = tuple(range(1, s + 1))
-            scanned = mv = fc = mismatches = 0
-            for d in degrees:
-                for f in _iter_polys_of_degree(ctx, d):
-                    scanned += 1
-                    is_mv = len(poly.value_set(ctx, f)) == (ctx.Q - 1) // d + 1
-                    w = mvsp.extract_linearized_power_form(ctx, f)
-                    mv += is_mv
-                    fc += w is not None
-                    mismatches += is_mv != (w is not None)
-            out.append(FormCheckReport(field_spec=ctx.spec_str(), branch=br,
-                                       degrees=degrees, scanned=scanned,
-                                       mvsp_count=mv, form_count=fc,
-                                       mismatches=mismatches))
-        elif br == "shift":
-            d = s + 1
-            bound = (ctx.Q - 1) // d + 1
-            if bound <= 2:
-                out.append(FormCheckReport(field_spec=ctx.spec_str(), branch=br,
-                                           degrees=(d,), scanned=0, mvsp_count=0,
-                                           form_count=0, mismatches=0,
-                                           note="skipped: bound <= 2 is outside the theory"))
-                continue
-            _check_scan_size(ctx.Q, (d,), guard)
-            mv_set = set()
-            scanned = fc = mismatches = 0
+    for br in ("power", "shift") if branch == "both" else (branch,):
+        if br not in forms:
+            raise InputError(f"unknown branch {br!r}")
+        degrees, extract = forms[br]
+        rep = FormCheckReport(field_spec=ctx.spec_str(), branch=br, degrees=degrees,
+                              scanned=0, mvsp_count=0, form_count=0, mismatches=0)
+        out.append(rep)
+        if br == "shift" and (ctx.Q - 1) // (s + 1) + 1 <= 2:
+            rep.note = "skipped: bound <= 2 is outside the theory"
+            continue
+        _check_scan_size(ctx.Q, degrees, guard)
+        minimal = set()
+        for d in degrees:
             for f in _iter_polys_of_degree(ctx, d):
-                scanned += 1
-                is_mv = len(poly.value_set(ctx, f)) == bound
-                w = mvsp.extract_shift_power_form(ctx, f)
-                fc += w is not None
-                mismatches += is_mv != (w is not None)
+                is_mv = mvsp.is_minimal(ctx, f).is_mvsp
+                in_form = extract(ctx, f) is not None
+                rep.scanned += 1
+                rep.form_count += in_form
+                rep.mismatches += is_mv != in_form
                 if is_mv:
-                    mv_set.add(frozenset(f.items()))
+                    minimal.add(frozenset(f.items()))
+        rep.mvsp_count = len(minimal)
+        if br == "shift":
             family = set()
             for alpha in ctx.elements()[1:]:
                 for beta in ctx.elements():
+                    base = poly.linear(ctx, ctx.neg(beta))
+                    power = poly.scale(ctx, poly.pow_(ctx, base, s + 1), alpha)
                     for gamma in ctx.elements():
-                        base = poly.linear(ctx, ctx.neg(beta))
-                        f = poly.add(ctx, poly.scale(ctx, poly.pow_(ctx, base, d), alpha),
-                                     poly.const(ctx, gamma))
-                        family.add(frozenset(f.items()))
-            out.append(FormCheckReport(field_spec=ctx.spec_str(), branch=br,
-                                       degrees=(d,), scanned=scanned,
-                                       mvsp_count=len(mv_set), form_count=fc,
-                                       mismatches=mismatches,
-                                       form_family_size=len(family),
-                                       family_equal=mv_set == family))
-        else:
-            raise InputError(f"unknown branch {br!r}")
+                        family.add(frozenset(poly.add(ctx, power, poly.const(ctx, gamma)).items()))
+            rep.form_family_size = len(family)
+            rep.family_equal = minimal == family
     return out
 
 

@@ -142,19 +142,12 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     last = ctx._caches.get("basis")
     if last is not None and last.d == d and last.alpha == alpha:
         return last
-    if d < 1 or ctx.n % d != 0:
-        raise InputError(f"d = {d} is not a positive divisor of n = {ctx.n}")
-    if not lin._binomial_admissible(ctx, d, alpha):
-        raise InputError("binomial degree must exceed 2 (only x^2 - x at q = 2 is admitted)")
-    qd = ctx.q ** d
-    beta = ctx.solve_power(alpha, qd - 1) if alpha != ctx.one else ctx.one
-    if beta is None:
-        raise InputError("alpha is not a (q^d - 1)-th power; the binomial does not split")
+    beta = binomial_scale(ctx, d, alpha)
     # every orbit's subfield basis scans the field: a field too large for
     # that is refused here, before the orbit table is built
     ctx.elements()
     nprime = ctx.n // d
-    table = orbit_table(qd, nprime)
+    table = orbit_table(ctx.q ** d, nprime)
     elems = []
     for orbit in table.orbits:
         for bj in ctx.subfield_basis(d * orbit.size):
@@ -170,6 +163,19 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     return wb
 
 
+def binomial_scale(ctx, d: int, alpha):
+    """beta with beta^(q^d - 1) = alpha, for x^(q^d) - alpha*x a split
+    binomial with d | n that W is defined for; InputError otherwise."""
+    if d < 1 or ctx.n % d != 0:
+        raise InputError(f"d = {d} is not a positive divisor of n = {ctx.n}")
+    if not lin._binomial_admissible(ctx, d, alpha):
+        raise InputError("binomial degree must exceed 2 (only x^2 - x at q = 2 is admitted)")
+    beta = ctx.solve_power(alpha, ctx.q ** d - 1) if alpha != ctx.one else ctx.one
+    if beta is None:
+        raise InputError("alpha is not a (q^d - 1)-th power; the binomial does not split")
+    return beta
+
+
 def target_binomial(ctx, wb: WBasis) -> dict:
     return lin.to_sparse(ctx, lin.binomial(ctx, wb.d, wb.alpha))
 
@@ -177,16 +183,24 @@ def target_binomial(ctx, wb: WBasis) -> dict:
 def span_iter(ctx, polys, limit=ENUM_HARD_GUARD):
     """All F_q-linear combinations of the given polynomials, no duplicates
     when the inputs are independent."""
-    dim = len(polys)
+    check_span_size(ctx, len(polys), limit)
+    for digits in itertools.product(ctx.subfield_elements(1), repeat=len(polys)):
+        yield _combine(ctx, digits, polys)
+
+
+def check_span_size(ctx, dim: int, limit) -> None:
+    """Refuse a span of q^dim elements above limit, or above the hard cap."""
     if power_exceeds(ctx.q, dim, min(limit, ENUM_HARD_GUARD)):
         raise GuardError(f"enumeration of {ctx.q}^{dim} span elements refused")
-    fq = ctx.subfield_elements(1)
-    for digits in itertools.product(fq, repeat=dim):
-        f = {}
-        for c, g in zip(digits, polys):
-            if c != ctx.zero:
-                f = poly.add(ctx, f, poly.scale(ctx, g, c))
-        yield f
+
+
+def _combine(ctx, digits, polys) -> dict:
+    """sum_i digits[i] * polys[i]."""
+    f = {}
+    for c, g in zip(digits, polys):
+        if c != ctx.zero:
+            f = poly.add(ctx, f, poly.scale(ctx, g, c))
+    return f
 
 
 def enumerate_w(ctx, wb: WBasis, limit=ENUM_HARD_GUARD):
@@ -258,8 +272,5 @@ def random_span_member(ctx, generators, rng) -> dict:
     fq = ctx.subfield_elements(1)
     f = {}
     while not f:
-        for g in generators:
-            c = fq[rng.randrange(len(fq))]
-            if c != ctx.zero:
-                f = poly.add(ctx, f, poly.scale(ctx, g, c))
+        f = _combine(ctx, [fq[rng.randrange(len(fq))] for _ in generators], generators)
     return f

@@ -1,7 +1,7 @@
 import pytest
 
 from mvspoly.gf import make_field
-from mvspoly.oracle import verify_low_degree_forms
+from mvspoly.oracle import census_subfield_valued, verify_low_degree_forms
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +34,10 @@ def f9_shift_forms(f9):
     """The exhaustive shift-branch form check over F_9, run once per session
     (several seconds) for every test that asserts on it."""
     return verify_low_degree_forms(f9, branch="shift")[0]
+
+
+@pytest.fixture(scope="session")
+def f9_census(f9):
+    """The census of every function F_9 -> F_3, run once per session (about
+    1.5 s) for every test that reads it."""
+    return census_subfield_valued(f9)

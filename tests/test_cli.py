@@ -234,6 +234,32 @@ def test_enumerate_guard_refusal():
     assert code == 3 and "guard refusal" in err
 
 
+NON_CUBE = ",".join(["1", "1"] + ["0"] * 14)      # 1 + y in F_2^16, not a cube
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--d", "1"], 3),
+    (["--d", "3"], 2),                       # d does not divide n
+    (["--d", "1", "--alpha", "0"], 2),       # x^2 - 0*x is not admitted
+    (["--d", "2", "--alpha", NON_CUBE], 2),  # the binomial does not split
+])
+def test_enumerate_refuses_before_building_a_basis(monkeypatch, args, code):
+    """The span's size q^(d * 2^(n/d)) is known from the arguments, so the
+    guard refuses it with no basis built; a bad d or alpha is an input
+    error first."""
+    def no_basis(*_):
+        raise AssertionError("build_basis called")
+    monkeypatch.setattr(cli.wspace, "build_basis", no_basis)
+    got, out, err = run(["enumerate", "--field", "2^16:1", *args])
+    assert got == code and out == ""
+    assert err.startswith("guard refusal: " if code == 3 else "input error: ")
+
+
+def test_enumerate_counts_past_the_member_listing():
+    code, d = run_json(["enumerate", "--field", "3^4:2", "--d", "1"])
+    assert code == 0 and d["count"] == 6561 and d["members"] is None
+
+
 def test_classify_example():
     code, d = run_json(["classify", "--field", "3^2:1", "--F", "x^4"])
     assert code == 0 and d["shape"] == "sqrt_plus_one_power"
@@ -383,6 +409,26 @@ def test_cli_output_bytes_at_q_prime_2_are_unchanged(argv):
     code, out, _ = run(list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[argv]
+
+
+# sha256 of the csv stdout of census commands, which lists the witnesses in
+# scan order; the README commands print no census as csv
+CENSUS_CSV_DIGESTS = {
+    ("oracle", "census", "--field", "2^2:1", "--format", "csv"):
+        "06f5bd0ff4ab6289420c703e43b6111622c5a378f44af1da0af45187410f9c40",
+    ("oracle", "census", "--field", "2^3:1", "--values", "0;1", "--format", "csv"):
+        "e984445587398e5e5d63ec360ef64e5230b4beaebce9e2cae341b47064e2f8f8",
+    ("oracle", "census", "--field", "3^2:1", "--values", "0;1;2", "--max-deg", "3",
+     "--guard-max", "19682", "--format", "csv"):
+        "46f55361d534883f670c0cc187f3779724b7bd0265db7dc5cf237af91d8423d3",
+}
+
+
+@pytest.mark.parametrize("argv", list(CENSUS_CSV_DIGESTS), ids=lambda argv: argv[3])
+def test_census_csv_bytes_are_unchanged(argv):
+    code, out, _ = run(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_CSV_DIGESTS[argv]
 
 
 def test_unknown_flag_rejected():

@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from linalg_reference import nullspace
+from linearized_reference import tau_compose_pairwise
 from mvspoly import linearized as L
 from mvspoly import mvsp as M
 from mvspoly import oracle as O
@@ -153,6 +154,19 @@ def test_tau_compose_matches_sparse_compose(f9, f64):
             lhs = L.to_sparse(ctx, L.tau_compose(ctx, a, b))
             rhs = P.compose(ctx, L.to_sparse(ctx, a), L.to_sparse(ctx, b))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("spec", ["3^2:1", "2^6:1", "2^4:2"])
+def test_tau_compose_matches_the_pairwise_reference(spec):
+    """At 2^4:2 the context level is 2, so one tau step is x -> x^(p^2)."""
+    ctx = parse_field_spec(spec)
+    rng = random.Random(ctx.Q)
+    for base in sorted({1, ctx.k}):
+        for _ in range(40):
+            a, b = (L.make(ctx, base, [ctx.elem_from_int(rng.randrange(ctx.Q))
+                                       for _ in range(rng.randrange(5))])
+                    for _ in range(2))
+            assert L.tau_compose(ctx, a, b) == tau_compose_pairwise(ctx, a, b)
 
 
 def test_left_divide_trinomial(f64):
