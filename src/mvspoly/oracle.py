@@ -67,7 +67,7 @@ def interpolate_table(ctx, values) -> dict:
     return out
 
 
-def _tally(ctx, desc: str, total: int, members, **extra) -> CensusReport:
+def _tally(ctx, desc: str, total: int, members, note: str) -> CensusReport:
     """The census of a stream of members out of `total` candidates: their
     count, their degree histogram (a constant counts at degree 0), the
     nonconstant count and the first WITNESS_KEEP members as witnesses, kept
@@ -84,7 +84,7 @@ def _tally(ctx, desc: str, total: int, members, **extra) -> CensusReport:
     return CensusReport(field_spec=ctx.spec_str(), value_set_desc=desc, total=total,
                         members=count, nonconstant_members=count - histogram.get(0, 0),
                         degree_histogram=histogram,
-                        witnesses=witnesses if count <= WITNESS_KEEP else None, **extra)
+                        witnesses=witnesses if count <= WITNESS_KEEP else None, note=note)
 
 
 def census_subfield_valued(ctx, guard=FUNCTION_SCAN_GUARD) -> CensusReport:
@@ -121,7 +121,7 @@ def census_subfield_valued(ctx, guard=FUNCTION_SCAN_GUARD) -> CensusReport:
             if c2:
                 yield f
 
-    rep = _tally(ctx, f"F_{ctx.q}", ctx.q ** ctx.Q, members())
+    rep = _tally(ctx, f"F_{ctx.q}", ctx.q ** ctx.Q, members(), "")
     rep.condition_counts = {name: sum(v for flags, v in agreement.items() if flags[i])
                             for i, name in enumerate(CONDITIONS)}
     rep.disagreements = sum(v for flags, v in agreement.items() if len(set(flags)) > 1)
@@ -214,7 +214,7 @@ def census_fixed_valueset(ctx, S, max_deg=None, guard=POLY_SCAN_GUARD) -> Census
     try:
         mvsp.validate_value_poly(ctx, T)
     except InputError as exc:
-        return _tally(ctx, desc, 0, (), note=f"empty by precondition: {exc}")
+        return _tally(ctx, desc, 0, (), f"empty by precondition: {exc}")
     if not power_exceeds(len(s_list), ctx.Q, guard):
         mode = "functions"
         total = len(s_list) ** ctx.Q
@@ -230,7 +230,7 @@ def census_fixed_valueset(ctx, S, max_deg=None, guard=POLY_SCAN_GUARD) -> Census
         candidates = ({e: c for e, c in enumerate(coeffs) if c != ctx.zero}
                       for coeffs in itertools.product(ctx.elements(), repeat=max_deg + 1))
     members = (f for f in candidates if mvsp.mills_check(ctx, f, T).is_member)
-    return _tally(ctx, desc, total, members, note=f"mode={mode}")
+    return _tally(ctx, desc, total, members, f"mode={mode}")
 
 
 # ---------------------------------------------------------------------------
