@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Count the lines of each module of src/mvspoly.
+"""Count the lines and the defaulted parameters of each module of src/mvspoly.
 
 Usage:
     python3 scripts/loc.py [PACKAGE_DIR]
 
-For every .py file it prints the `wc -l` count and the code-only count,
-then the totals.  A code-only line holds a token other than a comment,
-NL, NEWLINE, INDENT or DEDENT, and is not a line of a bare
-string-expression statement (a docstring).
+For every .py file it prints the `wc -l` count, the code-only count and the
+number of parameters that have a default, then the totals.  A code-only line
+holds a token other than a comment, NL, NEWLINE, INDENT or DEDENT, and is
+not a line of a bare string-expression statement (a docstring).  A defaulted
+parameter is one of a function, method or lambda, positional or
+keyword-only; dataclass field defaults are not parameters.
 """
 
 from __future__ import annotations
@@ -34,17 +36,25 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
+def defaulted_params(text: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+    return count
+
+
 def main(argv) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "mvspoly"
-    total_wc = total_code = 0
-    print(f"{'module':<16}{'wc -l':>8}{'code':>8}")
+    totals = [0, 0, 0]
+    print(f"{'module':<16}{'wc -l':>8}{'code':>8}{'defaults':>10}")
     for path in sorted(root.glob("*.py")):
         text = path.read_text()
-        wc, code = text.count("\n"), code_lines(text)
-        total_wc += wc
-        total_code += code
-        print(f"{path.name:<16}{wc:>8}{code:>8}")
-    print(f"{'total':<16}{total_wc:>8}{total_code:>8}")
+        counts = (text.count("\n"), code_lines(text), defaulted_params(text))
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(f"{path.name:<16}{counts[0]:>8}{counts[1]:>8}{counts[2]:>10}")
+    print(f"{'total':<16}{totals[0]:>8}{totals[1]:>8}{totals[2]:>10}")
     return 0
 
 

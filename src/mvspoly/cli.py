@@ -12,11 +12,11 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import os
 import random
 import sys
+from dataclasses import asdict
 
 from . import linearized as lin
 from . import mvsp
@@ -39,6 +39,11 @@ def _parse_additive(ctx, text):
         if a is None:
             raise InputError(f"{text!r} is not an additive polynomial")
     return lin.as_context_base(ctx, a)
+
+
+def _guard(args, default):
+    """--guard-max when it is given, else the verb's own guard."""
+    return default if args.guard_max is None else args.guard_max
 
 
 def _emit(args, payload, csv_rows=None, text_lines=None):
@@ -126,12 +131,8 @@ def cmd_reduce(args) -> int:
         "field": ctx.spec_str(),
         "T": poly.to_text(ctx, T),
         "count": len(wits),
-        "witnesses": [{
-            "v": w.v,
-            "base": w.base,
-            "gamma": list(w.gamma),
-            "A": poly.to_text(ctx, lin.to_sparse(ctx, w.A)),
-        } for w in wits],
+        "witnesses": [{**asdict(w), "A": poly.to_text(ctx, lin.to_sparse(ctx, w.A))}
+                      for w in wits],
     }
     _emit(args, payload, text_lines=[f"witnesses: {len(wits)}"])
     return 0 if wits else 1
@@ -147,16 +148,7 @@ def cmd_profile(args) -> int:
         "field": ctx.spec_str(),
         "T": poly.to_text(ctx, T),
         "F": poly.to_text(ctx, F),
-        "per_root": [{
-            "gamma": list(r.gamma),
-            "distinct_field_roots": r.distinct_field_roots,
-            "multiplicities": list(r.multiplicities),
-            "has_simple_root": r.has_simple_root,
-        } for r in rep.per_root],
-        "multiplicities_coprime_p": rep.multiplicities_coprime_p,
-        "simple_root_count": rep.simple_root_count,
-        "required_simple_roots": rep.required_simple_roots,
-        "has_required_simple_roots": rep.has_required_simple_roots,
+        **asdict(rep),
     }
     ok = rep.multiplicities_coprime_p and rep.has_required_simple_roots
     _emit(args, payload, text_lines=[f"profile ok: {ok}"])
@@ -270,18 +262,20 @@ def cmd_enumerate(args) -> int:
     d, alpha = _parse_binomial_args(ctx, args)
     # the span has q^(d * 2^(n/d)) members: refuse it before building its basis
     wspace.binomial_scale(ctx, d, alpha)
-    wspace.check_span_size(ctx, d * 2 ** (ctx.n // d), args.guard_max)
+    wspace.check_span_size(ctx, d * 2 ** (ctx.n // d), _guard(args, wspace.ENUM_HARD_GUARD))
     wb = wspace.build_basis(ctx, d, alpha)
-    stream = wspace.enumerate_w(ctx, wb, limit=args.guard_max)
-    members = [poly.to_json_obj(ctx, f) for f in itertools.islice(stream, 4097)]
-    count = len(members) + sum(1 for _ in stream)
+    # the basis is independent, so its span has q^dim distinct members
+    count = ctx.q ** wb.dim
+    members = None
+    if count <= 4096:
+        members = [poly.to_json_obj(ctx, f) for f in wspace.enumerate_w(ctx, wb)]
     payload = {
         "kind": "enumerate",
         "field": ctx.spec_str(),
         "d": d,
         "alpha": list(alpha),
         "count": count,
-        "members": members if count <= 4096 else None,
+        "members": members,
     }
     _emit(args, payload, text_lines=[f"count {count}"])
     return 0
@@ -291,9 +285,10 @@ def cmd_oracle_census(args) -> int:
     ctx = parse_field_spec(args.field)
     if args.values is not None:
         S = [ctx.parse_elem(s) for s in args.values.split(";")]
-        rep = oracle.census_fixed_valueset(ctx, S, max_deg=args.max_deg, guard=args.guard_max)
+        rep = oracle.census_fixed_valueset(ctx, S, max_deg=args.max_deg,
+                                           guard=_guard(args, oracle.POLY_SCAN_GUARD))
     else:
-        rep = oracle.census_subfield_valued(ctx, guard=args.guard_max)
+        rep = oracle.census_subfield_valued(ctx, guard=_guard(args, oracle.FUNCTION_SCAN_GUARD))
     payload = {
         "kind": "census",
         "field": rep.field_spec,
@@ -318,7 +313,7 @@ def cmd_oracle_census(args) -> int:
 def cmd_oracle_dim(args) -> int:
     ctx = parse_field_spec(args.field)
     a = _parse_additive(ctx, args.A)
-    dim = oracle.linear_dim_w(ctx, a, guard=args.guard_max)
+    dim = oracle.linear_dim_w(ctx, a, guard=_guard(args, oracle.DIM_GUARD))
     payload = {
         "kind": "dim",
         "field": ctx.spec_str(),
@@ -332,21 +327,12 @@ def cmd_oracle_dim(args) -> int:
 def cmd_oracle_theorems(args) -> int:
     ctx = parse_field_spec(args.field)
     reports = oracle.verify_low_degree_forms(ctx, branch=args.branch,
-                                             guard=args.guard_max)
+                                             guard=_guard(args, oracle.POLY_SCAN_GUARD))
     payload = {
         "kind": "forms",
         "field": ctx.spec_str(),
-        "reports": [{
-            "branch": r.branch,
-            "degrees": list(r.degrees),
-            "scanned": r.scanned,
-            "mvsp_count": r.mvsp_count,
-            "form_count": r.form_count,
-            "mismatches": r.mismatches,
-            "form_family_size": r.form_family_size,
-            "family_equal": r.family_equal,
-            "note": r.note,
-        } for r in reports],
+        "reports": [{k: v for k, v in asdict(r).items() if k != "field_spec"}
+                    for r in reports],
     }
     bad = sum(r.mismatches for r in reports)
     _emit(args, payload, text_lines=[f"mismatches {bad}"])
@@ -490,9 +476,8 @@ def _add_common(sp):
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; execution is serial")
-    sp.add_argument("--guard-max", dest="guard_max", type=int,
-                    default=wspace.ENUM_HARD_GUARD,
-                    help=f"override scan guards, capped at {wspace.ENUM_HARD_GUARD}")
+    sp.add_argument("--guard-max", dest="guard_max", type=int, default=None,
+                    help=f"replace the verb's scan guard, capped at {wspace.ENUM_HARD_GUARD}")
 
 
 _REQUIRED = dict(required=True)
@@ -563,12 +548,12 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "guard_max", 0) > wspace.ENUM_HARD_GUARD:
+    if args.guard_max is not None and args.guard_max > wspace.ENUM_HARD_GUARD:
         args.guard_max = wspace.ENUM_HARD_GUARD
     try:
         if getattr(args, "jobs", 1) < 1:
             raise InputError("--jobs must be >= 1")
-        if getattr(args, "guard_max", 0) < 0:
+        if args.guard_max is not None and args.guard_max < 0:
             raise InputError("--guard-max must be >= 0")
         return args.fn(args)
     except InputError as exc:

@@ -20,8 +20,8 @@ generator scan.  No other module knows the back end: `fold` and `square`
 are the polynomial products that `poly` and `linearized` call.
 
 All operations are pure.  Each fill of a tuple table stores the value every
-other fill would store, so contexts and elements can be shared freely across
-threads.
+other fill would store, and `memo` keeps the first value built under a key,
+so contexts and elements can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -142,9 +142,6 @@ class FieldCtx:
         self.one = tuple([1] + [0] * (self.N - 1))
         # reduction rows: y^(N+j) mod modulus for j = 0..N-2
         self._red = self._reduction_rows()
-        self._elements = None
-        self._sub_elems = {}
-        self._sub_basis = {}
         self._caches = {}
         self._build_table()
 
@@ -321,15 +318,23 @@ class FieldCtx:
             v = v * self.p + d
         return v
 
+    def memo(self, key, build):
+        """The value kept on the context under key, made by build() on first
+        use.  A build that raises keeps nothing.  Two threads may both build;
+        every caller gets the first value kept."""
+        try:
+            return self._caches[key]
+        except KeyError:
+            return self._caches.setdefault(key, build())
+
     def elements(self) -> list:
         """All field elements in canonical coefficient-vector order."""
-        if self._elements is None:
+        def build():
             if self.Q > TABLE_LIMIT:
                 raise GuardError("full element scan refused above 2^20 elements")
             # product varies its last place fastest; reversed, digit 0 does
-            self._elements = [t[::-1] for t in
-                              itertools.product(range(self.p), repeat=self.N)]
-        return self._elements
+            return [t[::-1] for t in itertools.product(range(self.p), repeat=self.N)]
+        return self.memo("elements", build)
 
     # -- ring operations ------------------------------------------------------
 
@@ -512,36 +517,33 @@ class FieldCtx:
 
     def subfield_elements(self, d: int) -> list:
         """All elements of F_{q^d}, canonical order.  Requires d | n."""
-        if d not in self._sub_elems:
+        def build():
             if self.n % d != 0:
                 raise InputError(f"d = {d} does not divide n = {self.n}")
             out = [a for a in self.elements() if self.frobenius(a, d) == a]
             assert len(out) == self.q ** d
-            self._sub_elems[d] = out
-        return self._sub_elems[d]
+            return out
+        return self.memo(("subfield_elements", d), build)
 
     def fp_basis_of_fq(self) -> list:
         """F_p-basis of F_q, 1 first, then the new traces sum_{i<n} (y^j)^(q^i),
         j < N: the trace maps F_p-linearly onto F_q, so no field is scanned,
         and at k = 1 no trace is taken."""
-        key = ("fpq",)
-        if key not in self._caches:
+        def build():
             traces = (self.sum([self.frobenius(self.elem_from_int(self.p ** j), i)
                                 for i in range(self.n)]) for j in range(self.N))
             span = FpSpan(self.p, self.N)
-            candidates = itertools.chain([self.one], traces)
-            self._caches[key] = _first_independent(lambda a: span.add(fp_row(self, (a,))),
-                                                   candidates, self.k)
-        return self._caches[key]
+            return _first_independent(lambda a: span.add(fp_row(self, (a,))),
+                                      itertools.chain([self.one], traces), self.k)
+        return self.memo("fp_basis_of_fq", build)
 
     def subfield_basis(self, d: int) -> list:
         """d elements of F_{q^d} forming an F_q-basis, chosen deterministically
         by scanning the canonical element order and keeping what is new."""
-        if d not in self._sub_basis:
+        def build():
             span = FqSpan(self)
-            self._sub_basis[d] = _first_independent(lambda a: span.add((a,)),
-                                                    self.subfield_elements(d), d)
-        return self._sub_basis[d]
+            return _first_independent(lambda a: span.add((a,)), self.subfield_elements(d), d)
+        return self.memo(("subfield_basis", d), build)
 
     def solve_power(self, alpha, e: int):
         """Some beta with beta^e = alpha, or None: the first such power of

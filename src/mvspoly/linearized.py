@@ -302,21 +302,11 @@ def verify_witness(ctx, a: AdditivePoly, w: LiftWitness) -> None:
 # ---------------------------------------------------------------------------
 
 def tau_to_text(ctx, a: AdditivePoly) -> str:
-    aq = as_context_base(ctx, a)
-    if aq.is_zero():
-        return "0"
-    parts = []
-    for i in range(aq.tau_deg(), -1, -1):
-        c = aq.coeffs[i]
-        if c == ctx.zero:
-            continue
-        cs = ctx.format_elem(c)
-        if i == 0:
-            parts.append(cs)
-        else:
-            ts = "T" if i == 1 else f"T^{i}"
-            parts.append(ts if c == ctx.one else f"{cs}*{ts}")
-    return " + ".join(parts)
+    """A at the context level q as `poly.to_text` writes sum c_i x^i, in T:
+    no coefficient text holds an x."""
+    coeffs = as_context_base(ctx, a).coeffs
+    terms = {i: c for i, c in enumerate(coeffs) if c != ctx.zero}
+    return poly.to_text(ctx, terms).replace("x", "T")
 
 
 def tau_from_text(ctx, s: str) -> AdditivePoly:

@@ -85,11 +85,7 @@ def validate_value_poly(ctx, T: dict) -> ValuePoly:
     decides the hypothesis.  A checked T is kept on the context, so repeated
     requests skip the root search; a refusal is not kept and costs no root
     search."""
-    cache = ctx._caches.setdefault("value_poly", {})
-    key = frozenset(T.items())
-    if key not in cache:
-        cache[key] = _check_value_poly(ctx, T)
-    return cache[key]
+    return ctx.memo(("value_poly", frozenset(T.items())), lambda: _check_value_poly(ctx, T))
 
 
 def _check_value_poly(ctx, T):

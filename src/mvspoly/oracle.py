@@ -52,11 +52,10 @@ def interpolate_table(ctx, values) -> dict:
     """Interpolant of a full value table v given in canonical element order,
     zero first: f = v(0) + sum_{e >= 1} c_e x^e with c_e = -sum_a v(a) *
     a^(Q-1-e) and 0^0 = 1, read off a table of powers kept on the context."""
-    if "powers" not in ctx._caches:
-        ctx._caches["powers"] = [[ctx.pow_elem(a, ctx.Q - 1 - e) for e in range(ctx.Q)]
-                                 for a in ctx.elements()]
+    powers = ctx.memo("powers", lambda: [[ctx.pow_elem(a, ctx.Q - 1 - e) for e in range(ctx.Q)]
+                                         for a in ctx.elements()])
     zero = ctx.zero
-    terms = [(v, row) for v, row in zip(values, ctx._caches["powers"]) if v != zero]
+    terms = [(v, row) for v, row in zip(values, powers) if v != zero]
     out = {0: values[0]} if values[0] != zero else {}
     for e in range(1, ctx.Q):
         acc = zero

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from mvspoly.gf import make_field
@@ -41,3 +44,23 @@ def f9_census(f9):
     """The census of every function F_9 -> F_3, run once per session (about
     1.5 s) for every test that reads it."""
     return census_subfield_valued(f9)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def time_limit():
+    """`with time_limit(seconds):` raises TimeoutError in the block after
+    `seconds` of wall time, so a call that would not return fails the test."""
+    return _time_limit

@@ -255,9 +255,15 @@ def test_enumerate_refuses_before_building_a_basis(monkeypatch, args, code):
     assert err.startswith("guard refusal: " if code == 3 else "input error: ")
 
 
-def test_enumerate_counts_past_the_member_listing():
-    code, d = run_json(["enumerate", "--field", "3^4:2", "--d", "1"])
-    assert code == 0 and d["count"] == 6561 and d["members"] is None
+def test_enumerate_counts_past_the_member_listing(monkeypatch):
+    """The basis is independent, so a span too large to list is counted as
+    q^dim with no member built."""
+    def no_member(*_):
+        raise AssertionError("a member was built")
+    monkeypatch.setattr(cli.wspace, "_combine", no_member)
+    for field, d, count in (("3^4:2", "1", 6561), ("2^9:3", "3", 262144)):
+        code, got = run_json(["enumerate", "--field", field, "--d", d])
+        assert code == 0 and got["count"] == count and got["members"] is None
 
 
 def test_classify_example():
@@ -431,6 +437,37 @@ def test_census_csv_bytes_are_unchanged(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_CSV_DIGESTS[argv]
 
 
+def test_guard_max_replaces_the_verb_guard(time_limit):
+    """16380 operator coordinates exceed the dimension oracle's own guard
+    of 4096 and are within --guard-max 20000."""
+    argv = ["oracle", "dim", "--field", "2^12:1", "--A", "x^4+x^2+x"]
+    with time_limit(20):
+        code, d = run_json(argv + ["--guard-max", "20000"])
+    assert code == 0 and d["dim"] == 47
+
+
+# exit code and sha256 of the stdout of outputs the README commands do not
+# reach: a skipped shift report (null fields), a reduce with no witness, and
+# lifts whose M has coefficients other than 0 and 1
+PAYLOAD_DIGESTS = {
+    ("oracle", "theorems", "--field", "2^2:1"):
+        (0, "807f29f2291ba9abaf231b4a3ec5e5ec8251952810dce5a22cbe177beb714230"),
+    ("reduce", "--field", "3^2:1", "--T", "x^4+x^3+x^2+x"):
+        (1, "645f04d1ead1206a2c5ad577151aec1b21258d75a2ba4d0276d82fe94fbe5696"),
+    ("lift", "--field", "2^4:1", "--A", "T^2 + 1,1,1,0*T + 0,1,1,0"):
+        (0, "973fc8a9b52501dea00a0dd6ee9feed63865bcf69eacef30d677a840bd9e60f0"),
+    ("lift", "--field", "3^3:1", "--A", "T^2 + 0,2,2*T + 2,1,1"):
+        (0, "c9fc5c5965f527dade4f09b5a502e02b55542037c3a2d60d587145b3b2bb91f9"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PAYLOAD_DIGESTS),
+                         ids=lambda argv: f"{argv[0]}-{argv[argv.index('--field') + 1]}")
+def test_payload_bytes_are_unchanged(argv):
+    code, out, _ = run(list(argv))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PAYLOAD_DIGESTS[argv]
+
+
 def test_unknown_flag_rejected():
     code, out, err = run(["verify", "--field", "2^2:1", "--T", "x^2+x",
                           "--F", "x^2+x", "--bogus", "1"])
@@ -518,13 +555,19 @@ def test_verify_beyond_the_table_limit(monkeypatch, F, code):
     ["reduce", "--field", "2^40:1", "--T", "x^4+x"],
     ["verify", "--field", "2^40:1", "--T", "x^1099511627776+x", "--F", "x"],
     ["verify", "--field", "2^22:1", "--T", "x^4194304+x", "--F", "x"],
+    # without --guard-max each verb keeps its own guard: 15728640 polynomials
+    # and 349520 or 16380 operator coordinates are refused
+    ["oracle", "theorems", "--field", "2^4:1", "--branch", "shift"],
+    ["oracle", "dim", "--field", "2^16:1", "--A", "x^4+x"],
+    ["oracle", "dim", "--field", "2^12:1", "--A", "x^4+x^2+x"],
 ])
-def test_large_fields_are_refused_at_once(argv):
+def test_large_fields_are_refused_at_once(argv, time_limit):
     """Guards compare sizes like q^Q without building them and refuse
     before the expensive work; the field itself is built beforehand."""
     parse_field_spec(argv[argv.index("--field") + 1])
     t0 = time.perf_counter()
-    code, out, err = run(argv)
+    with time_limit(5):
+        code, out, err = run(argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("guard refusal: ")

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from linalg_reference import nullspace
-from linearized_reference import tau_compose_pairwise
+from linearized_reference import tau_compose_pairwise, tau_to_text_termwise
 from mvspoly import linearized as L
 from mvspoly import mvsp as M
 from mvspoly import oracle as O
@@ -461,6 +461,23 @@ def test_tau_text_roundtrip(f64):
     a = L.make(f64, 1, (f64.one, f64.elem_from_int(3), f64.one))
     s = L.tau_to_text(f64, a)
     assert L.tau_from_text(f64, s) == a
+
+
+@pytest.mark.parametrize("spec", ["3^2:1", "2^6:1", "2^4:2"])
+def test_tau_text_matches_the_termwise_reference(spec):
+    """Coefficients are drawn from zero, one and the rest, so zero terms,
+    unit terms and the zero polynomial all occur.  Each A is also taken
+    at twice the context level, which the text writes at the context level."""
+    ctx = parse_field_spec(spec)
+    rng = random.Random(ctx.Q + 24)
+    pool = [ctx.zero, ctx.one, ctx.one] + [ctx.elem_from_int(v) for v in range(2, ctx.Q)]
+    for _ in range(300):
+        coeffs = [rng.choice(pool) for _ in range(rng.randrange(6))]
+        for base in (ctx.k, 2 * ctx.k):
+            a = L.make(ctx, base, coeffs)
+            text = L.tau_to_text(ctx, a)
+            assert text == tau_to_text_termwise(ctx, a)
+            assert L.tau_from_text(ctx, text) == L.as_context_base(ctx, a)
 
 
 # -- roots from the nullspace ------------------------------------------------------------

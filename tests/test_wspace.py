@@ -1,8 +1,6 @@
-import contextlib
 import itertools
 import math
 import random
-import signal
 
 import pytest
 
@@ -413,22 +411,8 @@ def test_power_image_count_guarded_bound(f729):
     assert bound == (3 ** 11 - 1) // 2 + 1 == 88574
 
 
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after `seconds` of wall time."""
-    def stop(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("gens", [[], [{}], [{}, {}]])
-def test_a_span_with_no_nonzero_member_is_refused(gens):
+def test_a_span_with_no_nonzero_member_is_refused(gens, time_limit):
     # a zero combination is drawn again, so without the check both calls
     # would loop forever (or count the zero span): bound them
     ctx = make_field(2, 1, 4)
