@@ -4,8 +4,9 @@ A FieldCtx fixes one ambient field F_{p^N} = F_p[y]/(modulus) together with
 the tower F_p < F_q < F_{q^n}, N = k*n.  The modulus is the lexicographically
 least monic irreducible of degree N over F_p, coefficients compared low
 degree first, so equal parameters always rebuild the identical field.  The
-search runs Rabin's irreducibility test with the `poly` arithmetic over the
-prime field F_p as a PlainField; there is no second copy of F_p[y] code.
+search runs Rabin's irreducibility test behind Ben-Or's small-factor screen,
+with the `poly` arithmetic over the prime field F_p (on tables while
+p <= N); there is no second copy of F_p[y] code.
 
 Elements are immutable length-N tuples of F_p digits, low degree first.
 Subfields are never separate objects: F_{q^d} is the fixed set of the d-th
@@ -13,11 +14,12 @@ power of the q-Frobenius inside the one ambient field.
 
 Two back ends have the same public ops, and `make_field` picks one by the
 order Q.  `FieldCtx` computes on exp/log/Zech tables, up to 2^20 elements;
-they hold ints, and `_exp` and `_log` make and record element tuples on
-first use.  `PlainField` keeps no tables and works digit by digit; it also
-runs the modulus search, and it refuses `solve_power`, which would need a
-generator scan.  No other module knows the back end: `fold` and `square`
-are the polynomial products that `poly` and `linearized` call.
+they hold ints, built by blocks of powers at p = 2, and `_exp` and `_log`
+make and record element tuples on first use.  `PlainField` keeps no tables
+and works digit by digit; it also runs the modulus search above p = N, and
+it refuses `solve_power`, which would need a generator scan.  No other
+module knows the back end: `fold` and `square` are the polynomial products
+that `poly` and `linearized` call.
 
 All operations are pure.  Each fill of a tuple table stores the value every
 other fill would store, and `memo` keeps the first value built under a key,
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from array import array
 
 from . import poly
@@ -87,17 +90,21 @@ def power_exceeds(b: int, e: int, bound: int) -> bool:
 
 def _is_irreducible(fp, coeffs) -> bool:
     """Rabin's test for a monic f over the prime field fp, of degree n >= 2
-    with f(0) != 0, given as a full coefficient list: x^(p^n) = x mod f, and
-    gcd(x^(p^(n/r)) - x, f) = 1 for every prime r | n."""
+    with f(0) != 0, given as a full coefficient list, behind Ben-Or's
+    small-factor screen.  With s_i = x^(p^i) mod f, taken in turn: f is
+    irreducible iff s_n = x and gcd(s_{n/r} - x, f) = 1 for every prime
+    r | n (Rabin).  The screen refuses f early when gcd(s_i - x, f) != 1 for
+    some i <= min(3, n/2), i = 1 being a root in F_p: f then has a factor of
+    degree dividing i < n (Ben-Or).  Only Rabin's conditions accept."""
     f = {e: (c,) for e, c in enumerate(coeffs) if c}
     n = len(coeffs) - 1
-    x = poly.x_poly(fp)
-    if poly.x_pow_p_mod(fp, f, n) != x:
-        return False
-    for r in prime_factors(n):
-        if poly.degree(poly.gcd(fp, f, poly.sub(fp, poly.x_pow_p_mod(fp, f, n // r), x))):
+    x = s = poly.x_poly(fp)
+    coprime_at = {n // r for r in prime_factors(n)}.union(range(1, min(3, n // 2) + 1))
+    for i in range(1, n + 1):
+        s = poly.pth_power_mod(fp, s, f)
+        if i in coprime_at and poly.degree(poly.gcd(fp, f, poly.sub(fp, s, x))):
             return False
-    return True
+    return s == x
 
 
 def find_modulus(p: int, n: int) -> tuple:
@@ -107,8 +114,9 @@ def find_modulus(p: int, n: int) -> tuple:
     """
     if n == 1:
         return (0, 1)
-    # without tables, so a large p costs no p-element exp/log table
-    fp = PlainField(p, 1, 1)
+    # on tables while p <= n, where F_p has at most n elements; without
+    # them above, so a large p costs no p-element exp/log table
+    fp = make_field(p, 1, 1) if p <= n else PlainField(p, 1, 1)
     for idx in range(p ** (n - 1), p ** n):     # idx has c_0 != 0 as its leading digit
         coeffs = tuple(idx // p ** (n - 1 - i) % p for i in range(n)) + (1,)
         if _is_irreducible(fp, coeffs):
@@ -204,45 +212,48 @@ class FieldCtx:
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
     def _build_table(self):
-        """Log -> int (`_iexp`) and int -> log (`_ilog`) by stepping through
-        the powers of the generator on canonical ints, one chunk-table step
-        per power (see _mul_tables); the Zech table zech[n] = log(1 + g^n) is
-        read off `_ilog`.  All three are int arrays filled in place, -1 for
-        "no log".  The tuple tables start empty: `_exp[i] or self._intern(i)`
-        is the tuple of g^i, and a miss in `_log` falls back to `_log_of`."""
+        """Log -> int (`_iexp`) and int -> log (`_ilog`) of the powers of the
+        generator on canonical ints: at p = 2 `_iexp` is built by blocks (see
+        `_powers_by_blocks`) and `_ilog` filled in one pass over it; at odd p
+        both are filled stepping one chunk-table step per power (see
+        _mul_tables).  The Zech table zech[n] = log(1 + g^n) is read off
+        `_ilog`.  All three are int arrays, -1 for "no log".  The tuple
+        tables start empty: `_exp[i] or self._intern(i)` is the tuple of g^i,
+        and a miss in `_log` falls back to `_log_of`."""
         if self.Q > TABLE_LIMIT:
             raise GuardError("multiplicative table refused above 2^20 elements")
         Q, p = self.Q, self.p
         M = Q - 1
         self.generator = self._find_generator()
         tables = self._mul_tables(self.generator)
-        iexp = array("i", [0]) * M
         ilog = array("i", [-1]) * Q     # canonical int -> log; 0 has none
-        v = 1
         if p == 2:
-            for i in range(M):
-                iexp[i] = v
+            iexp = self._powers_by_blocks(tables)
+            for i, v in enumerate(iexp):
                 ilog[v] = i
-                w = 0
-                for shift, tab in tables:
-                    w ^= tab[v >> shift & 255]
-                v = w
+            # 1 + v is v XOR 1, so the ints 2j and 2j + 1 are each other's
+            # 1 + v and their logs each other's Zech logs; 1 + 1 = 0 has none
+            zech = array("i", [-1]) * M
+            for a, b in zip(ilog[2::2], ilog[3::2]):
+                zech[a], zech[b] = b, a
         else:
+            iexp = array("i", [0]) * M
             size = len(tables[0][1])
+            v = 1
             for i in range(M):
                 iexp[i] = v
                 ilog[v] = i
                 v = self._digits_to_int(self.sum([tab[v // place % size]
                                                   for place, tab in tables]))
-        # nxt[v] = log(1 + element v): adding 1 raises digit 0 by one, and
-        # digit 0 = p - 1 wraps to 0 (at p = 2 this is v XOR 1)
-        nxt = ilog[1:]
-        nxt.append(ilog[0])
-        nxt[p - 1::p] = ilog[::p]
-        zech = array("i", [0]) * M
-        for n, z in zip(itertools.islice(ilog, 1, None), itertools.islice(nxt, 1, None)):
-            zech[n] = z
-        del nxt
+            # nxt[v] = log(1 + element v): adding 1 raises digit 0 by one,
+            # and digit 0 = p - 1 wraps to 0
+            nxt = ilog[1:]
+            nxt.append(ilog[0])
+            nxt[p - 1::p] = ilog[::p]
+            zech = array("i", [0]) * M
+            for n, z in zip(itertools.islice(ilog, 1, None), itertools.islice(nxt, 1, None)):
+                zech[n] = z
+            del nxt
         self._iexp, self._ilog, self._zech = iexp, ilog, zech
         self._exp = [None] * M
         self._log = {self.zero: None}
@@ -250,6 +261,46 @@ class FieldCtx:
         # log(-1), and log(c * 1) for c in F_p (the int of c * 1 is c)
         self._neg_log = M // 2 if p > 2 else 0
         self._scalar_log = [None, *ilog[1:p]]
+
+    def _powers_by_blocks(self, tables):
+        """The canonical ints of g^0, ..., g^(M-1) at p = 2, M = Q - 1, as an
+        int array.  The first K = 2^ceil(N/2) are stepped, one chunk-table
+        step each.  Each later block of K powers is the previous block times
+        g^K, a map that is F_2-linear on ints, so it runs on the block's byte
+        planes: output plane o is the XOR, taken on ints, over the input
+        planes b of plane b translated by c -> byte o of (c << 8b) * g^K."""
+        N, M = self.N, self.Q - 1
+        K = 1 << (N + 1) // 2
+        first, v = [], 1
+        for _ in range(K):
+            first.append(v)
+            w = 0
+            for shift, tab in tables:
+                w ^= tab[v >> shift & 255]
+            v = w
+        # v is g^K; a chunk shorter than 8 bits pads its tables to 256 bytes
+        shifts = range(0, N, 8)         # of the byte planes
+        trans = [[bytes([t >> o & 255 for t in tab]).ljust(256, b"\0") for o in shifts]
+                 for _, tab in self._mul_tables(self.elem_from_int(v))]
+        block = [bytes([u >> o & 255 for u in first]) for o in shifts]
+        columns = [[b] for b in block]
+        for _ in range(M // K):         # K is even and M odd: ceil(M / K) - 1 blocks
+            acc = [0] * len(shifts)
+            for b, row in zip(block, trans):
+                for o, t in enumerate(row):
+                    acc[o] ^= int.from_bytes(b.translate(t), "little")
+            block = [a.to_bytes(K, "little") for a in acc]
+            for col, b in zip(columns, block):
+                col.append(b)
+        iexp = array("i")
+        width = iexp.itemsize
+        raw = bytearray(width * K * len(columns[0]))
+        for o, col in enumerate(columns):       # byte o of each int, little-endian
+            raw[o::width] = b"".join(col)
+        iexp.frombytes(raw[:width * M])
+        if sys.byteorder == "big":
+            iexp.byteswap()
+        return iexp
 
     def _intern(self, i):
         """The tuple of g^i, stored in `_exp` and `_log` on first use."""
@@ -283,13 +334,16 @@ class FieldCtx:
         images = [self._mul_raw(self.elem_from_int(p ** j), g) for j in range(N)]
         tables = []
         for low in range(0, N, w):
-            tab = [self.zero]
-            for b in images[low:low + w]:
-                tab = [tuple((x + d * y) % p for x, y in zip(t, b))
-                       for d in range(p) for t in tab]
             if p == 2:
-                tables.append((low, [self._digits_to_int(t) for t in tab]))
+                tab = [0]
+                for b in map(self._digits_to_int, images[low:low + w]):
+                    tab += [t ^ b for t in tab]
+                tables.append((low, tab))
             else:
+                tab = [self.zero]
+                for b in images[low:low + w]:
+                    tab = [tuple((x + d * y) % p for x, y in zip(t, b))
+                           for d in range(p) for t in tab]
                 tables.append((p ** low, tab))
         return tables
 
@@ -579,13 +633,15 @@ class FieldCtx:
             if self.N == 1:
                 raise InputError("no generator digit in a prime field")
             return tuple([0, 1] + [0] * (self.N - 2))
-        try:
-            digits = [int(t) for t in s.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad element {s!r}") from exc
+        # ASCII decimal digits only, spaces around each: int() alone would
+        # also take a sign, an underscore or a non-ASCII digit
+        parts = s.split(",")
+        if not (s.isascii() and all(map(str.isdigit, map(str.strip, parts)))):
+            raise InputError(f"bad element {s!r}")
+        digits = list(map(int, parts))
         if len(digits) > self.N:
             raise InputError(f"element {s!r} has more than {self.N} digits")
-        if any(d < 0 or d >= self.p for d in digits):
+        if max(digits) >= self.p:
             raise InputError(f"element digits must lie in [0,{self.p})")
         digits += [0] * (self.N - len(digits))
         return tuple(digits)

@@ -245,16 +245,20 @@ def field_gcd(ctx, f: dict) -> dict:
 
 
 def x_pow_p_mod(ctx, f: dict, m: int) -> dict:
-    """x^(p^m) mod f, by m successive p-th powers.  A p-th power is taken
-    termwise while p <= deg f; for a larger p the termwise power would need
-    a quotient of degree about p * deg f, so it is taken by squaring mod f."""
+    """x^(p^m) mod f, by m successive p-th powers."""
     s = x_poly(ctx)
     for _ in range(m):
-        if ctx.p <= degree(f):
-            s = divmod_(ctx, frob_power(ctx, s, 1), f)[1]
-        else:
-            s = pow_mod(ctx, s, ctx.p, f)
+        s = pth_power_mod(ctx, s, f)
     return s
+
+
+def pth_power_mod(ctx, s: dict, f: dict) -> dict:
+    """s^p mod f.  The p-th power is taken termwise while p <= deg f; for a
+    larger p the termwise power would need a quotient of degree about
+    p * deg f, so it is taken by squaring mod f."""
+    if ctx.p <= degree(f):
+        return divmod_(ctx, frob_power(ctx, s, 1), f)[1]
+    return pow_mod(ctx, s, ctx.p, f)
 
 
 def pow_mod(ctx, g: dict, e: int, f: dict) -> dict:

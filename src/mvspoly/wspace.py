@@ -180,10 +180,10 @@ def target_binomial(ctx, wb: WBasis) -> dict:
     return lin.to_sparse(ctx, lin.binomial(ctx, wb.d, wb.alpha))
 
 
-def span_iter(ctx, polys, limit=ENUM_HARD_GUARD):
+def span_iter(ctx, polys):
     """All F_q-linear combinations of the given polynomials, no duplicates
-    when the inputs are independent."""
-    check_span_size(ctx, len(polys), limit)
+    when the inputs are independent; refused above the hard cap."""
+    check_span_size(ctx, len(polys), ENUM_HARD_GUARD)
     for digits in itertools.product(ctx.subfield_elements(1), repeat=len(polys)):
         yield _combine(ctx, digits, polys)
 
@@ -203,9 +203,9 @@ def _combine(ctx, digits, polys) -> dict:
     return f
 
 
-def enumerate_w(ctx, wb: WBasis, limit=ENUM_HARD_GUARD):
+def enumerate_w(ctx, wb: WBasis):
     """Stream of all members of the basis span."""
-    return span_iter(ctx, [b.elem for b in wb.elems], limit)
+    return span_iter(ctx, [b.elem for b in wb.elems])
 
 
 # ---------------------------------------------------------------------------

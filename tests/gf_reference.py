@@ -3,10 +3,42 @@
 - `solve_power_scan`: `FieldCtx.solve_power` as a scan, the form it had on
   a field without tables: the powers of the first multiplicative generator
   in canonical order, in turn, until one is an e-th root of alpha.
+- `find_modulus_rabin`: the modulus search with Rabin's test alone, no
+  small-factor screen, over the prime field without tables, each power
+  x^(p^m) mod f taken afresh.
 """
 
+from mvspoly import poly
 from mvspoly.errors import InputError
-from mvspoly.gf import prime_factors
+from mvspoly.gf import PlainField, prime_factors
+
+
+def is_irreducible_rabin(fp, coeffs) -> bool:
+    """Rabin's test for a monic f over the prime field fp, of degree n >= 2
+    with f(0) != 0: x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for
+    every prime r | n."""
+    f = {e: (c,) for e, c in enumerate(coeffs) if c}
+    n = len(coeffs) - 1
+    x = poly.x_poly(fp)
+    if poly.x_pow_p_mod(fp, f, n) != x:
+        return False
+    for r in prime_factors(n):
+        if poly.degree(poly.gcd(fp, f, poly.sub(fp, poly.x_pow_p_mod(fp, f, n // r), x))):
+            return False
+    return True
+
+
+def find_modulus_rabin(p: int, n: int) -> tuple:
+    """The lexicographically least monic irreducible of degree n over F_p,
+    candidates (c_0, ..., c_{n-1}) compared low-degree digit first."""
+    if n == 1:
+        return (0, 1)
+    fp = PlainField(p, 1, 1)
+    for idx in range(p ** (n - 1), p ** n):     # idx has c_0 != 0 as its leading digit
+        coeffs = tuple(idx // p ** (n - 1 - i) % p for i in range(n)) + (1,)
+        if is_irreducible_rabin(fp, coeffs):
+            return coeffs
+    raise AssertionError("no irreducible polynomial found")
 
 
 def first_generator(ctx):

@@ -14,6 +14,7 @@ import pytest
 
 from mvspoly import cli, gf
 from mvspoly.cli import main
+from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, parse_field_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -311,6 +312,24 @@ def test_oracle_census_refuses_empty_values():
     # an empty --values is a bad element, not a request for the subfield census
     code, out, err = run(["oracle", "census", "--field", "2^2:1", "--values", ""])
     assert (code, out, err) == (2, "", "input error: bad element ''\n")
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "-1", "1,,0", "1 0", "3,\u0661"])
+def test_element_digits_are_ascii_decimal(text):
+    # int() alone reads "1_0" as 10 and "+3" and the Arabic-Indic digit as 3
+    with pytest.raises(InputError, match="^bad element "):
+        parse_field_spec("11^2:1").parse_elem(text)
+
+
+def test_element_digits_may_have_spaces_around():
+    ctx = parse_field_spec("11^2:1")
+    assert ctx.parse_elem(" 10 , 3 ") == (10, 3)
+    assert ctx.parse_elem("10") == (10, 0)
+
+
+def test_an_underscored_digit_is_a_bad_element():
+    code, out, err = run(["basis", "--field", "11^2:1", "--d", "2", "--alpha", "1_0"])
+    assert (code, out, err) == (2, "", "input error: bad element '1_0'\n")
 
 
 def test_quadratic_carve_out_exit_codes():

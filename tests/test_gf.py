@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf_reference import solve_power_scan
+from gf_reference import find_modulus_rabin, is_irreducible_rabin, solve_power_scan
 from mvspoly import gf
 from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import (FieldCtx, PlainField, find_modulus, is_prime, make_field,
@@ -314,9 +314,33 @@ def test_find_modulus_is_the_least_irreducible(p, N):
     (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
     (2, 20, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
     (1048573, 2, (1, 3, 1)),
+    (3, 12, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1)),
+    (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+    (2, 40, (1,) + (0,) * 34 + (1, 1, 1, 0, 0, 1)),
 ])
 def test_find_modulus_pinned(p, N, modulus):
     assert find_modulus(p, N) == modulus
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in SMALL_PRIMES for N in range(1, 17)
+                                 if p ** N <= 1 << 16])
+def test_screened_search_finds_the_rabin_modulus(p, N):
+    """The small-factor screen only refuses, so the search returns the
+    modulus of Rabin's test alone."""
+    assert find_modulus(p, N) == find_modulus_rabin(p, N)
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in (2, 3, 5, 7) for N in range(2, 11)
+                                 if p ** N <= 1 << 10])
+def test_screened_test_agrees_with_rabin_on_every_candidate(p, N):
+    """Every monic candidate of degree N with c_0 != 0, on the prime field
+    with and without tables."""
+    rabin = PlainField(p, 1, 1)
+    for low in itertools.product(range(p), repeat=N):
+        if low[0]:
+            expected = is_irreducible_rabin(rabin, low + (1,))
+            for fp in (make_field(p, 1, 1), PlainField(p, 1, 1)):
+                assert gf._is_irreducible(fp, low + (1,)) == expected, (fp, low)
 
 
 def test_is_prime():
@@ -387,7 +411,9 @@ TABLE_FIELDS = [(p, k, N // k) for p in (2, 3, 5, 7) for N in range(1, 13)
                 if p ** N <= 1 << 12 for k in range(1, N + 1) if N % k == 0]
 
 
-@pytest.mark.parametrize("p,k,n", TABLE_FIELDS + [(2, 1, 16)])
+# 2^7, 2^8 and 2^9 (in TABLE_FIELDS) put one byte plane below, at and above
+# its boundary; 2^17 has a one-bit top plane
+@pytest.mark.parametrize("p,k,n", TABLE_FIELDS + [(2, 1, 16), (2, 1, 17)])
 def test_tables_match_schoolbook_stepping(p, k, n):
     ctx = FieldCtx(p, k, n)
     assert ctx.elements() == [ctx.elem_from_int(i) for i in range(ctx.Q)]

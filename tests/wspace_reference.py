@@ -11,7 +11,7 @@
 
 from mvspoly import mvsp, poly
 from mvspoly.errors import InputError
-from mvspoly.wspace import WBasis, _trace, span_iter
+from mvspoly.wspace import WBasis, _trace, check_span_size, span_iter
 
 
 def membership_coordinates(ctx, F: dict, wb: WBasis):
@@ -45,8 +45,9 @@ def reconstruct_from_coordinates(ctx, wb: WBasis, coords: dict) -> dict:
 def power_image_count_exact(ctx, T: dict, v: int, generators, limit=1 << 16) -> int:
     """Number of distinct F^v over the span of the generators, every image
     verified against T; the span is enumerated up to `limit` members."""
+    check_span_size(ctx, len(generators), limit)
     images = set()
-    for f in span_iter(ctx, list(generators), limit):
+    for f in span_iter(ctx, list(generators)):
         img = poly.pow_(ctx, f, v)
         if not mvsp.mills_check(ctx, img, T).is_member:
             raise AssertionError("power image failed verification")
