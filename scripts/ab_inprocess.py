@@ -11,7 +11,9 @@ through both ROUNDS times, the order alternating op by op and round by round,
 and each op gets the median of its times per checkout.  The script prints, per op, those
 medians and their ratio new/old, then the median ratio per group (field and
 kind for verify, (t, d) for sweep) and over all ops, and the ratio at the
-benchmark's tail rank (the 11th slowest op).
+benchmark's tail rank (the 11th slowest op).  A sweep op is also timed in its
+two halves, `lift_pipeline` and `linear_dim_w`, and the median ratio over all
+ops of each half is printed too.
 
 The two sides share the host's speed at every moment, so their ratio is
 steadier than that of two separate benchmark processes.  It is for sizing a
@@ -61,7 +63,8 @@ def verify_ops(mods, inputs):
     def call(argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return main(argv)
+            main(argv)
+        return {}
 
     for req in inputs["warmup"]:
         call(req["argv"])
@@ -70,24 +73,29 @@ def verify_ops(mods, inputs):
 
 
 def sweep_ops(mods, inputs):
-    """One callable per polynomial: lift_pipeline and linear_dim_w."""
+    """One callable per polynomial: lift_pipeline and linear_dim_w, each
+    timed on its own."""
     ctx = mods["gf"].parse_field_spec(inputs["field"])
     make = mods["linearized"].AdditivePoly
     wspace, oracle = mods["wspace"], mods["oracle"]
 
     def call(a):
+        t0 = perf_counter()
         wspace.lift_pipeline(ctx, a)
-        return oracle.linear_dim_w(ctx, a)
+        t1 = perf_counter()
+        oracle.linear_dim_w(ctx, a)
+        return {"lift_pipeline": t1 - t0, "linear_dim_w": perf_counter() - t1}
 
     polys = [make(op["base"], tuple(map(tuple, op["coeffs"]))) for op in inputs["ops"]]
     return ([(lambda a=a: call(a)) for a in polys],
             [f"t={op['t']} d={op['d']}" for op in inputs["ops"]])
 
 
-def timed(fn) -> float:
+def timed(fn):
+    """The time of one call of fn, and the times of its halves, by name."""
     t0 = perf_counter()
-    fn()
-    return perf_counter() - t0
+    halves = fn()
+    return perf_counter() - t0, halves
 
 
 def main():
@@ -104,12 +112,16 @@ def main():
     new_ops, _ = make_ops(load(args.new.resolve(), "mvspoly_new"), inputs)
     n = len(old_ops)
     times = {"old": [[] for _ in range(n)], "new": [[] for _ in range(n)]}
+    halves = {"old": {}, "new": {}}        # side -> half -> per-op times
     for r in range(ROUNDS):
         for i in range(n):
             first_old = (r + i) % 2 == 0
             for side in (("old", "new") if first_old else ("new", "old")):
                 ops = old_ops if side == "old" else new_ops
-                times[side][i].append(timed(ops[i]))
+                total, parts = timed(ops[i])
+                times[side][i].append(total)
+                for name, t in parts.items():
+                    halves[side].setdefault(name, [[] for _ in range(n)])[i].append(t)
     old = [statistics.median(t) for t in times["old"]]
     new = [statistics.median(t) for t in times["new"]]
     ratio = [b / a for a, b in zip(old, new)]
@@ -123,6 +135,10 @@ def main():
     for g, rs in sorted(by_group.items()):
         print(f"median new/old {g:<18s} {statistics.median(rs):.3f} over {len(rs)} ops")
     print(f"median new/old over all {n} ops: {statistics.median(ratio):.3f}")
+    for name, per_op in halves["old"].items():
+        rs = [statistics.median(b) / statistics.median(a)
+              for a, b in zip(per_op, halves["new"][name])]
+        print(f"median new/old of {name} over all {n} ops: {statistics.median(rs):.3f}")
     rank = n - 1 - TAIL_BEYOND if n > TAIL_BEYOND else n - 1
     tail_old, tail_new = sorted(old)[rank], sorted(new)[rank]
     print(f"tail (op {rank + 1} of {n} by latency): {1e3 * tail_old:.3f} -> "

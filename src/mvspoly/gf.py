@@ -564,6 +564,12 @@ class FieldCtx:
         """a^(q^j); j reduced mod n, so negative j is the inverse map."""
         return self.frobenius_p(a, (j % self.n) * self.k)
 
+    def unit_images(self, m: int) -> list:
+        """The units y^j, j < N, raised to p^m (the units at m = 0), kept
+        under ("units", m)."""
+        return self.memo(("units", m), lambda: [
+            self.frobenius_p(self.elem_from_int(self.p ** j), m) for j in range(self.N)])
+
     def in_subfield(self, a, d: int) -> bool:
         if self.n % d != 0:
             raise InputError(f"d = {d} does not divide n = {self.n}")

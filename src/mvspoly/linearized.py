@@ -14,6 +14,7 @@ The zeros of A are the nullspace of A as an F_p-linear map (fp_nullspace).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,12 +104,18 @@ def as_context_base(ctx, a: AdditivePoly) -> AdditivePoly:
 
 
 def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
-    """A(f) = sum_i c_i * f^(p^m), m = base*i, as one ctx.fold of f's terms
-    twisted by p^m and scaled by c_i."""
+    """A(f), through `apply_each`."""
+    return apply_each(ctx, a, (f,))[0]
+
+
+def apply_each(ctx, a: AdditivePoly, fs) -> list:
+    """[A(f) for f in fs], A(f) = sum_i c_i * f^(p^m), m = base*i, as one
+    ctx.fold of f's terms twisted by p^m and scaled by c_i.  The fold rows
+    are built once, and one exponent check covers the largest degree."""
     rows = [(0, c, a.base * i) for i, c in enumerate(a.coeffs) if c != ctx.zero]
-    if f and rows:
-        poly.check_exponent(poly.degree(f) * ctx.p ** rows[-1][2])
-    return ctx.fold(f, rows)
+    if rows:
+        poly.check_exponent(max(map(max, filter(None, fs)), default=0) * ctx.p ** rows[-1][2])
+    return [ctx.fold(f, rows) for f in fs]
 
 
 def tau_compose(ctx, a: AdditivePoly, b: AdditivePoly) -> AdditivePoly:
@@ -169,9 +176,10 @@ def fp_nullspace(ctx, a: AdditivePoly) -> list:
     """F_p-basis of the zeros of A in the ambient field: the nullspace of A
     as an F_p-linear map, which is the same at every level A is read at:
     the kernel of y^c -> A(y^c), whose vectors are the zeros' digits."""
-    sa = to_sparse(ctx, a)
-    images = [fp_row(ctx, (poly.eval_at(ctx, sa, ctx.elem_from_int(ctx.p ** c)),))
-              for c in range(ctx.N)]
+    terms = [(c, ctx.unit_images(a.base * i)) for i, c in enumerate(a.coeffs) if c != ctx.zero]
+    images = [fp_row(ctx, (functools.reduce(ctx.add, [ctx.mul(c, im[j]) for c, im in terms],
+                                            ctx.zero),))
+              for j in range(ctx.N)]
     null = fp_kernel(ctx.p, ctx.N, images)
     return [fp_elem(ctx, v) for v in null]
 

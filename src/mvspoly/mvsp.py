@@ -10,7 +10,11 @@ The two faces of the theory live here side by side:
   set is the root set of T.  Before it composes T(F), it refuses F that
   fail the degree equation, the identity at x = 0 (T(F(0)) = 0), or its
   top term, which forces theta = lc(F)^deg T / lc(F') among the candidates.
-  These cost a few field operations where T(F) costs thousands.
+  These cost a few field operations where T(F) costs thousands.  The test
+  itself is one core, `_mills_core`, which takes the checked ValuePoly and
+  answers with a cause code (MILLS_CAUSES) or None for a member:
+  mills_check reports its answer, and the lift re-checks its generators
+  through it with the ValuePoly it already holds.
 
 Everything else (additive reductions, power lifts, low degree normal forms,
 root profiles) is built from those two.  All of it reads T through
@@ -160,44 +164,44 @@ def is_minimal(ctx, F: dict) -> MvspReport:
                       reason="" if ok else "value set larger than the bound")
 
 
-def _mismatch(vp: ValuePoly, dF: int, bound: int) -> MvspReport:
-    """The report of a nonconstant F that is not a member."""
-    return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound, theta=None,
-                      theta_candidates=vp.thetas, is_member=False, reason="value set mismatch")
+# the cause `_mills_core` gives for each way a polynomial fails, and the
+# reason `mills_check` reports for it
+MILLS_CAUSES = {
+    "constant_not_root": "constant is not a root",
+    "degree_equation": "value set mismatch",       # deg T * deg F != Q + deg F', or F' = 0
+    "zero_value_not_root": "value set mismatch",   # T(F(0)) != 0
+    "theta_not_candidate": "value set mismatch",   # the forced theta is no -T'(root)
+    "identity_fails": "value set mismatch",
+}
 
 
-def mills_check(ctx, F: dict, T: dict) -> MvspReport:
-    """Membership of F in the space of T-minimal polynomials.
+def _mills_core(ctx, F: dict, T: dict, vp: ValuePoly):
+    """The Mills test of F against T, with vp the checked form of T:
+    (None, theta) for a member, theta the forced one (None for a constant),
+    and (cause, None) for a non-member, cause a key of MILLS_CAUSES.
 
-    For nonconstant F the polynomial identity is tested exactly.  Three
-    checks refuse hopeless inputs before any composition happens: the degree
-    equation deg T * deg F = Q + deg F'; the identity at x = 0, T(F(0)) = 0;
-    and its top term, which forces theta = lc(F)^deg T / lc(F'), to be one
-    of the candidates.  Constants are members exactly when they are roots
-    of T."""
-    vp = validate_value_poly(ctx, T)
-    dT = poly.degree(T)
+    A constant is a member exactly when it is a root of T.  For nonconstant
+    F the polynomial identity is tested exactly, after three checks refuse
+    hopeless inputs before any composition: the degree equation
+    deg T * deg F = Q + deg F'; the identity at x = 0, T(F(0)) = 0; and its
+    top term, which forces theta = lc(F)^deg T / lc(F') to be one of the
+    candidates."""
     dF = poly.degree(F)
     if dF is poly.NEG_INF or dF == 0:
-        c = F.get(0, ctx.zero)
-        member = c in vp.root_set
-        return MvspReport(is_mvsp=False, value_set=frozenset({c}), deg=0,
-                          bound=None, theta=None, theta_candidates=vp.thetas,
-                          is_member=member,
-                          reason="" if member else "constant is not a root")
-    bound = (ctx.Q - 1) // dF + 1
+        return (None if F.get(0, ctx.zero) in vp.root_set else "constant_not_root"), None
+    dT = poly.degree(T)
     dFpoly = poly.derivative(ctx, F)
     dFp = poly.degree(dFpoly)
     if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
-        return _mismatch(vp, dF, bound)
+        return "degree_equation", None
     poly.check_exponent(dT * dF)        # the refusal composing T(F) would raise
     if F.get(0, ctx.zero) not in vp.root_set:
-        return _mismatch(vp, dF, bound)
+        return "zero_value_not_root", None
     # T is monic, so T(F) has the top term lc(F)^deg T * x^(Q + deg F'),
     # nonzero; theta is forced by it, and then checked everywhere
     theta = ctx.div(ctx.pow_elem(F[dF], dT), dFpoly[dFp])
     if theta not in vp.thetas:
-        return _mismatch(vp, dF, bound)
+        return "theta_not_candidate", None
     lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
            else poly.compose(ctx, T, F))
     # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
@@ -205,9 +209,26 @@ def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
     rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
     if lhs != rhs:
-        return _mismatch(vp, dF, bound)
-    return MvspReport(is_mvsp=True, value_set=vp.root_set, deg=dF, bound=bound,
-                      theta=theta, theta_candidates=vp.thetas, is_member=True)
+        return "identity_fails", None
+    return None, theta
+
+
+def mills_check(ctx, F: dict, T: dict) -> MvspReport:
+    """Membership of F in the space of T-minimal polynomials, as a report
+    of `_mills_core`'s answer; a non-member's reason is its cause's entry
+    in MILLS_CAUSES."""
+    vp = validate_value_poly(ctx, T)
+    cause, theta = _mills_core(ctx, F, T, vp)
+    member = cause is None
+    reason = MILLS_CAUSES.get(cause, "")
+    dF = poly.degree(F)
+    if dF is poly.NEG_INF or dF == 0:
+        return MvspReport(is_mvsp=False, value_set=frozenset({F.get(0, ctx.zero)}), deg=0,
+                          bound=None, theta=None, theta_candidates=vp.thetas,
+                          is_member=member, reason=reason)
+    return MvspReport(is_mvsp=member, value_set=vp.root_set if member else None, deg=dF,
+                      bound=(ctx.Q - 1) // dF + 1, theta=theta, theta_candidates=vp.thetas,
+                      is_member=member, reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ both worlds agree.
 
 Both censuses feed their stream of members to one tally (`_tally`), and
 both normal-form branches run through the one scan loop of
-`verify_low_degree_forms`, a branch being its degrees and its extractor.
+`verify_low_degree_forms`, a branch being its degrees and its extractor;
+every requested branch is guarded before the first one is scanned.
+
+The dimension oracle keeps on the context only what does not depend on A:
+the exponent layout of its operator under ("operator_layout", D, steps),
+and the unit images (y^j)^(p^m) under ("units", m) through
+`FieldCtx.unit_images`, each built on first use.  Its rank is computed
+afresh for every A.
 """
 
 from __future__ import annotations
@@ -162,29 +169,38 @@ def _operator_rank(ctx, aq, theta, D) -> int:
     fixed coefficients per unit u and s, packed once (`fp_parts`) and placed
     at offsets found once per e.  The digits at the k-th distinct exponent
     are entries k*N .. k*N + N - 1, and coefficients at a repeated exponent
-    add (`fp_sum_at`).  Each column goes into one FpSpan."""
+    add (`fp_sum_at`).  Each column goes into one FpSpan.  The offsets
+    depend only on D and the steps p^(base*i) of A's terms, so they are
+    kept on the context under ("operator_layout", D, steps), and the units'
+    images come from `ctx.unit_images`; the rank itself is computed afresh
+    for every A."""
     p, N = ctx.p, ctx.N
     # c_0 = -theta != 0 (A is separable) leads the terms; x^e's theta part adds to it
     terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
-    steps = [p ** (aq.base * i) for i, _ in terms]
-    pos = {}
-    layout = []
-    for e in range(D + 1):
-        exps = [e * m for m in steps]
-        if e % p:
-            exps.append(ctx.Q + e - 1)
-        layout.append((e % p, [N * pos.setdefault(x, len(pos)) for x in exps]))
+    steps = tuple(p ** (aq.base * i) for i, _ in terms)
+
+    def build_layout():
+        pos = {}
+        layout = []
+        for e in range(D + 1):
+            exps = [e * m for m in steps]
+            if e % p:
+                exps.append(ctx.Q + e - 1)
+            layout.append((e % p, [N * pos.setdefault(x, len(pos)) for x in exps]))
+        return len(pos) * N, layout
+    width, layout = ctx.memo(("operator_layout", D, steps), build_layout)
+    images = [ctx.unit_images(aq.base * i) for i, _ in terms]
     per_unit = []
     for j in range(N):
-        u = ctx.elem_from_int(p ** j)
-        a_u = [ctx.mul(c, ctx.frobenius_p(u, aq.base * i)) for i, c in terms]
-        theta_u = ctx.mul(theta, u)
-        by_s = [fp_parts(ctx, a_u)]
+        a_u = [ctx.mul(c, im[j]) for (_, c), im in zip(terms, images)]
+        theta_u = ctx.mul(theta, images[0][j])
+        parts = fp_parts(ctx, a_u)
+        by_s = [parts]
         for s in range(1, p):
             su = ctx.smul(s, theta_u)
-            by_s.append(fp_parts(ctx, (ctx.add(a_u[0], su), *a_u[1:], ctx.neg(su))))
+            first, last = fp_parts(ctx, (ctx.add(a_u[0], su), ctx.neg(su)))
+            by_s.append([first, *parts[1:], last])
         per_unit.append(by_s)
-    width = len(pos) * N
     span = FpSpan(p, width)
     for s, offsets in layout:
         for unit in per_unit:
@@ -286,7 +302,7 @@ def verify_low_degree_forms(ctx, branch="both", guard=POLY_SCAN_GUARD):
         raise InputError("form verification is defined on square fields")
     forms = {"power": (tuple(range(1, s + 1)), mvsp.extract_linearized_power_form),
              "shift": ((s + 1,), mvsp.extract_shift_power_form)}
-    out = []
+    out, scans = [], []
     for br in ("power", "shift") if branch == "both" else (branch,):
         if br not in forms:
             raise InputError(f"unknown branch {br!r}")
@@ -296,8 +312,11 @@ def verify_low_degree_forms(ctx, branch="both", guard=POLY_SCAN_GUARD):
         out.append(rep)
         if br == "shift" and (ctx.Q - 1) // (s + 1) + 1 <= 2:
             rep.note = "skipped: bound <= 2 is outside the theory"
-            continue
-        _check_scan_size(ctx.Q, degrees, guard)
+        else:
+            # every branch to scan is guarded before the first scan starts
+            _check_scan_size(ctx.Q, degrees, guard)
+            scans.append((br, rep, degrees, extract))
+    for br, rep, degrees, extract in scans:
         minimal = set()
         for d in degrees:
             for f in _iter_polys_of_degree(ctx, d):

@@ -180,17 +180,6 @@ def derivative(ctx, f: dict) -> dict:
     return out
 
 
-def reduce_mod_field(ctx, f: dict) -> dict:
-    """Canonical representative of f mod (x^Q - x): exponent 0 is fixed and
-    e >= 1 maps to ((e-1) mod (Q-1)) + 1."""
-    M = ctx.Q - 1
-    out = {}
-    for e, c in f.items():
-        r = 0 if e == 0 else ((e - 1) % M) + 1
-        _add_term(ctx, out, r, c)
-    return out
-
-
 def divmod_(ctx, f: dict, g: dict):
     if not g:
         raise InputError("division by the zero polynomial")

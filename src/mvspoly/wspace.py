@@ -6,7 +6,10 @@ decomposition of those exponent vectors under cyclic digit rotation gives a
 direct sum of components, one per necklace, and an explicit F_q-basis of
 size d * 2^(n/d).  The lift pipeline pushes that basis through M(x) from a
 binomial factorization gamma * A(M(x)) to generate the member space of a
-general split additive polynomial A, with rank d*2^(n/d) - d + t.
+general split additive polynomial A, with rank d*2^(n/d) - d + t.  It folds
+the whole basis through M on one row set (`linearized.apply_each`), and it
+re-checks each kept generator through the one Mills core,
+`mvsp._mills_core`, with the checked ValuePoly of A that it already holds.
 
 Every orbit is one walk, `_orbit`: e -> e*q' mod (Q-1), which is the
 exponent rule of reduction mod x^Q - x applied to (x^e)^q', with its two
@@ -72,7 +75,7 @@ def _necklaces(n: int):
 
 def _orbit(e: int, qd: int, M: int) -> list:
     """e, e*qd, e*qd^2, ... mod M up to the first repeat; 0 and M are fixed
-    points, as in `poly.reduce_mod_field` applied to (x^e)^qd."""
+    points, as in the reduction of (x^e)^qd mod x^(M+1) - x."""
     orbit = [e]
     # off 0 and M the walk never hits 0 mod M, so `or e` fires only there
     while (nxt := orbit[-1] * qd % M or e) != e:
@@ -224,17 +227,18 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     """Generators of the member space of A from the binomial one.
 
     Composes M from the binomial factorization with every basis element of
-    the binomial space, reduces, and removes F_q-dependencies; the surviving
-    rank is exactly d*2^(n/d) - d + t (the kernel of the map is the root
-    space of M, which consists of constants), and every generator is
-    re-verified against A by the Mills criterion.  A must satisfy the
-    standing hypothesis without the quadratic carve-out."""
+    the binomial space, with M's fold rows built once, and removes
+    F_q-dependencies; the surviving rank is exactly d*2^(n/d) - d + t (the
+    kernel of the map is the root space of M, which consists of constants),
+    and every generator is re-verified against A by the Mills core.  A must
+    satisfy the standing hypothesis without the quadratic carve-out."""
     vp = mvsp.split_additive(ctx, a, lin.STAR_REFUSAL)
     d, alpha = lin.minimal_binomial_multiple(ctx, vp.null)
     witness = lin.factor_through_binomial(ctx, vp.additive, d, alpha)
     wb = build_basis(ctx, d, alpha)
-    raw = [poly.reduce_mod_field(ctx, lin.apply_poly(ctx, witness.M, b.elem))
-           for b in wb.elems]
+    # q^d >= deg A > 2, so M(b) has degree at most q^(d-t) * (Q-1)/(q^d - 1)
+    # < Q: it is already reduced mod x^Q - x
+    raw = lin.apply_each(ctx, witness.M, [b.elem for b in wb.elems])
     exponents = sorted({e for f in raw for e in f})
     span = FqSpan(ctx, len(exponents))
     kept = [g for g in raw if span.add([g.get(e, ctx.zero) for e in exponents])]
@@ -243,7 +247,7 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
         raise AssertionError(f"lift rank {len(kept)} != expected {bound}")
     asp = lin.to_sparse(ctx, vp.additive)
     for g in kept:
-        if not mvsp.mills_check(ctx, g, asp).is_member:
+        if mvsp._mills_core(ctx, g, asp, vp)[0] is not None:
             raise AssertionError("lift generator failed verification")
     return LiftReport(witness=witness, basis=wb, generators=tuple(kept),
                       dim_lower=len(kept))

@@ -12,11 +12,13 @@
   the coefficients off a table of powers.
 - `from_json_obj`: the inverse of `mvspoly.poly.to_json_obj`, which no
   command reads back.
+- `reduce_mod_field`: the canonical representative mod x^Q - x, which the
+  lift made of every image M(b) before it was shown to have degree below Q.
 """
 
 from mvspoly.errors import InputError
-from mvspoly.poly import (EXP_LIMIT, add, const, derivative, divmod_, eval_at, linear, mul,
-                          pow_, scale)
+from mvspoly.poly import (EXP_LIMIT, _add_term, add, const, derivative, divmod_, eval_at, linear,
+                          mul, pow_, scale)
 
 
 def compose_horner(ctx, f: dict, g: dict) -> dict:
@@ -132,4 +134,15 @@ def from_json_obj(ctx, obj) -> dict:
             raise InputError("bad coefficient digits")
         if c != ctx.zero:
             out[e] = c
+    return out
+
+
+def reduce_mod_field(ctx, f: dict) -> dict:
+    """Canonical representative of f mod (x^Q - x): exponent 0 is fixed and
+    e >= 1 maps to ((e-1) mod (Q-1)) + 1."""
+    M = ctx.Q - 1
+    out = {}
+    for e, c in f.items():
+        r = 0 if e == 0 else ((e - 1) % M) + 1
+        _add_term(ctx, out, r, c)
     return out

@@ -592,6 +592,24 @@ def test_large_fields_are_refused_at_once(argv, time_limit):
     assert len(err.splitlines()) == 1 and err.startswith("guard refusal: ")
 
 
+def test_every_form_branch_is_guarded_before_the_first_scan(monkeypatch, time_limit):
+    """With both branches requested over F_16, the shift branch's
+    15 * 16^5 polynomials are refused before the power branch's 1,048,560
+    are scanned: no polynomial is tested, with the message and exit code
+    of the shift branch alone."""
+    from mvspoly import mvsp
+    parse_field_spec("2^4:1")
+    tested = []
+    monkeypatch.setattr(mvsp, "is_minimal", lambda ctx, f: tested.append(f))
+    t0 = time.perf_counter()
+    with time_limit(5):
+        both = run(["oracle", "theorems", "--field", "2^4:1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert both == (3, "", "guard refusal: scan of more than 4194304 polynomials refused\n")
+    assert both == run(["oracle", "theorems", "--field", "2^4:1", "--branch", "shift"])
+    assert tested == []
+
+
 @pytest.mark.parametrize("argv,code,err", [
     (["basis", "--field", "2^22:1", "--d", "2", "--alpha", "0"], 2,
      "input error: solve_power needs a nonzero target\n"),

@@ -84,6 +84,29 @@ def test_apply_poly_cancels_and_guards(p, tables):
         L.apply_poly(ctx, a, {big // p + 1: ctx.one})
 
 
+@pytest.mark.parametrize("tables", [True, False])
+@pytest.mark.parametrize("p", [2, 3])
+def test_apply_each_is_apply_poly_on_each_and_guards_the_largest(p, tables):
+    """apply_each gives apply_poly of each polynomial in order, zero ones
+    too, and its one exponent check refuses a list whose largest degree
+    passes 2^62 after the twist, wherever that polynomial stands."""
+    ctx = apply_field(p, 2, tables)
+    a = L.make(ctx, 1, [ctx.neg(ctx.one), ctx.one])
+    rng = random.Random(p)
+    fs = [{}] + [{rng.randrange(30): ctx.elem_from_int(rng.randrange(1, ctx.Q))
+                  for _ in range(3)} for _ in range(5)]
+    assert L.apply_each(ctx, a, fs) == [L.apply_poly(ctx, a, f) for f in fs]
+    assert L.apply_each(ctx, a, []) == []
+    big = 1 << 62
+    assert L.apply_each(ctx, a, [{big // p: ctx.one}, {}])[0] == \
+        L.apply_poly(ctx, a, {big // p: ctx.one})
+    for at in range(3):
+        over = fs[:2]
+        over.insert(at, {big // p + 1: ctx.one})
+        with pytest.raises(InputError, match="exponent overflow"):
+            L.apply_each(ctx, a, over)
+
+
 @pytest.mark.parametrize("where", ["A", "f"])
 def test_apply_poly_refuses_a_non_element(where):
     """A coefficient that is not a field element raises KeyError, in A or in

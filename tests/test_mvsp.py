@@ -125,6 +125,12 @@ def affine_value_poly(ctx, T, a, b):
     return out
 
 
+# the cause `_mills_core` names for a non-member on each path of mills_path
+PATH_CAUSES = {"constant": "constant_not_root", "degree": "degree_equation",
+               "x = 0": "zero_value_not_root", "theta": "theta_not_candidate",
+               "identity": "identity_fails"}
+
+
 def mills_path(ctx, F, T, rep):
     """Which return of mills_check decides F, read off F and T directly."""
     vp = M.validate_value_poly(ctx, T)
@@ -197,7 +203,10 @@ def test_early_checks_match_the_composing_reference(spec, A_text, B_text, power)
         for F in cands:
             rep = M.mills_check(ctx, F, T)
             assert rep == mills_check_composing(ctx, F, T), (P.to_text(ctx, T), F)
-            paths[mills_path(ctx, F, T, rep)] += 1
+            path = mills_path(ctx, F, T, rep)
+            paths[path] += 1
+            cause = None if rep.is_member else PATH_CAUSES[path]
+            assert M._mills_core(ctx, F, T, vp) == (cause, rep.theta)
     assert set(paths) == {"constant", "degree", "x = 0", "theta", "identity", "member"}, paths
 
 
@@ -245,6 +254,33 @@ def test_mills_check_keeps_the_overflow_refusal(monkeypatch, f9):
         for check in (M.mills_check, mills_check_composing):
             with pytest.raises(InputError, match="exponent overflow"):
                 check(f9, G, T)
+
+
+def test_mills_core_names_each_cause(f64):
+    """Each way to fail the Mills test gets its own cause from the core,
+    and mills_check reports the same reason strings as before the core:
+    "constant is not a root" for a constant, "value set mismatch" for the
+    four failures of a nonconstant F.  Members get None and their theta."""
+    T = P.from_text(f64, "x^4+x^2+x")
+    vp = M.validate_value_poly(f64, T)
+    member = P.from_text(f64, "x^18+x^9")
+    off_f2 = P.scale(f64, member, f64.elem_from_int(2))      # theta = y^3, not 1
+    cases = [
+        ({0: f64.one}, "constant_not_root", "constant is not a root"),   # T(1) = 1
+        (P.from_text(f64, "x^2"), "degree_equation", "value set mismatch"),       # F' = 0
+        (P.from_text(f64, "x^3"), "degree_equation", "value set mismatch"),       # 12 != 66
+        (P.from_text(f64, "x^18+x^9+1"), "zero_value_not_root", "value set mismatch"),
+        (off_f2, "theta_not_candidate", "value set mismatch"),
+        (P.from_text(f64, "x^18+x^9+x^5"), "identity_fails", "value set mismatch"),
+    ]
+    for F, cause, reason in cases:
+        assert M._mills_core(f64, F, T, vp) == (cause, None)
+        rep = M.mills_check(f64, F, T)
+        assert not rep.is_member and rep.reason == reason and rep.theta is None
+    assert {c for _, c, _ in cases} == set(M.MILLS_CAUSES)
+    for F, theta in (({}, None), (member, f64.one)):
+        assert M._mills_core(f64, F, T, vp) == (None, theta)
+        assert M.mills_check(f64, F, T).reason == ""
 
 
 def test_mills_constant_membership(f64):

@@ -11,7 +11,7 @@ from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import GuardError, InputError
-from mvspoly.gf import make_field, parse_field_spec
+from mvspoly.gf import FieldCtx, make_field, parse_field_spec
 from poly_reference import interpolate
 
 
@@ -157,6 +157,34 @@ def test_linear_dim_matches_the_reference_build_on_every_f64_stratum(t, d, count
     assert sorted(strata) == [(2, 2), (2, 3), (2, 6), (3, 3), (3, 6), (4, 6), (5, 6)]
     for a in random.Random(11 * t + d).sample(strata[t, d], count):
         assert O.linear_dim_w(ctx, a) == reference_dim(ctx, a)
+
+
+def test_operator_layouts_and_units_are_kept_on_first_use():
+    """linear_dim_w keeps one layout per (D, steps) and the unit images per
+    twist on the context, each built on first use: a fresh context holds
+    none, and dims on one context that keeps them equal dims on a fresh
+    context per A.  The A are two of each (t, d) and of each set of nonzero
+    terms, so one D is kept with several steps."""
+    shared = FieldCtx(2, 1, 6)
+
+    def kept(name):
+        return {k for k in shared._caches if isinstance(k, tuple) and k[0] == name}
+
+    assert kept("operator_layout") == kept("units") == set()
+    picked = {}
+    for (t, d), polys in sorted(f64_sweep_strata().items()):
+        for a in polys:
+            terms = tuple(c != shared.zero for c in a.coeffs)
+            for key in ((t, d), terms):
+                if len(picked.setdefault(key, [])) < 2:
+                    picked[key].append(a)
+    for a in {id(a): a for group in picked.values() for a in group}.values():
+        assert O.linear_dim_w(shared, a) == O.linear_dim_w(FieldCtx(2, 1, 6), a)
+    layouts = kept("operator_layout")
+    ts = range(2, 6)
+    assert {D for _, D, _ in layouts} == {63 // (2 ** t - 1) for t in ts}
+    assert len(layouts) > len(ts)
+    assert kept("units") == {("units", m) for m in range(max(ts) + 1)}
 
 
 # -- fixed value set census ---------------------------------------------------------

@@ -11,9 +11,10 @@ from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import FieldCtx, make_field, parse_field_spec
-from mvspoly.linalg import FpSpan
-from wspace_reference import (membership_coordinates, power_image_count_exact,
-                              reconstruct_from_coordinates)
+from mvspoly.linalg import FpSpan, FqSpan
+from poly_reference import reduce_mod_field
+from wspace_reference import (lift_pipeline_per_element, membership_coordinates,
+                              power_image_count_exact, reconstruct_from_coordinates)
 
 
 def euler_phi(n):
@@ -292,7 +293,7 @@ def test_member_function_properties(f8, f9):
         wb = W.build_basis(ctx, 1, ctx.one)
         fq = set(ctx.subfield_elements(1))
         for f in W.enumerate_w(ctx, wb):
-            assert P.reduce_mod_field(ctx, P.frob_power(ctx, f, ctx.k)) == f
+            assert reduce_mod_field(ctx, P.frob_power(ctx, f, ctx.k)) == f
             assert {P.eval_at(ctx, f, a) for a in ctx.elements()} <= fq
             d = P.degree(f)
             if d is not P.NEG_INF and d >= 1:
@@ -387,13 +388,72 @@ def test_lift_kernel_is_root_space(f8):
     m = rep.witness.M
     zeros = 0
     for f in W.enumerate_w(f8, rep.basis):
-        if P.reduce_mod_field(f8, L.apply_poly(f8, m, f)) == {}:
+        if reduce_mod_field(f8, L.apply_poly(f8, m, f)) == {}:
             zeros += 1
     d, t = rep.witness.d, rep.witness.t
     assert zeros == f8.q ** (d - t)
     # and those preimages are the constants from the root space of M
     roots = {v for v in f8.elements() if P.eval_at(f8, L.to_sparse(f8, m), v) == f8.zero}
     assert len(roots) == zeros
+
+
+def seeded_split_additive(ctx, rng):
+    """A monic split additive A of degree q^t > 2 vanishing on beta*V, for V
+    a random t-dimensional F_q-subspace of F_{q^d}, d a random divisor of n
+    and beta a random unit; so its lift has a d' | d and often d' < n with
+    alpha != 1."""
+    d = rng.choice([d for d in range(1, ctx.n + 1) if ctx.n % d == 0 and ctx.q ** d > 2])
+    t = rng.randint(1 if ctx.q > 2 else 2, d)
+    sub = ctx.subfield_elements(d)
+    beta = rng.choice(ctx.elements()[1:])
+    span, vs = FqSpan(ctx), []
+    while len(vs) < t:
+        v = rng.choice(sub)
+        if span.add((v,)):
+            vs.append(v)
+    return L.subspace_poly(ctx, [ctx.mul(beta, v) for v in vs])
+
+
+@pytest.mark.parametrize("spec", ["2^6:1", "2^4:2", "3^3:1", "5^2:1"])
+def test_lift_matches_the_per_element_reference(spec):
+    """The lift, which folds the whole basis through M with one row set,
+    leaves M(b) unreduced and re-checks its generators through the Mills
+    core, gives the whole LiftReport (witness, basis, generators in order,
+    dim_lower) of the reference that reduces each M(b) on its own and
+    re-checks through mills_check.  The seeded A include lifts with d < n
+    and alpha != 1, whose basis elements have several terms."""
+    ctx = parse_field_spec(spec)
+    rng = random.Random(2600 + ctx.Q)
+    twisted = several_terms = 0
+    for _ in range(12):
+        a = seeded_split_additive(ctx, rng)
+        rep = W.lift_pipeline(ctx, a)
+        assert rep == lift_pipeline_per_element(ctx, a), L.tau_to_text(ctx, a)
+        assert all(max(g) < ctx.Q for g in rep.generators)
+        twisted += rep.witness.d < ctx.n and rep.witness.alpha != ctx.one
+        several_terms += any(len(b.elem) > 1 for b in rep.basis.elems)
+    assert twisted >= 4 and several_terms >= 4
+
+
+def test_lift_rechecks_every_generator(monkeypatch, f64):
+    """A generator corrupted after the fold (one M(b) times an element off
+    F_2, so its forced theta leaves the candidates) still spans the same
+    rank, and the lift's Mills re-check refuses it."""
+    a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
+    assert W.lift_pipeline(f64, a).dim_lower == 11
+    real = L.apply_each
+    lam = f64.elem_from_int(2)
+
+    def corrupting(ctx, m, fs):
+        out = real(ctx, m, fs)
+        if len(fs) > 1:                 # the basis fold, not an apply_poly
+            i = next(i for i, g in enumerate(out) if P.degree(g) >= 1)
+            out[i] = P.scale(ctx, out[i], lam)
+        return out
+
+    monkeypatch.setattr(L, "apply_each", corrupting)
+    with pytest.raises(AssertionError, match="lift generator failed verification"):
+        W.lift_pipeline(f64, a)
 
 
 def test_power_image_count_v1_full(f64):

@@ -7,11 +7,18 @@
 - `power_image_count_exact`: the number of distinct F^v over a span by
   enumeration, the branch `mvspoly.wspace.power_image_count` had before it
   always returned the sampled lower bound.
+- `lift_pipeline_per_element`: `mvspoly.wspace.lift_pipeline` as it was
+  before the basis was folded with one row set: one `apply_poly` and one
+  `reduce_mod_field` per basis element, and one `mills_check` per kept
+  generator.
 """
 
+from mvspoly import linearized as lin
 from mvspoly import mvsp, poly
 from mvspoly.errors import InputError
-from mvspoly.wspace import WBasis, _trace, check_span_size, span_iter
+from mvspoly.linalg import FqSpan
+from mvspoly.wspace import LiftReport, WBasis, _trace, build_basis, check_span_size, span_iter
+from poly_reference import reduce_mod_field
 
 
 def membership_coordinates(ctx, F: dict, wb: WBasis):
@@ -53,3 +60,25 @@ def power_image_count_exact(ctx, T: dict, v: int, generators, limit=1 << 16) -> 
             raise AssertionError("power image failed verification")
         images.add(frozenset(img.items()))
     return len(images)
+
+
+def lift_pipeline_per_element(ctx, a) -> LiftReport:
+    """The lift of A, each basis element pushed through M on its own."""
+    vp = mvsp.split_additive(ctx, a, lin.STAR_REFUSAL)
+    d, alpha = lin.minimal_binomial_multiple(ctx, vp.null)
+    witness = lin.factor_through_binomial(ctx, vp.additive, d, alpha)
+    wb = build_basis(ctx, d, alpha)
+    raw = [reduce_mod_field(ctx, lin.apply_poly(ctx, witness.M, b.elem))
+           for b in wb.elems]
+    exponents = sorted({e for f in raw for e in f})
+    span = FqSpan(ctx, len(exponents))
+    kept = [g for g in raw if span.add([g.get(e, ctx.zero) for e in exponents])]
+    bound = d * 2 ** (ctx.n // d) - d + witness.t
+    if len(kept) != bound:
+        raise AssertionError(f"lift rank {len(kept)} != expected {bound}")
+    asp = lin.to_sparse(ctx, vp.additive)
+    for g in kept:
+        if not mvsp.mills_check(ctx, g, asp).is_member:
+            raise AssertionError("lift generator failed verification")
+    return LiftReport(witness=witness, basis=wb, generators=tuple(kept),
+                      dim_lower=len(kept))
