@@ -9,8 +9,10 @@ with the `poly` arithmetic over the prime field F_p (on tables while
 p <= N); there is no second copy of F_p[y] code.
 
 Elements are immutable length-N tuples of F_p digits, low degree first.
-Subfields are never separate objects: F_{q^d} is the fixed set of the d-th
-power of the q-Frobenius inside the one ambient field.
+Subfields are never separate objects: F_{q^d} is the zero space of
+x^(q^d) - x inside the one ambient field, read off the one kernel routine
+`additive_zeros` that also finds the roots of every additive polynomial,
+so no subfield is found by a scan of the field.
 
 Two back ends have the same public ops, and `make_field` picks one by the
 order Q.  `FieldCtx` computes on exp/log/Zech tables, up to 2^20 elements;
@@ -36,7 +38,7 @@ from array import array
 
 from . import poly
 from .errors import GuardError, InputError
-from .linalg import FpSpan, FqSpan, fp_row
+from .linalg import FqSpan, fp_elem, fp_kernel, fp_row
 
 # Multiplicative exp/log tables are built for fields up to this order.
 TABLE_LIMIT = 1 << 20
@@ -570,39 +572,64 @@ class FieldCtx:
         return self.memo(("units", m), lambda: [
             self.frobenius_p(self.elem_from_int(self.p ** j), m) for j in range(self.N)])
 
+    def additive_zeros(self, terms) -> list:
+        """F_p-basis of the zeros in the field of sum c * x^(p^m) over the
+        terms (m, c): the kernel of the F_p-linear map y^j -> sum c * (y^j)^(p^m),
+        j < N, read off `fp_kernel`.  Each zero leads with digit 1 at its own
+        digit j, where every other zero is 0, and the leads increase: the
+        basis is in reduced echelon form."""
+        units = [(c, self.unit_images(m)) for m, c in terms]
+        images = [fp_row(self, (functools.reduce(self.add, [self.mul(c, im[j]) for c, im in units],
+                                                  self.zero),))
+                  for j in range(self.N)]
+        return [fp_elem(self, v) for v in fp_kernel(self.p, self.N, images)]
+
+    def span_elements(self, basis) -> tuple:
+        """The F_p-span of a basis from `additive_zeros`, in canonical element
+        order: it is counted in base p over the basis, the last member
+        slowest, and each member leads at a digit above every digit of the
+        members before it, where every other member is 0.  For the zeros of
+        an additive polynomial these are its distinct roots, found with no
+        field scan.  The span is listed only up to 2^20 elements, the bound
+        of the element scan."""
+        if power_exceeds(self.p, len(basis), TABLE_LIMIT):
+            raise GuardError("root listing refused above 2^20 roots")
+        span = [self.zero]
+        for w in basis:
+            span = [self.add(v, self.smul(c, w)) for c in range(self.p) for v in span]
+        return tuple(span)
+
     def in_subfield(self, a, d: int) -> bool:
         if self.n % d != 0:
             raise InputError(f"d = {d} does not divide n = {self.n}")
         return self.frobenius(a, d) == a
 
+    def _subfield(self, d: int) -> list:
+        """F_p-basis of F_{q^d}, the zeros of x^(q^d) - x, kept under
+        ("subfield", d).  Requires d | n."""
+        if self.n % d != 0:
+            raise InputError(f"d = {d} does not divide n = {self.n}")
+        return self.memo(("subfield", d), lambda: self.additive_zeros(
+            [(0, self.neg(self.one)), (self.k * d, self.one)]))
+
     def subfield_elements(self, d: int) -> list:
         """All elements of F_{q^d}, canonical order.  Requires d | n."""
-        def build():
-            if self.n % d != 0:
-                raise InputError(f"d = {d} does not divide n = {self.n}")
-            out = [a for a in self.elements() if self.frobenius(a, d) == a]
-            assert len(out) == self.q ** d
-            return out
-        return self.memo(("subfield_elements", d), build)
+        return self.memo(("subfield_elements", d),
+                         lambda: list(self.span_elements(self._subfield(d))))
 
     def fp_basis_of_fq(self) -> list:
-        """F_p-basis of F_q, 1 first, then the new traces sum_{i<n} (y^j)^(q^i),
-        j < N: the trace maps F_p-linearly onto F_q, so no field is scanned,
-        and at k = 1 no trace is taken."""
-        def build():
-            traces = (self.sum([self.frobenius(self.elem_from_int(self.p ** j), i)
-                                for i in range(self.n)]) for j in range(self.N))
-            span = FpSpan(self.p, self.N)
-            return _first_independent(lambda a: span.add(fp_row(self, (a,))),
-                                      itertools.chain([self.one], traces), self.k)
-        return self.memo("fp_basis_of_fq", build)
+        """F_p-basis of F_q, the zeros of x^q - x: 1 first, the zero led by
+        digit 0."""
+        return self._subfield(1)
 
     def subfield_basis(self, d: int) -> list:
-        """d elements of F_{q^d} forming an F_q-basis, chosen deterministically
-        by scanning the canonical element order and keeping what is new."""
+        """An F_q-basis of F_{q^d}: the zeros of x^(q^d) - x that enlarge an
+        FqSpan, in order.  Each is the least element of F_{q^d} led by its
+        digit, so these are the first elements in canonical order that
+        enlarge the span.  Requires d | n."""
         def build():
             span = FqSpan(self)
-            return _first_independent(lambda a: span.add((a,)), self.subfield_elements(d), d)
+            return [a for a in self._subfield(d) if span.add((a,))]
         return self.memo(("subfield_basis", d), build)
 
     def solve_power(self, alpha, e: int):
@@ -714,13 +741,6 @@ class PlainField(FieldCtx):
 
     def _unit_root(self, alpha, e: int):
         raise GuardError("generator scan refused above 2^20 elements")
-
-
-def _first_independent(add, candidates, size: int) -> list:
-    """The first `size` candidates that enlarge the span behind `add`, read lazily."""
-    basis = list(itertools.islice(filter(add, candidates), size))
-    assert len(basis) == size
-    return basis
 
 
 @functools.lru_cache(maxsize=None)

@@ -141,6 +141,7 @@ class FqSpan:
     def __init__(self, ctx, length: int = 1):
         self.ctx = ctx
         self.fp = FpSpan(ctx.p, length * ctx.N)
+        self.scales = ctx.fp_basis_of_fq()[1:]
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span, that is, if vec was
@@ -148,6 +149,6 @@ class FqSpan:
         ctx = self.ctx
         if not self.fp.add(fp_row(ctx, vec)):
             return False
-        for u in ctx.fp_basis_of_fq()[1:]:
+        for u in self.scales:
             self.fp.add(fp_row(ctx, [ctx.mul(u, c) for c in vec]))
         return True

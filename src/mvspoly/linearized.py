@@ -9,19 +9,21 @@ constructive engine behind every binomial factorization used here:
 
     x^(q^d) - alpha*x = gamma * A(M(x)).
 
-The zeros of A are the nullspace of A as an F_p-linear map (fp_nullspace).
+The zeros of A are the nullspace of A as an F_p-linear map (fp_nullspace),
+found by `FieldCtx.additive_zeros`, the one kernel routine that also reads
+off each subfield as the zeros of x^(q^d) - x; `FieldCtx.span_elements`
+lists them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from . import poly
-from .errors import GuardError, InputError
-from .gf import TABLE_LIMIT
-from .linalg import FqSpan, fp_elem, fp_kernel, fp_row
+from .errors import InputError
+from .gf import power_exceeds
+from .linalg import FqSpan
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,8 @@ def tau_left_divide(ctx, c: AdditivePoly, a: AdditivePoly):
 
 def kernel(ctx, a: AdditivePoly):
     """(basis, t): an F_q-basis of the root space inside F_{q^n}, via the
-    nullspace of A as an F_p-linear map, then a deterministic greedy pass
-    that extracts F_q-independent kernel elements."""
+    nullspace of A as an F_p-linear map, then the greedy pass of
+    `FieldCtx.subfield_basis`: the zeros that enlarge an FqSpan, in order."""
     aq = as_context_base(ctx, a)
     if aq.is_zero():
         raise InputError("kernel of the zero polynomial")
@@ -173,28 +175,9 @@ def kernel(ctx, a: AdditivePoly):
 
 
 def fp_nullspace(ctx, a: AdditivePoly) -> list:
-    """F_p-basis of the zeros of A in the ambient field: the nullspace of A
-    as an F_p-linear map, which is the same at every level A is read at:
-    the kernel of y^c -> A(y^c), whose vectors are the zeros' digits."""
-    terms = [(c, ctx.unit_images(a.base * i)) for i, c in enumerate(a.coeffs) if c != ctx.zero]
-    images = [fp_row(ctx, (functools.reduce(ctx.add, [ctx.mul(c, im[j]) for c, im in terms],
-                                            ctx.zero),))
-              for j in range(ctx.N)]
-    null = fp_kernel(ctx.p, ctx.N, images)
-    return [fp_elem(ctx, v) for v in null]
-
-
-def root_span(ctx, null) -> tuple:
-    """The F_p-span of null in canonical element order.  For null the
-    nullspace of an additive A, these are the distinct zeros of A, found with
-    no field scan.  The span is listed only up to 2^20 roots, the bound of
-    the element scan."""
-    if ctx.p ** len(null) > TABLE_LIMIT:
-        raise GuardError("root listing refused above 2^20 roots")
-    span = [ctx.zero]
-    for w in null:
-        span = [ctx.add(v, ctx.smul(c, w)) for c in range(ctx.p) for v in span]
-    return tuple(sorted(span, key=ctx.elem_to_int))
+    """F_p-basis of the zeros of A in the ambient field (`FieldCtx.additive_zeros`),
+    the same at every level A is read at."""
+    return ctx.additive_zeros([(a.base * i, c) for i, c in enumerate(a.coeffs) if c != ctx.zero])
 
 
 STAR_REFUSAL = "lift pipeline needs a monic split separable A of degree > 2"
@@ -321,6 +304,8 @@ def tau_from_text(ctx, s: str) -> AdditivePoly:
     if "x" in s:
         raise InputError(f"{s!r}: twisted form is written in T, not x")
     f = poly.from_text(ctx, s.replace("T", "x"))
+    if f and power_exceeds(ctx.q, max(f), poly.EXP_LIMIT):
+        raise InputError(f"{s!r}: a term T^e has degree q^e beyond 2^62")
     coeffs = [ctx.zero] * (max(f) + 1 if f else 0)
     for e, c in f.items():
         coeffs[e] = c

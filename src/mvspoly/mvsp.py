@@ -115,7 +115,7 @@ def _check_value_poly(ctx, T):
             raise InputError(not_split)
         if additive.base % ctx.k == 0:
             additive = lin.as_context_base(ctx, additive)
-        roots = lin.root_span(ctx, null)
+        roots = ctx.span_elements(null)
         return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=(ctx.neg(T[1]),),
                          additive=additive, null=tuple(null))
     if poly.degree(poly.field_gcd(ctx, T)) != d:

@@ -4,9 +4,14 @@ Members with values in a Frobenius-stable subfield are sums of orbit traces
 of monomials whose exponents have 0/1 digits base q', q' = q^d.  The orbit
 decomposition of those exponent vectors under cyclic digit rotation gives a
 direct sum of components, one per necklace, and an explicit F_q-basis of
-size d * 2^(n/d).  The lift pipeline pushes that basis through M(x) from a
-binomial factorization gamma * A(M(x)) to generate the member space of a
-general split additive polynomial A, with rank d*2^(n/d) - d + t.  It folds
+size d * 2^(n/d).  An orbit of size s seeds its traces with an F_q-basis
+of F_{q^(ds)}, read off the zeros of x^(q^(ds)) - x
+(`FieldCtx.subfield_basis`), so the basis scans no field and is guarded by
+its dimension alone.
+
+The lift pipeline pushes that basis through M(x) from a binomial
+factorization gamma * A(M(x)) to generate the member space of a general
+split additive polynomial A, with rank d*2^(n/d) - d + t.  It folds
 the whole basis through M on one row set (`linearized.apply_each`), and it
 re-checks each kept generator through the one Mills core,
 `mvsp._mills_core`, with the checked ValuePoly of A that it already holds.
@@ -29,7 +34,7 @@ from . import linearized as lin
 from . import mvsp
 from . import poly
 from .errors import GuardError, InputError
-from .gf import power_exceeds
+from .gf import TABLE_LIMIT, power_exceeds
 from .linalg import FqSpan
 
 ENUM_HARD_GUARD = 1 << 24      # the cap on every guard, --guard-max included
@@ -146,10 +151,12 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     if last is not None and last.d == d and last.alpha == alpha:
         return last
     beta = binomial_scale(ctx, d, alpha)
-    # every orbit's subfield basis scans the field: a field too large for
-    # that is refused here, before the orbit table is built
-    ctx.elements()
     nprime = ctx.n // d
+    dim = d * 2 ** nprime
+    # 2^20 is the largest dimension of a field of at most 2^20 elements
+    # (q = 2, n = 20, d = 1); refused before the orbit table is built
+    if dim > TABLE_LIMIT:
+        raise GuardError(f"basis of dimension {dim} refused above 2^20")
     table = orbit_table(ctx.q ** d, nprime)
     elems = []
     for orbit in table.orbits:
@@ -159,7 +166,6 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
                 f = poly.scale(ctx, f, beta)
             elems.append(BasisElem(elem=f, orbit_exponent=orbit.exponent,
                                    orbit_size=orbit.size, beta=bj))
-    dim = d * 2 ** nprime
     assert len(elems) == dim
     wb = ctx._caches["basis"] = WBasis(d=d, alpha=alpha, scale=beta, elems=tuple(elems),
                                        dim=dim)

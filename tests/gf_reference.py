@@ -6,11 +6,18 @@
 - `find_modulus_rabin`: the modulus search with Rabin's test alone, no
   small-factor screen, over the prime field without tables, each power
   x^(p^m) mod f taken afresh.
+- `subfield_elements_scan`, `subfield_basis_scan` and `fp_basis_of_fq_trace`:
+  the subfield routines as they were before the subfields were read off the
+  zeros of x^(q^d) - x: a Frobenius scan of the whole field, a greedy pass
+  over that scan in canonical order, and the new traces of the units.
 """
+
+import itertools
 
 from mvspoly import poly
 from mvspoly.errors import InputError
 from mvspoly.gf import PlainField, prime_factors
+from mvspoly.linalg import FpSpan, FqSpan, fp_row
 
 
 def is_irreducible_rabin(fp, coeffs) -> bool:
@@ -65,3 +72,38 @@ def solve_power_scan(ctx, alpha, e: int):
             return cur
         cur = ctx.mul(cur, gen)
     return None
+
+
+def subfield_elements_scan(ctx, d: int) -> list:
+    """Every element that the d-th power of the q-Frobenius fixes, in
+    canonical order."""
+    if ctx.n % d != 0:
+        raise InputError(f"d = {d} does not divide n = {ctx.n}")
+    out = [a for a in ctx.elements() if ctx.frobenius(a, d) == a]
+    assert len(out) == ctx.q ** d
+    return out
+
+
+def _first_independent(add, candidates, size: int) -> list:
+    """The first `size` candidates that enlarge the span behind `add`."""
+    basis = list(itertools.islice(filter(add, candidates), size))
+    assert len(basis) == size
+    return basis
+
+
+def subfield_basis_scan(ctx, d: int) -> list:
+    """The first elements of `subfield_elements_scan` that are F_q-independent
+    of those before them, scanned only as far as the last of them."""
+    span = FqSpan(ctx)
+    fixed = (a for a in ctx.elements() if ctx.frobenius(a, d) == a)
+    return _first_independent(lambda a: span.add((a,)), fixed, d)
+
+
+def fp_basis_of_fq_trace(ctx) -> list:
+    """F_p-basis of F_q: 1, then the new traces sum_{i<n} (y^j)^(q^i), j < N,
+    as the trace maps F_p-linearly onto F_q."""
+    traces = (ctx.sum([ctx.frobenius(ctx.elem_from_int(ctx.p ** j), i) for i in range(ctx.n)])
+              for j in range(ctx.N))
+    span = FpSpan(ctx.p, ctx.N)
+    return _first_independent(lambda a: span.add(fp_row(ctx, (a,))),
+                              itertools.chain([ctx.one], traces), ctx.k)

@@ -219,6 +219,20 @@ def test_twisted_form_with_an_x_is_an_input_error(argv):
     assert err == f"input error: {argv[-1]!r}: twisted form is written in T, not x\n"
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "--field", "2^6:1", "--A", "T^99999999999"],
+    ["oracle", "dim", "--field", "2^6:1", "--A", "T^99999999999+T"],
+], ids=["lift", "oracle-dim"])
+def test_a_huge_twisted_exponent_is_an_input_error(argv, time_limit):
+    """T^e stands for x^(q^e), which is refused past 2^62 as an x exponent
+    is, before a coefficient list of e + 1 entries is made."""
+    with time_limit(5):
+        code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {argv[-1]!r}: a term T^e has degree q^e beyond 2^62\n"
+
+
 def test_lift_command_sparse_input():
     code, d = run_json(["lift", "--field", "2^6:1", "--A", "x^4+x^2+x"])
     assert code == 0 and d["d"] == 3 and d["t"] == 2
@@ -624,6 +638,36 @@ def test_solve_power_without_tables_exit_codes(argv, code, err):
     parse_field_spec("2^22:1")
     t0 = time.perf_counter()
     assert run(argv) == (code, "", err)
+    assert time.perf_counter() - t0 < 1.0
+
+
+
+# exit code and sha256 of the stdout of requests above 2^20 elements that
+# read their subfields off the zeros of x^(q^d) - x, with no field scan
+LARGE_FIELD_DIGESTS = {
+    ("basis", "--field", "2^22:1", "--d", "11"):
+        (0, "bdcf722eb5c8926bdcf0ca0ffb3dbb9a42feeba9dc74b91541a2bc626bc120fb"),
+    ("basis", "--field", "2^40:1", "--d", "20"):
+        (0, "4d8c1623ee56e6ba4f966c80b6dc6d97bdfe9c256832e13fe8a32295448dc659"),
+    ("examples", "--section", "1", "--q", "1021"):
+        (0, "a8b17f9ca06295e4969c08073fd05ed63df5b83df979e921a1829f2e43f8e443"),
+}
+
+
+@pytest.mark.parametrize("argv", list(LARGE_FIELD_DIGESTS), ids=["basis-2^22", "basis-2^40", "examples-1021"])
+def test_large_field_bases_answer_at_once(argv, time_limit):
+    with time_limit(5):
+        code, out, _ = run(list(argv))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == LARGE_FIELD_DIGESTS[argv]
+
+
+def test_a_basis_above_2_20_members_is_refused_by_its_dimension():
+    """d * 2^(n/d) > 2^20 is refused before the orbit table is built; no
+    field of at most 2^20 elements has a basis that large."""
+    parse_field_spec("2^22:1")
+    t0 = time.perf_counter()
+    assert run(["basis", "--field", "2^22:1", "--d", "1"]) == (
+        3, "", "guard refusal: basis of dimension 4194304 refused above 2^20\n")
     assert time.perf_counter() - t0 < 1.0
 
 

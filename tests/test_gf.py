@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf_reference import find_modulus_rabin, is_irreducible_rabin, solve_power_scan
+from gf_reference import (find_modulus_rabin, fp_basis_of_fq_trace, is_irreducible_rabin,
+                          solve_power_scan, subfield_basis_scan, subfield_elements_scan)
 from mvspoly import gf
 from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import (FieldCtx, PlainField, find_modulus, is_prime, make_field,
                         parse_field_spec, prime_factors)
-from mvspoly.linalg import FpSpan
+from mvspoly.linalg import FpSpan, fp_row
 from poly_reference import fold_termwise
 
 
@@ -516,8 +517,9 @@ def test_elem_to_int_matches_the_digit_loop(p, N):
 
 @pytest.mark.parametrize("p,k,n", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2)])
 def test_fp_basis_of_fq_spans_the_subfield(p, k, n):
-    """The trace-built F_p-basis of F_q starts with 1, has k members and
-    spans the F_p-space of the subfield scan, also where p | n and Tr(1) = 0."""
+    """The F_p-basis of F_q read off the zeros of x^q - x starts with 1, has
+    k members and spans the F_p-space of the subfield's elements, also where
+    p | n."""
     ctx = FieldCtx(p, k, n)
     basis = ctx.fp_basis_of_fq()
     assert basis[0] == ctx.one and len(basis) == k
@@ -527,6 +529,28 @@ def test_fp_basis_of_fq_spans_the_subfield(p, k, n):
     assert all(span.add(row(b)) for b in basis)
     zero = 0 if p == 2 else [0] * ctx.N
     assert all(span.reduce(row(a)) == zero for a in ctx.subfield_elements(1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subfields_match_the_frobenius_scan(p):
+    """On every field F_{p^N}, Q <= 2^16, with every base F_q and every
+    d | n: the subfield basis read off the zeros of x^(q^d) - x is the
+    greedy basis of the canonical scan, and where Q <= 2^12 the listed
+    subfield is the scan's fixed set.  The F_p-basis of F_q spans what the
+    traces span."""
+    N = 1
+    while p ** N <= 1 << 16:
+        for k in (k for k in range(1, N + 1) if N % k == 0):
+            ctx = FieldCtx(p, k, N // k)
+            for d in (d for d in range(1, ctx.n + 1) if ctx.n % d == 0):
+                assert ctx.subfield_basis(d) == subfield_basis_scan(ctx, d), (k, N, d)
+                if ctx.Q <= 1 << 12:
+                    assert ctx.subfield_elements(d) == subfield_elements_scan(ctx, d)
+            span = FpSpan(p, N)
+            assert all(span.add(fp_row(ctx, (b,))) for b in ctx.fp_basis_of_fq())
+            assert span.rank == k
+            assert not any(span.add(fp_row(ctx, (t,))) for t in fp_basis_of_fq_trace(ctx))
+        N += 1
 
 
 # -- the polynomial fold ------------------------------------------------------------

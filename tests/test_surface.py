@@ -8,6 +8,10 @@ as `mv.poly`).  A non-dunder method is reached by an Attribute load of its
 name on anything.  Loads inside a definition count only once that
 definition is itself reached, so code that only dead code calls is dead
 too; loads at module level, in the scripts and in perfbench are the roots.
+
+A module-level import in a package module other than `__init__.py` must be
+loaded somewhere in that module: a name imported and never read is dead
+too.
 """
 
 import ast
@@ -122,3 +126,26 @@ def unreached():
 
 def test_every_definition_is_reached_from_a_program_path():
     assert unreached() == []
+
+
+def unloaded_imports():
+    """"module: name" per module-level import of a package module, other
+    than `__init__.py` and `from __future__`, whose name the module never
+    loads."""
+    out = []
+    for module, path in _module_files():
+        if module in (None, "__init__"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                out += [f"{module}: {name}" for a in node.names
+                        if (name := a.asname or a.name.split(".")[0]) not in loaded]
+    return out
+
+
+def test_every_module_import_is_loaded():
+    assert unloaded_imports() == []

@@ -363,6 +363,35 @@ def test_basis_cache_keeps_one_read_only_basis():
     assert fresh is not wb and fresh == wb
 
 
+@pytest.mark.parametrize("spec", ["2^6:1", "3^4:2"])
+def test_subfields_and_the_basis_scan_no_field(spec, monkeypatch):
+    """On a fresh context, the subfield routines and build_basis read the
+    subfields off the zeros of x^(q^d) - x: elements() is never called."""
+    p, N, k = map(int, spec.replace("^", ":").split(":"))
+    ctx = FieldCtx(p, k, N // k)
+    scans = []
+    elements = ctx.elements
+    monkeypatch.setattr(ctx, "elements", lambda: scans.append(1) or elements())
+    divisors = [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
+    assert [len(ctx.subfield_elements(d)) for d in divisors] == [ctx.q ** d for d in divisors]
+    assert [len(ctx.subfield_basis(d)) for d in divisors] == divisors
+    assert len(ctx.fp_basis_of_fq()) == k
+    assert [W.build_basis(ctx, d, ctx.one).dim for d in divisors] == \
+        [d * 2 ** (ctx.n // d) for d in divisors]
+    assert scans == []
+
+
+@pytest.mark.parametrize("spec,d", [("2^22:1", 11), ("2^40:1", 20), ("1021^3:1", 3)])
+def test_subfield_bases_above_2_20_are_fixed_and_independent(spec, d):
+    """Above 2^20 elements, with no tables, the subfield basis is d members
+    that the d-th q-Frobenius fixes and that are F_q-independent."""
+    ctx = parse_field_spec(spec)
+    basis = ctx.subfield_basis(d)
+    span = FqSpan(ctx)
+    assert len(basis) == d and all(span.add((b,)) for b in basis)
+    assert all(ctx.frobenius(b, d) == b for b in basis) and basis[0] == ctx.one
+
+
 def test_lift_binomial_identity(f64):
     rep = W.lift_pipeline(f64, L.binomial(f64, 3, f64.one))
     assert rep.dim_lower == 12
