@@ -21,7 +21,8 @@ make and record element tuples on first use.  `PlainField` keeps no tables
 and works digit by digit; it also runs the modulus search above p = N, and
 it refuses `solve_power`, which would need a generator scan.  No other
 module knows the back end: `fold` and `square` are the polynomial products
-that `poly` and `linearized` call.
+that `poly` and `linearized` call, and `fold_each` folds a list of
+polynomials on one set of rows, prepared once.
 
 All operations are pure.  Each fill of a tuple table stores the value every
 other fill would store, and `memo` keeps the first value built under a key,
@@ -455,34 +456,45 @@ class FieldCtx:
         return self._exp[i] or self._intern(i)
 
     def fold(self, f: dict, rows) -> dict:
-        """The sum of c0 * c^(p^m) * x^(e0 + e * p^m) over the rows (e0, c0, m)
-        and the terms (e, c) of f, with f's terms twisted once per distinct m.
+        """`fold_each` on the one polynomial f."""
+        return self.fold_each((f,), rows)[0]
+
+    def fold_each(self, fs, rows) -> list:
+        """For each f in fs, the sum of c0 * c^(p^m) * x^(e0 + e * p^m) over
+        the rows (e0, c0, m) and the terms (e, c) of f, with f's terms
+        twisted once per distinct m.  The rows are prepared once for the
+        whole list: the log of c0, and p^m with p^m mod Q-1 per distinct m.
         A twisted term is (e * p^m, (p^m mod Q-1) * log c), each exponent's
         logs are summed by Zech addition, -1 marking a zero sum, and a
         non-element raises KeyError."""
         p = self.p
         log, zech, M = self._log_of, self._zech, self._M
-        terms = [(e, la) for e, c in f.items() if (la := log(c)) is not None]
-        twists = {0: terms}
-        acc = {}
-        get = acc.get
-        for e0, c0, m in rows:
-            l0 = log(c0)
-            if l0 is None:
-                continue
-            if m not in twists:
-                pm, t = p ** m, pow(p, m, M)
-                twists[m] = [(e * pm, t * l) for e, l in terms]
-            for e, l in twists[m]:
-                e += e0
-                l += l0
-                la = get(e, -1)
-                if la < 0:
-                    acc[e] = l
-                else:
-                    z = zech[(l - la) % M]
-                    acc[e] = la + z if z >= 0 else -1
-        return self._from_logs(acc)
+        rows = [(e0, l0, m) for e0, c0, m in rows if (l0 := log(c0)) is not None]
+        steps = {}
+        out = []
+        for f in fs:
+            terms = [(e, la) for e, c in f.items() if (la := log(c)) is not None]
+            twists = {0: terms}
+            acc = {}
+            get = acc.get
+            for e0, l0, m in rows:
+                twisted = twists.get(m)
+                if twisted is None:
+                    if m not in steps:
+                        steps[m] = p ** m, pow(p, m, M)
+                    pm, t = steps[m]
+                    twisted = twists[m] = [(e * pm, t * l) for e, l in terms]
+                for e, l in twisted:
+                    e += e0
+                    l += l0
+                    la = get(e, -1)
+                    if la < 0:
+                        acc[e] = l
+                    else:
+                        z = zech[(l - la) % M]
+                        acc[e] = la + z if z >= 0 else -1
+            out.append(self._from_logs(acc))
+        return out
 
     def square(self, f: dict) -> dict:
         """f*f with each cross product made once: the diagonal c^2 * x^(2e),
@@ -710,6 +722,10 @@ class PlainField(FieldCtx):
 
     mul = FieldCtx._mul_raw
     elem_to_int = FieldCtx._digits_to_int
+
+    def fold_each(self, fs, rows) -> list:
+        """The plain `fold` of each f in fs."""
+        return [self.fold(f, rows) for f in fs]
 
     def fold(self, f: dict, rows) -> dict:
         """`FieldCtx.fold` on digits: each exponent's digit convolutions are

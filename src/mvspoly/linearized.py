@@ -12,7 +12,8 @@ constructive engine behind every binomial factorization used here:
 The zeros of A are the nullspace of A as an F_p-linear map (fp_nullspace),
 found by `FieldCtx.additive_zeros`, the one kernel routine that also reads
 off each subfield as the zeros of x^(q^d) - x; `FieldCtx.span_elements`
-lists them.
+lists them.  A is applied to a list of polynomials by `apply_each`, one
+`FieldCtx.fold_each` on A's rows.
 """
 
 from __future__ import annotations
@@ -112,12 +113,13 @@ def apply_poly(ctx, a: AdditivePoly, f: dict) -> dict:
 
 def apply_each(ctx, a: AdditivePoly, fs) -> list:
     """[A(f) for f in fs], A(f) = sum_i c_i * f^(p^m), m = base*i, as one
-    ctx.fold of f's terms twisted by p^m and scaled by c_i.  The fold rows
-    are built once, and one exponent check covers the largest degree."""
+    `ctx.fold_each` of the fs' terms twisted by p^m and scaled by c_i: the
+    fold rows are built and prepared once, and one exponent check covers
+    the largest degree."""
     rows = [(0, c, a.base * i) for i, c in enumerate(a.coeffs) if c != ctx.zero]
     if rows:
         poly.check_exponent(max(map(max, filter(None, fs)), default=0) * ctx.p ** rows[-1][2])
-    return [ctx.fold(f, rows) for f in fs]
+    return ctx.fold_each(fs, rows)
 
 
 def tau_compose(ctx, a: AdditivePoly, b: AdditivePoly) -> AdditivePoly:

@@ -11,10 +11,12 @@ The two faces of the theory live here side by side:
   fail the degree equation, the identity at x = 0 (T(F(0)) = 0), or its
   top term, which forces theta = lc(F)^deg T / lc(F') among the candidates.
   These cost a few field operations where T(F) costs thousands.  The test
-  itself is one core, `_mills_core`, which takes the checked ValuePoly and
-  answers with a cause code (MILLS_CAUSES) or None for a member:
-  mills_check reports its answer, and the lift re-checks its generators
-  through it with the ValuePoly it already holds.
+  itself is one core, `_mills_core`, which takes a list of polynomials and
+  the checked ValuePoly, and answers each with a cause code (MILLS_CAUSES)
+  or None for a member; the polynomials that pass the refusals are
+  composed in one pass.  mills_check reports its answer on a list of one,
+  and the lift re-checks all its generators in one call, with the
+  ValuePoly it already holds.
 
 Everything else (additive reductions, power lifts, low degree normal forms,
 root profiles) is built from those two.  All of it reads T through
@@ -175,50 +177,66 @@ MILLS_CAUSES = {
 }
 
 
-def _mills_core(ctx, F: dict, T: dict, vp: ValuePoly):
-    """The Mills test of F against T, with vp the checked form of T:
-    (None, theta) for a member, theta the forced one (None for a constant),
-    and (cause, None) for a non-member, cause a key of MILLS_CAUSES.
+def _mills_core(ctx, Fs, T: dict, vp: ValuePoly) -> list:
+    """The Mills test of each F in Fs against T, with vp the checked form of
+    T: (None, theta) for a member, theta the forced one (None for a
+    constant), and (cause, None) for a non-member, cause a key of
+    MILLS_CAUSES.
 
     A constant is a member exactly when it is a root of T.  For nonconstant
     F the polynomial identity is tested exactly, after three checks refuse
     hopeless inputs before any composition: the degree equation
     deg T * deg F = Q + deg F'; the identity at x = 0, T(F(0)) = 0; and its
     top term, which forces theta = lc(F)^deg T / lc(F') to be one of the
-    candidates."""
-    dF = poly.degree(F)
-    if dF is poly.NEG_INF or dF == 0:
-        return (None if F.get(0, ctx.zero) in vp.root_set else "constant_not_root"), None
+    candidates.  Every F that passes them is composed in one pass: one
+    `linearized.apply_each` when T is additive, one `poly.compose` each
+    otherwise."""
     dT = poly.degree(T)
-    dFpoly = poly.derivative(ctx, F)
-    dFp = poly.degree(dFpoly)
-    if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
-        return "degree_equation", None
-    poly.check_exponent(dT * dF)        # the refusal composing T(F) would raise
-    if F.get(0, ctx.zero) not in vp.root_set:
-        return "zero_value_not_root", None
-    # T is monic, so T(F) has the top term lc(F)^deg T * x^(Q + deg F'),
-    # nonzero; theta is forced by it, and then checked everywhere
-    theta = ctx.div(ctx.pow_elem(F[dF], dT), dFpoly[dFp])
-    if theta not in vp.thetas:
-        return "theta_not_candidate", None
-    lhs = (lin.apply_poly(ctx, vp.additive, F) if vp.additive is not None
-           else poly.compose(ctx, T, F))
-    # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
-    # gives deg F' + 1 <= deg F <= Q - 1, so its two halves never meet
-    rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
-    rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
-    if lhs != rhs:
-        return "identity_fails", None
-    return None, theta
+    out = []
+    fs, passed = [], []                 # each F to compose, and its (index in out, F', theta)
+    for F in Fs:
+        dF = poly.degree(F)
+        if dF is poly.NEG_INF or dF == 0:
+            out.append(((None if F.get(0, ctx.zero) in vp.root_set else "constant_not_root"),
+                        None))
+            continue
+        dFpoly = poly.derivative(ctx, F)
+        dFp = poly.degree(dFpoly)
+        if dFp is poly.NEG_INF or dT * dF != ctx.Q + dFp:
+            out.append(("degree_equation", None))
+            continue
+        poly.check_exponent(dT * dF)        # the refusal composing T(F) would raise
+        if F.get(0, ctx.zero) not in vp.root_set:
+            out.append(("zero_value_not_root", None))
+            continue
+        # T is monic, so T(F) has the top term lc(F)^deg T * x^(Q + deg F'),
+        # nonzero; theta is forced by it, and then checked everywhere
+        theta = ctx.div(ctx.pow_elem(F[dF], dT), dFpoly[dFp])
+        if theta not in vp.thetas:
+            out.append(("theta_not_candidate", None))
+            continue
+        fs.append(F)
+        passed.append((len(out), dFpoly, theta))
+        out.append(None)
+    if not fs:
+        return out
+    lhss = (lin.apply_each(ctx, vp.additive, fs) if vp.additive is not None
+            else [poly.compose(ctx, T, F) for F in fs])
+    for (i, dFpoly, theta), lhs in zip(passed, lhss):
+        # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
+        # gives deg F' + 1 <= deg F <= Q - 1, so its two halves never meet
+        rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
+        rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
+        out[i] = (None, theta) if lhs == rhs else ("identity_fails", None)
+    return out
 
 
 def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     """Membership of F in the space of T-minimal polynomials, as a report
-    of `_mills_core`'s answer; a non-member's reason is its cause's entry
-    in MILLS_CAUSES."""
+    of `_mills_core`'s answer on the list [F]; a non-member's reason is its
+    cause's entry in MILLS_CAUSES."""
     vp = validate_value_poly(ctx, T)
-    cause, theta = _mills_core(ctx, F, T, vp)
+    [(cause, theta)] = _mills_core(ctx, [F], T, vp)
     member = cause is None
     reason = MILLS_CAUSES.get(cause, "")
     dF = poly.degree(F)

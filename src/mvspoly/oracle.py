@@ -11,11 +11,13 @@ both normal-form branches run through the one scan loop of
 `verify_low_degree_forms`, a branch being its degrees and its extractor;
 every requested branch is guarded before the first one is scanned.
 
-The dimension oracle keeps on the context only what does not depend on A:
-the exponent layout of its operator under ("operator_layout", D, steps),
-and the unit images (y^j)^(p^m) under ("units", m) through
-`FieldCtx.unit_images`, each built on first use.  Its rank is computed
-afresh for every A.
+The dimension oracle's operator is block diagonal up to a permutation, and
+many blocks are copies of one matrix.  It keeps on the context only what
+does not depend on A: the layout of its operator, (count, width, shape) per
+distinct block shape, under ("operator_layout", D, steps), and the unit
+images (y^j)^(p^m) under ("units", m) through `FieldCtx.unit_images`, each
+built on first use.  Per A it ranks each distinct shape once.  Its guard
+bounds the layout work and the elimination work, each before it is done.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .linalg import FpSpan, fp_parts, fp_sum_at
 
 FUNCTION_SCAN_GUARD = 1 << 20
 POLY_SCAN_GUARD = 1 << 22
-DIM_GUARD = 4096
+DIM_GUARD = 1 << 16
 WITNESS_KEEP = 4096
 
 CONDITIONS = ("mvsp_onto_base", "mills_identity", "degree_window", "degree_bound")
@@ -148,48 +150,90 @@ def linear_dim_w(ctx, a: lin.AdditivePoly, guard=DIM_GUARD) -> int:
     polynomials of degree <= D = (Q-1)/(q^t - 1) and take its nullity.  A
     nonconstant kernel element must satisfy the identity (A(F) cannot vanish
     identically for nonconstant F), and every member has degree <= D, so
-    the kernel is exactly the member space."""
+    the kernel is exactly the member space.
+
+    Two sizes are held to the guard, each before the work it measures, and
+    both count pairs (x^e, exponent), each pair N x N digits: the layout
+    work (D+1) * terms, terms the nonzero terms of A, and the elimination
+    work, the sum over the layout's distinct block shapes of columns *
+    width."""
     aq = mvsp.split_additive(ctx, a, "dimension oracle needs a monic split separable A "
                              "of degree > 2", admit_quadratic=True).additive
     t = aq.tau_deg()
     theta = ctx.neg(aq.coeffs[0])
     D = (ctx.Q - 1) // (ctx.q ** t - 1)
-    if D * ctx.N > guard:
-        raise GuardError(f"operator on {D * ctx.N} coordinates refused")
-    nullity = (D + 1) * ctx.N - _operator_rank(ctx, aq, theta, D)
+    # c_0 = -theta != 0 (A is separable) leads the terms
+    terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
+    if (D + 1) * len(terms) > guard:
+        raise GuardError(f"operator layout of {(D + 1) * len(terms)} column terms refused")
+    steps = tuple(ctx.p ** (aq.base * i) for i, _ in terms)
+    layout = ctx.memo(("operator_layout", D, steps), lambda: _operator_layout(ctx, D, steps))
+    work = sum(len(shape) * width for _, width, shape in layout)
+    if work > guard:
+        raise GuardError(f"operator elimination of {work} block cells refused")
+    nullity = (D + 1) * ctx.N - _operator_rank(ctx, aq.base, terms, theta, layout)
     assert nullity % ctx.k == 0
     return nullity // ctx.k
 
 
-def _operator_rank(ctx, aq, theta, D) -> int:
-    """F_p-rank of the operator on the F_p-basis u*x^e (u = y^j, 0 <= e <= D).
+def _operator_layout(ctx, D, steps) -> list:
+    """The operator's columns u*x^e (u = y^j, 0 <= e <= D) grouped into the
+    connected blocks of the graph between the e and the exponents their
+    images touch: e * m for each step m, and Q + e - 1 when p does not
+    divide e.  Each block is keyed by its shape, one (e mod p, offsets) per
+    e in increasing order, the offsets being N times the indices of its
+    exponents numbered by first use within the block, and equal shapes are
+    counted once: (count, width, shape) per distinct shape, width the
+    number of the block's exponents.  Blocks of one shape are copies of one
+    matrix, so the operator's rank is the sum of count * rank over the
+    shapes (a block diagonal form up to a permutation of rows and columns)."""
+    p, N = ctx.p, ctx.N
+    parent = list(range(D + 1))
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = e = parent[parent[e]]
+        return e
+
+    touched = []
+    owner = {}          # exponent -> the first e whose image touches it
+    for e in range(D + 1):
+        exps = [e * m for m in steps]
+        if e % p:
+            exps.append(ctx.Q + e - 1)
+        touched.append(exps)
+        for x in exps:
+            r, o = find(e), find(owner.setdefault(x, e))
+            if r != o:
+                parent[max(r, o)] = min(r, o)
+    blocks = {}
+    for e in range(D + 1):
+        blocks.setdefault(find(e), []).append(e)
+    shapes = {}
+    for es in blocks.values():
+        pos = {}
+        shape = tuple((e % p, tuple(N * pos.setdefault(x, len(pos)) for x in touched[e]))
+                      for e in es)
+        if shape in shapes:
+            shapes[shape][0] += 1
+        else:
+            shapes[shape] = [1, len(pos)]
+    return [(count, width, shape) for shape, (count, width) in shapes.items()]
+
+
+def _operator_rank(ctx, base, terms, theta, layout) -> int:
+    """F_p-rank of the operator on the F_p-basis u*x^e, one FpSpan per
+    distinct block shape of the layout, times the shape's count.
 
     With s = e mod p and theta = -c_0, u*x^e maps to (c_0 + s*theta)*u*x^e
     + sum_{i >= 1} c_i*u^(p^(base*i))*x^(e*p^(base*i)) - s*theta*u*x^(Q+e-1):
     fixed coefficients per unit u and s, packed once (`fp_parts`) and placed
-    at offsets found once per e.  The digits at the k-th distinct exponent
-    are entries k*N .. k*N + N - 1, and coefficients at a repeated exponent
-    add (`fp_sum_at`).  Each column goes into one FpSpan.  The offsets
-    depend only on D and the steps p^(base*i) of A's terms, so they are
-    kept on the context under ("operator_layout", D, steps), and the units'
-    images come from `ctx.unit_images`; the rank itself is computed afresh
-    for every A."""
+    at a column's offsets, where coefficients at a repeated exponent add
+    (`fp_sum_at`).  The layout depends only on D and the steps p^(base*i)
+    of A's terms, the units' images come from `ctx.unit_images`, and the
+    rank itself is computed afresh for every A."""
     p, N = ctx.p, ctx.N
-    # c_0 = -theta != 0 (A is separable) leads the terms; x^e's theta part adds to it
-    terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
-    steps = tuple(p ** (aq.base * i) for i, _ in terms)
-
-    def build_layout():
-        pos = {}
-        layout = []
-        for e in range(D + 1):
-            exps = [e * m for m in steps]
-            if e % p:
-                exps.append(ctx.Q + e - 1)
-            layout.append((e % p, [N * pos.setdefault(x, len(pos)) for x in exps]))
-        return len(pos) * N, layout
-    width, layout = ctx.memo(("operator_layout", D, steps), build_layout)
-    images = [ctx.unit_images(aq.base * i) for i, _ in terms]
+    images = [ctx.unit_images(base * i) for i, _ in terms]
     per_unit = []
     for j in range(N):
         a_u = [ctx.mul(c, im[j]) for (_, c), im in zip(terms, images)]
@@ -201,11 +245,14 @@ def _operator_rank(ctx, aq, theta, D) -> int:
             first, last = fp_parts(ctx, (ctx.add(a_u[0], su), ctx.neg(su)))
             by_s.append([first, *parts[1:], last])
         per_unit.append(by_s)
-    span = FpSpan(p, width)
-    for s, offsets in layout:
-        for unit in per_unit:
-            span.add(fp_sum_at(ctx, width, unit[s], offsets))
-    return span.rank
+    rank = 0
+    for count, width, shape in layout:
+        span = FpSpan(p, width * N)
+        for s, offsets in shape:
+            for unit in per_unit:
+                span.add(fp_sum_at(ctx, width * N, unit[s], offsets))
+        rank += count * span.rank
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ direct sum of components, one per necklace, and an explicit F_q-basis of
 size d * 2^(n/d).  An orbit of size s seeds its traces with an F_q-basis
 of F_{q^(ds)}, read off the zeros of x^(q^(ds)) - x
 (`FieldCtx.subfield_basis`), so the basis scans no field and is guarded by
-its dimension alone.
+its dimension alone.  Each seed's conjugates are made once per orbit
+size and shared by every orbit of that size.
 
 The lift pipeline pushes that basis through M(x) from a binomial
 factorization gamma * A(M(x)) to generate the member space of a general
 split additive polynomial A, with rank d*2^(n/d) - d + t.  It folds
 the whole basis through M on one row set (`linearized.apply_each`), and it
-re-checks each kept generator through the one Mills core,
+re-checks all kept generators in one call of the Mills core,
 `mvsp._mills_core`, with the checked ValuePoly of A that it already holds.
 
 Every orbit is one walk, `_orbit`: e -> e*q' mod (Q-1), which is the
@@ -88,10 +89,19 @@ def _orbit(e: int, qd: int, M: int) -> list:
     return orbit
 
 
-def _trace(ctx, e: int, c, d: int) -> dict:
-    """The orbit trace sum_l c^(q'^l) x^(e*q'^l) mod x^Q - x, q' = q^d."""
-    return {k: ctx.frobenius(c, d * l)
-            for l, k in enumerate(_orbit(e, ctx.q ** d, ctx.Q - 1))}
+def _trace(ctx, e: int, conjugates, d: int) -> dict:
+    """The orbit trace sum_l c^(q'^l) x^(e*q'^l) mod x^Q - x, q' = q^d,
+    from the conjugates c^(q'^l) of c, one per exponent of the orbit."""
+    return dict(zip(_orbit(e, ctx.q ** d, ctx.Q - 1), conjugates))
+
+
+def _conjugates(ctx, c, d: int, size: int) -> list:
+    """c, c^q', ..., c^(q'^(size-1)), q' = q^d, each the q'-th power of the
+    one before."""
+    out = [c]
+    for _ in range(size - 1):
+        out.append(ctx.frobenius(out[-1], d))
+    return out
 
 
 def orbit_table(q: int, n: int) -> OrbitTable:
@@ -158,14 +168,18 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     if dim > TABLE_LIMIT:
         raise GuardError(f"basis of dimension {dim} refused above 2^20")
     table = orbit_table(ctx.q ** d, nprime)
+    seeds = {}          # orbit size -> the conjugates of each seed, made once
     elems = []
     for orbit in table.orbits:
-        for bj in ctx.subfield_basis(d * orbit.size):
-            f = _trace(ctx, orbit.exponent, bj, d)
+        if orbit.size not in seeds:
+            seeds[orbit.size] = [_conjugates(ctx, bj, d, orbit.size)
+                                 for bj in ctx.subfield_basis(d * orbit.size)]
+        for conjugates in seeds[orbit.size]:
+            f = _trace(ctx, orbit.exponent, conjugates, d)
             if beta != ctx.one:
                 f = poly.scale(ctx, f, beta)
             elems.append(BasisElem(elem=f, orbit_exponent=orbit.exponent,
-                                   orbit_size=orbit.size, beta=bj))
+                                   orbit_size=orbit.size, beta=conjugates[0]))
     assert len(elems) == dim
     wb = ctx._caches["basis"] = WBasis(d=d, alpha=alpha, scale=beta, elems=tuple(elems),
                                        dim=dim)
@@ -251,10 +265,9 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     bound = d * 2 ** (ctx.n // d) - d + witness.t
     if len(kept) != bound:
         raise AssertionError(f"lift rank {len(kept)} != expected {bound}")
-    asp = lin.to_sparse(ctx, vp.additive)
-    for g in kept:
-        if mvsp._mills_core(ctx, g, asp, vp)[0] is not None:
-            raise AssertionError("lift generator failed verification")
+    checks = mvsp._mills_core(ctx, kept, lin.to_sparse(ctx, vp.additive), vp)
+    if any(cause is not None for cause, _ in checks):
+        raise AssertionError("lift generator failed verification")
     return LiftReport(witness=witness, basis=wb, generators=tuple(kept),
                       dim_lower=len(kept))
 

@@ -471,12 +471,33 @@ def test_census_csv_bytes_are_unchanged(argv):
 
 
 def test_guard_max_replaces_the_verb_guard(time_limit):
-    """16380 operator coordinates exceed the dimension oracle's own guard
-    of 4096 and are within --guard-max 20000."""
+    """--guard-max replaces the dimension oracle's own guard on both of its
+    sizes: 4098 column terms (1366 exponents e times 3 terms) are within
+    --guard-max 20000, and so are the 9829 block cells, while --guard-max
+    4097 refuses the layout."""
     argv = ["oracle", "dim", "--field", "2^12:1", "--A", "x^4+x^2+x"]
     with time_limit(20):
         code, d = run_json(argv + ["--guard-max", "20000"])
-    assert code == 0 and d["dim"] == 47
+        assert code == 0 and d["dim"] == 47
+        assert run(argv + ["--guard-max", "4097"]) == (
+            3, "", "guard refusal: operator layout of 4098 column terms refused\n")
+        assert run(argv + ["--guard-max", "9828"]) == (
+            3, "", "guard refusal: operator elimination of 9829 block cells refused\n")
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["oracle", "dim", "--field", "2^16:1", "--A", "x^4+x"], 512),
+    (["oracle", "dim", "--field", "2^12:1", "--A", "x^4+x^2+x"], 47),
+    (["oracle", "dim", "--field", "2^16:1", "--A", "x^16+x"], 64),
+], ids=["2^16-t2", "2^12-t2", "2^16-t4"])
+def test_oracle_dim_answers_by_blocks_within_its_own_guard(argv, dim, time_limit):
+    """With no --guard-max these exited 3 (their dense operators had 349520,
+    16380 and 69920 coordinates, over 4096); ranked by distinct block
+    shapes they answer at once."""
+    parse_field_spec(argv[argv.index("--field") + 1])
+    with time_limit(5):
+        code, d = run_json(argv)
+    assert code == 0 and d["dim"] == dim
 
 
 # exit code and sha256 of the stdout of outputs the README commands do not
@@ -588,11 +609,12 @@ def test_verify_beyond_the_table_limit(monkeypatch, F, code):
     ["reduce", "--field", "2^40:1", "--T", "x^4+x"],
     ["verify", "--field", "2^40:1", "--T", "x^1099511627776+x", "--F", "x"],
     ["verify", "--field", "2^22:1", "--T", "x^4194304+x", "--F", "x"],
-    # without --guard-max each verb keeps its own guard: 15728640 polynomials
-    # and 349520 or 16380 operator coordinates are refused
+    # without --guard-max each verb keeps its own guard: 15728640 polynomials,
+    # an operator layout of 699052 column terms, and an elimination of 71913
+    # block cells are refused
     ["oracle", "theorems", "--field", "2^4:1", "--branch", "shift"],
-    ["oracle", "dim", "--field", "2^16:1", "--A", "x^4+x"],
-    ["oracle", "dim", "--field", "2^12:1", "--A", "x^4+x^2+x"],
+    ["oracle", "dim", "--field", "2^20:1", "--A", "x^4+x"],
+    ["oracle", "dim", "--field", "3^10:1", "--A", "x^3-x"],
 ])
 def test_large_fields_are_refused_at_once(argv, time_limit):
     """Guards compare sizes like q^Q without building them and refuse

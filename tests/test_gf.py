@@ -578,6 +578,34 @@ def test_fold_matches_termwise_reference(p, k, n, tables):
     assert cancelled >= 20
 
 
+@pytest.mark.parametrize("tables", [True, False])
+@pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 4)])
+def test_fold_each_is_fold_on_each(p, k, n, tables):
+    """fold_each on a list gives each polynomial's own fold and the termwise
+    sum, in order, on rows with repeated and distinct twists and a zero c0;
+    the empty list gives [] and a zero polynomial {}.  On tables a
+    non-element raises KeyError wherever it stands, in a polynomial or in a
+    row."""
+    ctx = (FieldCtx if tables else PlainField)(p, k, n)
+    rng = random.Random(2800 + 10 * p + n)
+    fs = [{}] + [{rng.randrange(30): ctx.elem_from_int(rng.randrange(ctx.Q))
+                  for _ in range(rng.randrange(1, 7))} for _ in range(8)] + [{}]
+    rows = [(rng.randrange(20), ctx.elem_from_int(rng.randrange(1, ctx.Q)),
+             rng.choice([0, 1, 2, ctx.N + 1])) for _ in range(4)]
+    rows += [(3, ctx.zero, 1), (rows[0][0], ctx.neg(rows[0][1]), rows[0][2])]
+    got = ctx.fold_each(fs, rows)
+    assert got == [ctx.fold(f, rows) for f in fs] == [fold_termwise(ctx, f, rows) for f in fs]
+    assert got[0] == got[-1] == {}
+    assert ctx.fold_each([], rows) == []
+    if tables:
+        bad = (p,) + (0,) * (ctx.N - 1)
+        for at in range(3):
+            with pytest.raises(KeyError):
+                ctx.fold_each(fs[:at] + [{1: bad}] + fs[at:], rows)
+        with pytest.raises(KeyError):
+            ctx.fold_each(fs, rows + [(0, bad, 0)])
+
+
 # -- tables of canonical ints, tuples made on first use ------------------------------
 
 def test_building_a_field_lists_no_elements(monkeypatch):

@@ -200,13 +200,14 @@ def test_early_checks_match_the_composing_reference(spec, A_text, B_text, power)
             f = {d: rng.choice(elems[1:]), k: rng.choice(elems[1:])}
             f[0] = rng.choice(vp.roots if rng.random() < 0.5 else elems)
             cands.append({e: c for e, c in f.items() if c != zero})
+        expected = []
         for F in cands:
             rep = M.mills_check(ctx, F, T)
             assert rep == mills_check_composing(ctx, F, T), (P.to_text(ctx, T), F)
             path = mills_path(ctx, F, T, rep)
             paths[path] += 1
-            cause = None if rep.is_member else PATH_CAUSES[path]
-            assert M._mills_core(ctx, F, T, vp) == (cause, rep.theta)
+            expected.append((None if rep.is_member else PATH_CAUSES[path], rep.theta))
+        assert M._mills_core(ctx, cands, T, vp) == expected
     assert set(paths) == {"constant", "degree", "x = 0", "theta", "identity", "member"}, paths
 
 
@@ -274,13 +275,60 @@ def test_mills_core_names_each_cause(f64):
         (P.from_text(f64, "x^18+x^9+x^5"), "identity_fails", "value set mismatch"),
     ]
     for F, cause, reason in cases:
-        assert M._mills_core(f64, F, T, vp) == (cause, None)
+        assert M._mills_core(f64, [F], T, vp) == [(cause, None)]
         rep = M.mills_check(f64, F, T)
         assert not rep.is_member and rep.reason == reason and rep.theta is None
     assert {c for _, c, _ in cases} == set(M.MILLS_CAUSES)
     for F, theta in (({}, None), (member, f64.one)):
-        assert M._mills_core(f64, F, T, vp) == (None, theta)
+        assert M._mills_core(f64, [F], T, vp) == [(None, theta)]
         assert M.mills_check(f64, F, T).reason == ""
+
+
+@pytest.mark.parametrize("spec, T_text, A_text, power", [
+    ("2^6:1", "x^4+x^2+x", "x^4+x^2+x", None),
+    ("3^6:1", "x^5+x^2+x", "x^9+x^3+x", 2),
+])
+def test_mills_core_on_a_list_matches_one_at_a_time(spec, T_text, A_text, power):
+    """The core on one shuffled list gives, in order, what the composing
+    reference gives each polynomial on its own (its cause read off mills_path):
+    members, constants on and off the roots, and a non-member for every
+    cause, several times over.  T is additive (one apply_each for the list)
+    and not additive (one compose each), and the empty list gives []."""
+    ctx = parse_field_spec(spec)
+    rng = random.Random(2800 + ctx.Q)
+    T = P.from_text(ctx, T_text)
+    vp = M.validate_value_poly(ctx, T)
+    A = M.validate_value_poly(ctx, P.from_text(ctx, A_text)).additive
+    gens = W.lift_pipeline(ctx, A).generators
+    members = [W.random_span_member(ctx, gens, rng) for _ in range(6)]
+    if power:
+        members = [P.pow_(ctx, F, power) for F in members]
+    elems, zero = ctx.elements(), ctx.zero
+    non_roots = [c for c in elems if c not in vp.root_set]
+    Fs = [{}, {0: vp.roots[-1]}, {0: non_roots[0]}]
+    for F in members:
+        c0 = F.get(0, zero)
+        Fs.append(F)
+        Fs.append(P.add(ctx, F, {0: ctx.sub(non_roots[-1], c0)}))           # x = 0
+        for lam in elems[2:]:                                              # theta
+            G = P.scale(ctx, F, lam)
+            G = P.add(ctx, G, {0: ctx.sub(vp.roots[0], G.get(0, zero))})
+            if mills_path(ctx, G, T, mills_check_composing(ctx, G, T)) == "theta":
+                Fs.append(G)
+                break
+        Fs.append(P.add(ctx, F, {P.degree(F) + 1: ctx.one}))               # degree
+        low = P.degree(P.derivative(ctx, F))
+        if low > 1:                                                        # identity
+            Fs.append(P.add(ctx, F, {rng.randrange(1, low): rng.choice(elems[1:])}))
+    rng.shuffle(Fs)
+    expected = []
+    for F in Fs:
+        rep = mills_check_composing(ctx, F, T)
+        cause = None if rep.is_member else PATH_CAUSES[mills_path(ctx, F, T, rep)]
+        expected.append((cause, rep.theta))
+    assert M._mills_core(ctx, Fs, T, vp) == expected
+    assert {c for c, _ in expected} == {None, *M.MILLS_CAUSES}
+    assert M._mills_core(ctx, [], T, vp) == []
 
 
 def test_mills_constant_membership(f64):

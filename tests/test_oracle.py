@@ -1,6 +1,8 @@
 import functools
 import math
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -12,6 +14,8 @@ from mvspoly import poly as P
 from mvspoly import wspace as W
 from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import FieldCtx, make_field, parse_field_spec
+from mvspoly.linalg import FqSpan
+from oracle_reference import operator_rank_dense
 from poly_reference import interpolate
 
 
@@ -157,6 +161,92 @@ def test_linear_dim_matches_the_reference_build_on_every_f64_stratum(t, d, count
     assert sorted(strata) == [(2, 2), (2, 3), (2, 6), (3, 3), (3, 6), (4, 6), (5, 6)]
     for a in random.Random(11 * t + d).sample(strata[t, d], count):
         assert O.linear_dim_w(ctx, a) == reference_dim(ctx, a)
+
+
+# the fields `scripts/dimension_sweep.py` runs by default
+SWEEP_FIELDS = re.search(r'DEFAULT_FIELDS = "([^"]+)"', (pathlib.Path(__file__).parents[1] / "scripts"
+                         / "dimension_sweep.py").read_text()).group(1).split(",")
+
+
+def operator_ranks(ctx, a):
+    """(D, steps, blocked rank, dense rank) of A's dimension operator."""
+    aq = M.split_additive(ctx, a, "not split", admit_quadratic=True).additive
+    theta = ctx.neg(aq.coeffs[0])
+    D = (ctx.Q - 1) // (ctx.q ** aq.tau_deg() - 1)
+    terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
+    steps = tuple(ctx.p ** (aq.base * i) for i, _ in terms)
+    layout = O._operator_layout(ctx, D, steps)
+    return (D, steps, O._operator_rank(ctx, aq.base, terms, theta, layout),
+            operator_rank_dense(ctx, aq, theta, D))
+
+
+def split_additive_samples(ctx, rng, per_t):
+    """Per t, the binomial x^(q^t) - x when t | n, and per_t A vanishing on
+    random t-dimensional F_q-subspaces; x^2 - x stands for t = 1 at q = 2.
+    So one D comes with the steps of the binomial and of a full A."""
+    out = []
+    for t in range(1, ctx.n + 1):
+        if ctx.n % t == 0:
+            out.append(L.binomial(ctx, t, ctx.one))
+        if ctx.q ** t <= 2:
+            continue
+        for _ in range(per_t):
+            span, vs = FqSpan(ctx), []
+            while len(vs) < t:
+                v = ctx.elem_from_int(rng.randrange(1, ctx.Q))
+                if span.add((v,)):
+                    vs.append(v)
+            out.append(L.subspace_poly(ctx, vs))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["2^6:1", "2^8:1", "3^4:1", "2^4:2", "2^12:1",
+                                  *sorted(set(SWEEP_FIELDS) - {"2^6:1", "2^4:2"})])
+def test_blocked_rank_matches_the_dense_rank(spec):
+    """The rank summed over the distinct block shapes, each ranked once and
+    counted count times, equals the rank of the whole operator in one
+    span, for binomials and random A of every t.  Where n has a divisor
+    1 < t < n, the binomial and a full A share D with different steps."""
+    ctx = parse_field_spec(spec)
+    rng = random.Random(sum(map(ord, spec)))
+    steps_by_D = {}
+    for a in split_additive_samples(ctx, rng, 1 if ctx.Q > 256 else 3):
+        D, steps, blocked, dense = operator_ranks(ctx, a)
+        assert blocked == dense, (spec, L.tau_to_text(ctx, a))
+        steps_by_D.setdefault(D, set()).add(steps)
+    if any(ctx.n % t == 0 for t in range(2, ctx.n)):
+        assert max(map(len, steps_by_D.values())) >= 2
+
+
+def test_blocks_of_one_shape_are_counted_once():
+    """At F_{2^12} with x^4 + x, blocks repeat: the layout ranks fewer
+    shapes than it has blocks, and the blocks cover every e <= D once."""
+    ctx = make_field(2, 1, 12)
+    layout = O._operator_layout(ctx, 1365, (1, 4))
+    assert len(layout) < sum(count for count, _, _ in layout)
+    assert sum(count * len(shape) for count, _, shape in layout) == 1366
+    assert O.linear_dim_w(ctx, L.detect_additive(ctx, P.from_text(ctx, "x^4+x"))) == 128
+
+
+def test_the_two_guards_refuse_before_their_work(monkeypatch):
+    """The layout work (D+1) * terms is refused before a layout is built,
+    and the elimination work before any column is ranked; each admits its
+    size exactly at the guard."""
+    ctx = FieldCtx(2, 1, 12)
+    a = L.detect_additive(ctx, P.from_text(ctx, "x^4+x^2+x"))
+    built, ranked = [], []
+    layout, rank = O._operator_layout, O._operator_rank
+    monkeypatch.setattr(O, "_operator_layout", lambda *args: built.append(1) or layout(*args))
+    monkeypatch.setattr(O, "_operator_rank", lambda *args: ranked.append(1) or rank(*args))
+    with pytest.raises(GuardError, match="operator layout of 4098 column terms refused"):
+        O.linear_dim_w(ctx, a, guard=4097)
+    assert built == ranked == []
+    work = sum(len(shape) * width for _, width, shape in layout(ctx, 1365, (1, 2, 4)))
+    assert 4098 < work
+    with pytest.raises(GuardError, match=f"operator elimination of {work} block cells refused"):
+        O.linear_dim_w(ctx, a, guard=work - 1)
+    assert built == [1] and ranked == []
+    assert O.linear_dim_w(ctx, a, guard=work) == 47 and ranked == [1]
 
 
 def test_operator_layouts_and_units_are_kept_on_first_use():

@@ -467,15 +467,19 @@ def test_lift_matches_the_per_element_reference(spec):
 def test_lift_rechecks_every_generator(monkeypatch, f64):
     """A generator corrupted after the fold (one M(b) times an element off
     F_2, so its forced theta leaves the candidates) still spans the same
-    rank, and the lift's Mills re-check refuses it."""
+    rank, and the lift's Mills re-check, one core call on every kept
+    generator, refuses it.  Only the basis fold is corrupted, not the
+    re-check's own apply_each."""
     a = L.detect_additive(f64, P.from_text(f64, "x^4+x^2+x"))
     assert W.lift_pipeline(f64, a).dim_lower == 11
     real = L.apply_each
     lam = f64.elem_from_int(2)
+    folds = []
 
     def corrupting(ctx, m, fs):
         out = real(ctx, m, fs)
-        if len(fs) > 1:                 # the basis fold, not an apply_poly
+        if len(fs) > 1 and not folds:   # the basis fold, not an apply_poly
+            folds.append(m)
             i = next(i for i, g in enumerate(out) if P.degree(g) >= 1)
             out[i] = P.scale(ctx, out[i], lam)
         return out

@@ -2,8 +2,9 @@
 
 - `membership_coordinates` and `reconstruct_from_coordinates`: the paper's
   explicit description of W read as coordinates, one per orbit
-  representative of the basis.  They are the independent side of the
-  differential against `mvspoly.mvsp.mills_check`.
+  representative of the basis, with traces made by `orbit_trace`, which
+  takes each conjugate as its own Frobenius power.  They are the
+  independent side of the differential against `mvspoly.mvsp.mills_check`.
 - `power_image_count_exact`: the number of distinct F^v over a span by
   enumeration, the branch `mvspoly.wspace.power_image_count` had before it
   always returned the sampled lower bound.
@@ -17,7 +18,7 @@ from mvspoly import linearized as lin
 from mvspoly import mvsp, poly
 from mvspoly.errors import InputError
 from mvspoly.linalg import FqSpan
-from mvspoly.wspace import LiftReport, WBasis, _trace, build_basis, check_span_size, span_iter
+from mvspoly.wspace import LiftReport, WBasis, build_basis, check_span_size, span_iter
 from poly_reference import reduce_mod_field
 
 
@@ -43,10 +44,24 @@ def reconstruct_from_coordinates(ctx, wb: WBasis, coords: dict) -> dict:
         raise InputError("coordinates are keyed by the basis's orbit representatives")
     f = {}
     for rep, c in coords.items():
-        f.update(_trace(ctx, rep, c, wb.d))
+        f.update(orbit_trace(ctx, rep, c, wb.d))
     if wb.scale != ctx.one:
         f = poly.scale(ctx, f, wb.scale)
     return {e: c for e, c in f.items() if c != ctx.zero}
+
+
+def orbit_trace(ctx, e: int, c, d: int) -> dict:
+    """sum_l c^(q'^l) x^(e*q'^l) mod x^Q - x, q' = q^d, each term made by
+    its own Frobenius power: the walk e -> e*q' mod (Q-1) stops at its first
+    repeat, and Q-1 (the exponent of x^(Q-1)) maps to itself."""
+    qd, M = ctx.q ** d, ctx.Q - 1
+    f, k = {}, e
+    for l in range(ctx.n):
+        f[k] = ctx.frobenius(c, d * l)
+        k = k * qd % M if k != M else M
+        if k == e:
+            break
+    return f
 
 
 def power_image_count_exact(ctx, T: dict, v: int, generators, limit=1 << 16) -> int:
