@@ -46,19 +46,18 @@ def _guard(args, default):
     return default if args.guard_max is None else args.guard_max
 
 
-def _emit(args, payload, csv_rows=None, text_lines=None):
-    fmt = getattr(args, "format", "json")
+def _emit(args, payload, text_lines, csv_rows=None):
     try:
-        if fmt == "json":
+        if args.format == "json":
             print(json.dumps(payload, indent=2))
-        elif fmt == "csv":
+        elif args.format == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)
             for row in csv_rows or [[json.dumps(payload)]]:
                 writer.writerow(row)
             sys.stdout.write(buf.getvalue())
         else:
-            for line in text_lines or [json.dumps(payload)]:
+            for line in text_lines:
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -207,12 +206,12 @@ def cmd_basis(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    if args.field:
+    if args.field and args.q is None and args.n is None:
         ctx = parse_field_spec(args.field)
         q, n = ctx.q, ctx.n
+    elif args.field or args.q is None or args.n is None:
+        raise InputError("orbits needs either --field or both --q and --n")
     else:
-        if args.q is None or args.n is None:
-            raise InputError("orbits needs --field or both --q and --n")
         q, n = args.q, args.n
     table = wspace.orbit_table(q, n)
     payload = {
@@ -366,8 +365,9 @@ def _examples_section1(ctx, q):
 
 def _examples_section2(ctx, q):
     wb = wspace.build_basis(ctx, 3, ctx.one)
-    T = wspace.target_binomial(ctx, wb)
-    verified = all(mvsp.mills_check(ctx, b.elem, T).is_member for b in wb.elems)
+    vp = mvsp.validate_value_poly(ctx, wspace.target_binomial(ctx, wb))
+    verified = all(cause is None for cause, _ in
+                   mvsp.mills_core(ctx, [b.elem for b in wb.elems], vp))
     A = lin.make(ctx, ctx.k, (ctx.one, ctx.one, ctx.one))       # x^(q^2)+x^q+x
     rep = wspace.lift_pipeline(ctx, A)
     try:

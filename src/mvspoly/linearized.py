@@ -207,9 +207,9 @@ def binomial(ctx, d: int, alpha) -> AdditivePoly:
     return AdditivePoly(ctx.k, tuple(coeffs))
 
 
-def _binomial_admissible(ctx, d: int, alpha) -> bool:
-    # deg > 2, or the base-field binomial x^2 - x which the subfield-valued
-    # theory admits at q = 2
+def binomial_admissible(ctx, d: int, alpha) -> bool:
+    """Does x^(q^d) - alpha*x have degree > 2, or is it the base-field
+    binomial x^2 - x, which the subfield-valued theory admits at q = 2?"""
     if ctx.q ** d > 2:
         return True
     return ctx.q ** d == 2 and alpha == ctx.one
@@ -224,7 +224,7 @@ def minimal_binomial_multiple(ctx, null):
     rho = null[0]
     for d in sorted(d for d in range(1, ctx.n + 1) if ctx.n % d == 0):
         alpha = ctx.pow_elem(rho, ctx.q ** d - 1)
-        if not _binomial_admissible(ctx, d, alpha):
+        if not binomial_admissible(ctx, d, alpha):
             continue
         if all(ctx.frobenius(b, d) == ctx.mul(alpha, b) for b in null):
             return d, alpha

@@ -11,12 +11,12 @@ The two faces of the theory live here side by side:
   fail the degree equation, the identity at x = 0 (T(F(0)) = 0), or its
   top term, which forces theta = lc(F)^deg T / lc(F') among the candidates.
   These cost a few field operations where T(F) costs thousands.  The test
-  itself is one core, `_mills_core`, which takes a list of polynomials and
-  the checked ValuePoly, and answers each with a cause code (MILLS_CAUSES)
-  or None for a member; the polynomials that pass the refusals are
-  composed in one pass.  mills_check reports its answer on a list of one,
-  and the lift re-checks all its generators in one call, with the
-  ValuePoly it already holds.
+  itself is one core, `mills_core`, which takes a list of polynomials and
+  the checked ValuePoly, which carries T, and answers each with a cause
+  code (MILLS_CAUSES) or None for a member; the polynomials that pass the
+  refusals are composed in one pass.  mills_check reports the core's
+  answer on a list of one, for a T read from text; every caller that
+  already holds the checked ValuePoly calls the core with it.
 
 Everything else (additive reductions, power lifts, low degree normal forms,
 root profiles) is built from those two.  All of it reads T through
@@ -26,7 +26,7 @@ validate_value_poly, the one check of the standing hypothesis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linearized as lin
 from . import poly
@@ -76,11 +76,14 @@ class ValuePoly:
     the roots as a frozenset, the value set of every member.  When T is
     additive, `additive` is T as an AdditivePoly, at the context level q
     when T is additive there (then its tau-degree t has q^t = deg T), and
-    `null` an F_p-basis of its roots; otherwise None and ()."""
+    `null` an F_p-basis of its roots; otherwise None and ().  T is a copy of
+    the polynomial checked; the roots determine it, so equality and hashing
+    leave it out."""
     roots: tuple
     root_set: frozenset
     thetas: tuple
     additive: lin.AdditivePoly | None
+    T: dict = field(compare=False)
     null: tuple = ()
 
 
@@ -119,7 +122,7 @@ def _check_value_poly(ctx, T):
             additive = lin.as_context_base(ctx, additive)
         roots = ctx.span_elements(null)
         return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=(ctx.neg(T[1]),),
-                         additive=additive, null=tuple(null))
+                         additive=additive, T=dict(T), null=tuple(null))
     if poly.degree(poly.field_gcd(ctx, T)) != d:
         raise InputError(not_split)
     roots = poly.roots(ctx, T)
@@ -131,7 +134,7 @@ def _check_value_poly(ctx, T):
         if th not in thetas:
             thetas.append(th)
     return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=tuple(thetas),
-                     additive=None)
+                     additive=None, T=dict(T))
 
 
 def split_additive(ctx, a: lin.AdditivePoly, refusal: str, admit_quadratic=False):
@@ -166,7 +169,7 @@ def is_minimal(ctx, F: dict) -> MvspReport:
                       reason="" if ok else "value set larger than the bound")
 
 
-# the cause `_mills_core` gives for each way a polynomial fails, and the
+# the cause `mills_core` gives for each way a polynomial fails, and the
 # reason `mills_check` reports for it
 MILLS_CAUSES = {
     "constant_not_root": "constant is not a root",
@@ -177,9 +180,9 @@ MILLS_CAUSES = {
 }
 
 
-def _mills_core(ctx, Fs, T: dict, vp: ValuePoly) -> list:
-    """The Mills test of each F in Fs against T, with vp the checked form of
-    T: (None, theta) for a member, theta the forced one (None for a
+def mills_core(ctx, Fs, vp: ValuePoly) -> list:
+    """The Mills test of each F in Fs against the checked value polynomial
+    T = vp.T: (None, theta) for a member, theta the forced one (None for a
     constant), and (cause, None) for a non-member, cause a key of
     MILLS_CAUSES.
 
@@ -191,7 +194,7 @@ def _mills_core(ctx, Fs, T: dict, vp: ValuePoly) -> list:
     candidates.  Every F that passes them is composed in one pass: one
     `linearized.apply_each` when T is additive, one `poly.compose` each
     otherwise."""
-    dT = poly.degree(T)
+    dT = poly.degree(vp.T)
     out = []
     fs, passed = [], []                 # each F to compose, and its (index in out, F', theta)
     for F in Fs:
@@ -221,7 +224,7 @@ def _mills_core(ctx, Fs, T: dict, vp: ValuePoly) -> list:
     if not fs:
         return out
     lhss = (lin.apply_each(ctx, vp.additive, fs) if vp.additive is not None
-            else [poly.compose(ctx, T, F) for F in fs])
+            else [poly.compose(ctx, vp.T, F) for F in fs])
     for (i, dFpoly, theta), lhs in zip(passed, lhss):
         # theta*(x^Q - x)*F' term by term: the degree equation with deg T >= 2
         # gives deg F' + 1 <= deg F <= Q - 1, so its two halves never meet
@@ -233,10 +236,10 @@ def _mills_core(ctx, Fs, T: dict, vp: ValuePoly) -> list:
 
 def mills_check(ctx, F: dict, T: dict) -> MvspReport:
     """Membership of F in the space of T-minimal polynomials, as a report
-    of `_mills_core`'s answer on the list [F]; a non-member's reason is its
+    of `mills_core`'s answer on the list [F]; a non-member's reason is its
     cause's entry in MILLS_CAUSES."""
     vp = validate_value_poly(ctx, T)
-    [(cause, theta)] = _mills_core(ctx, [F], T, vp)
+    [(cause, theta)] = mills_core(ctx, [F], vp)
     member = cause is None
     reason = MILLS_CAUSES.get(cause, "")
     dF = poly.degree(F)
@@ -274,10 +277,10 @@ def find_additive_reduction(ctx, T: dict) -> list[ReductionWitness]:
     scanning base in 1..N, v over divisors of p^base - 1, gamma over the
     roots of T.  An empty list certifies that no nonconstant member of the
     T-space can exist.  The divisor scan walks 1..p^N - 1, so it is refused
-    above 2^20 elements, like the element scan."""
-    roots = validate_value_poly(ctx, T).roots
+    above 2^20 elements, like the element scan, before T's roots are listed."""
     if ctx.Q > TABLE_LIMIT:
         raise GuardError("additive reduction scan refused above 2^20 elements")
+    roots = validate_value_poly(ctx, T).roots
     out = []
     for base in range(1, ctx.N + 1):
         mod = ctx.p ** base - 1
@@ -294,7 +297,7 @@ def find_additive_reduction(ctx, T: dict) -> list[ReductionWitness]:
 def power_lift(ctx, F: dict, v: int, T: dict) -> dict:
     """F -> F^v carrying members of the additive space A = T(x^v)/x^(v-1)
     into the T-space; the image is re-verified with the forced theta."""
-    validate_value_poly(ctx, T)
+    vt = validate_value_poly(ctx, T)
     if 0 in T:
         raise InputError("power lift needs x | T")
     if v < 1:
@@ -304,17 +307,17 @@ def power_lift(ctx, F: dict, v: int, T: dict) -> dict:
         raise InputError("T(x^v)/x^(v-1) is not additive")
     if not _divides_a_level(ctx, v, a.base):
         raise InputError("v does not divide p^b - 1 at any additivity level of A")
-    vp = split_additive(ctx, a, "the additive reduction of T fails the standing hypothesis")
-    rep = mills_check(ctx, F, lin.to_sparse(ctx, a))
-    if not rep.is_member:
+    va = split_additive(ctx, a, "the additive reduction of T fails the standing hypothesis")
+    [(cause, _)] = mills_core(ctx, [F], va)
+    if cause is not None:
         raise InputError("F is not a member of the additive space")
     image = poly.pow_(ctx, F, v)
-    check = mills_check(ctx, image, T)
-    if not check.is_member:
+    [(cause, theta)] = mills_core(ctx, [image], vt)
+    if cause is not None:
         raise AssertionError("power lift image failed verification")
     if poly.degree(F) >= 1:
-        expected = ctx.neg(ctx.div(vp.additive.coeffs[0], ctx.int_elem(v)))
-        if check.theta != expected:
+        expected = ctx.neg(ctx.div(va.additive.coeffs[0], ctx.int_elem(v)))
+        if theta != expected:
             raise AssertionError("power lift produced an unexpected theta")
     return image
 
@@ -432,17 +435,21 @@ def mills_profile(ctx, F: dict, T: dict) -> ProfileReport:
     (cross-checkable as deg gcd(F - gamma, x^Q - x)), their multiplicities by
     repeated division, and whether a simple root exists.  Field roots of a
     member must have multiplicity prime to p, and at least r = |roots| - 1
-    of the shifts must admit a simple root."""
-    roots = validate_value_poly(ctx, T).roots
-    if len(roots) <= 2:
+    of the shifts must admit a simple root.  The roots of each shift come
+    from a field scan, so the profile is refused above 2^20 elements before
+    T's roots are listed."""
+    if ctx.Q > TABLE_LIMIT:
+        raise GuardError("root profile refused above 2^20 elements")
+    vp = validate_value_poly(ctx, T)
+    if len(vp.roots) <= 2:
         raise InputError("profile needs more than two values")
-    rep = mills_check(ctx, F, T)
-    if not rep.is_member or poly.degree(F) < 1:
+    [(cause, _)] = mills_core(ctx, [F], vp)
+    if cause is not None or poly.degree(F) < 1:
         raise InputError("profile is only defined for nonconstant members")
     per = []
     coprime = True
     simple_count = 0
-    for gamma in roots:
+    for gamma in vp.roots:
         shifted = poly.sub(ctx, F, poly.const(ctx, gamma))
         l = poly.degree(poly.field_gcd(ctx, shifted))
         froots = poly.roots(ctx, shifted)
@@ -467,7 +474,7 @@ def mills_profile(ctx, F: dict, T: dict) -> ProfileReport:
         per.append(RootProfile(gamma=gamma, distinct_field_roots=l,
                                multiplicities=tuple(mults),
                                has_simple_root=has_simple))
-    r = len(roots) - 1
+    r = len(vp.roots) - 1
     return ProfileReport(per_root=tuple(per),
                          multiplicities_coprime_p=coprime,
                          simple_root_count=simple_count,

@@ -274,7 +274,7 @@ def census_fixed_valueset(ctx, S, max_deg=None, guard=POLY_SCAN_GUARD) -> Census
     for a in s_list:
         T = poly.mul(ctx, T, poly.linear(ctx, a))
     try:
-        mvsp.validate_value_poly(ctx, T)
+        vp = mvsp.validate_value_poly(ctx, T)
     except InputError as exc:
         return _tally(ctx, desc, 0, (), f"empty by precondition: {exc}")
     if not power_exceeds(len(s_list), ctx.Q, guard):
@@ -291,7 +291,7 @@ def census_fixed_valueset(ctx, S, max_deg=None, guard=POLY_SCAN_GUARD) -> Census
         total = ctx.Q ** (max_deg + 1)
         candidates = ({e: c for e, c in enumerate(coeffs) if c != ctx.zero}
                       for coeffs in itertools.product(ctx.elements(), repeat=max_deg + 1))
-    members = (f for f in candidates if mvsp.mills_check(ctx, f, T).is_member)
+    members = (f for f in candidates if mvsp.mills_core(ctx, [f], vp)[0][0] is None)
     return _tally(ctx, desc, total, members, f"mode={mode}")
 
 

@@ -15,18 +15,19 @@ factorization gamma * A(M(x)) to generate the member space of a general
 split additive polynomial A, with rank d*2^(n/d) - d + t.  It folds
 the whole basis through M on one row set (`linearized.apply_each`), and it
 re-checks all kept generators in one call of the Mills core,
-`mvsp._mills_core`, with the checked ValuePoly of A that it already holds.
+`mvsp.mills_core`, with the checked ValuePoly of A that it already holds.
 
 Every orbit is one walk, `_orbit`: e -> e*q' mod (Q-1), which is the
 exponent rule of reduction mod x^Q - x applied to (x^e)^q', with its two
 fixed points 0 (the constant) and Q-1 (x^(Q-1), the all-ones exponent at
-q' = 2).  Membership is decided by the Mills identity (`mvsp.mills_check`);
+q' = 2).  Membership is decided by the Mills identity (`mvsp.mills_core`);
 the coordinate read-off at the orbit representatives is the tests'
 independent reference for it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -147,6 +148,7 @@ class WBasis:
     dim: int
 
 
+@functools.lru_cache(maxsize=1)
 def build_basis(ctx, d: int, alpha) -> WBasis:
     """F_q-basis of W(x^(q^d) - alpha*x | F_{q^n}).
 
@@ -155,11 +157,9 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
     sum_l (beta_j x^k)^(q'^l) reduced mod x^Q - x, then scale everything by
     a beta with beta^(q'-1) = alpha when alpha != 1.
 
-    The last basis built is kept on the context, one entry, and returned
-    again for the same d and alpha: it is shared, so it is read-only."""
-    last = ctx._caches.get("basis")
-    if last is not None and last.d == d and last.alpha == alpha:
-        return last
+    The last basis built is kept, one entry per process keyed by (ctx, d,
+    alpha), and returned again for the same key: it is shared, so it is
+    read-only."""
     beta = binomial_scale(ctx, d, alpha)
     nprime = ctx.n // d
     dim = d * 2 ** nprime
@@ -181,9 +181,7 @@ def build_basis(ctx, d: int, alpha) -> WBasis:
             elems.append(BasisElem(elem=f, orbit_exponent=orbit.exponent,
                                    orbit_size=orbit.size, beta=conjugates[0]))
     assert len(elems) == dim
-    wb = ctx._caches["basis"] = WBasis(d=d, alpha=alpha, scale=beta, elems=tuple(elems),
-                                       dim=dim)
-    return wb
+    return WBasis(d=d, alpha=alpha, scale=beta, elems=tuple(elems), dim=dim)
 
 
 def binomial_scale(ctx, d: int, alpha):
@@ -191,7 +189,7 @@ def binomial_scale(ctx, d: int, alpha):
     binomial with d | n that W is defined for; InputError otherwise."""
     if d < 1 or ctx.n % d != 0:
         raise InputError(f"d = {d} is not a positive divisor of n = {ctx.n}")
-    if not lin._binomial_admissible(ctx, d, alpha):
+    if not lin.binomial_admissible(ctx, d, alpha):
         raise InputError("binomial degree must exceed 2 (only x^2 - x at q = 2 is admitted)")
     beta = ctx.solve_power(alpha, ctx.q ** d - 1) if alpha != ctx.one else ctx.one
     if beta is None:
@@ -265,8 +263,7 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
     bound = d * 2 ** (ctx.n // d) - d + witness.t
     if len(kept) != bound:
         raise AssertionError(f"lift rank {len(kept)} != expected {bound}")
-    checks = mvsp._mills_core(ctx, kept, lin.to_sparse(ctx, vp.additive), vp)
-    if any(cause is not None for cause, _ in checks):
+    if any(cause is not None for cause, _ in mvsp.mills_core(ctx, kept, vp)):
         raise AssertionError("lift generator failed verification")
     return LiftReport(witness=witness, basis=wb, generators=tuple(kept),
                       dim_lower=len(kept))
@@ -275,15 +272,15 @@ def lift_pipeline(ctx, a: lin.AdditivePoly) -> LiftReport:
 def power_image_count(ctx, T: dict, v: int, generators, *, samples=200, seed=0) -> int:
     """The guaranteed lower bound (q^dim - 1)/v + 1 on the number of distinct
     F^v over the span of the generators, after a seeded sample of images is
-    verified against T."""
+    verified against T in one call of the Mills core."""
     gens = list(generators)
     if not any(gens):
         raise InputError(EMPTY_SPAN)
+    vp = mvsp.validate_value_poly(ctx, T)
     rng = random.Random(seed)
-    for _ in range(samples):
-        img = poly.pow_(ctx, random_span_member(ctx, gens, rng), v)
-        if not mvsp.mills_check(ctx, img, T).is_member:
-            raise AssertionError("power image failed verification")
+    images = [poly.pow_(ctx, random_span_member(ctx, gens, rng), v) for _ in range(samples)]
+    if any(cause is not None for cause, _ in mvsp.mills_core(ctx, images, vp)):
+        raise AssertionError("power image failed verification")
     return (ctx.q ** len(gens) - 1) // v + 1
 
 

@@ -131,6 +131,8 @@ def test_verify_bad_exponent_is_an_input_error(F):
     ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x", "--F", "x++1"],
     ["verify", "--field", "2^6:1", "--T", "x^4+x^2+x+", "--F", "x"],
     ["lift", "--field", "2^6:1", "--A", "T^2+T+-1"],
+    ["orbits", "--field", "2^6:1", "--q", "3", "--n", "2"],
+    ["orbits", "--field", "2^6:1", "--n", "6"],
 ])
 def test_bad_arguments_are_refused(argv):
     assert_input_error(argv)
@@ -615,6 +617,9 @@ def test_verify_beyond_the_table_limit(monkeypatch, F, code):
     ["oracle", "theorems", "--field", "2^4:1", "--branch", "shift"],
     ["oracle", "dim", "--field", "2^20:1", "--A", "x^4+x"],
     ["oracle", "dim", "--field", "3^10:1", "--A", "x^3-x"],
+    # the field size is checked before T's 2^20 roots are listed
+    ["reduce", "--field", "2^40:1", "--T", "x^1048576+x"],
+    ["profile", "--field", "2^40:1", "--T", "x^1048576+x", "--F", "x"],
 ])
 def test_large_fields_are_refused_at_once(argv, time_limit):
     """Guards compare sizes like q^Q without building them and refuse

@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import itertools
 import random
 
@@ -9,6 +11,7 @@ from mvspoly import mvsp as M
 from mvspoly import oracle as O
 from mvspoly import poly as P
 from mvspoly import wspace as W
+from mvspoly.cli import main
 from mvspoly.errors import InputError
 from mvspoly.gf import FieldCtx, make_field, parse_field_spec
 from mvsp_reference import affine_equivalent, mills_check_composing
@@ -125,7 +128,7 @@ def affine_value_poly(ctx, T, a, b):
     return out
 
 
-# the cause `_mills_core` names for a non-member on each path of mills_path
+# the cause `mills_core` names for a non-member on each path of mills_path
 PATH_CAUSES = {"constant": "constant_not_root", "degree": "degree_equation",
                "x = 0": "zero_value_not_root", "theta": "theta_not_candidate",
                "identity": "identity_fails"}
@@ -207,7 +210,7 @@ def test_early_checks_match_the_composing_reference(spec, A_text, B_text, power)
             path = mills_path(ctx, F, T, rep)
             paths[path] += 1
             expected.append((None if rep.is_member else PATH_CAUSES[path], rep.theta))
-        assert M._mills_core(ctx, cands, T, vp) == expected
+        assert M.mills_core(ctx, cands, vp) == expected
     assert set(paths) == {"constant", "degree", "x = 0", "theta", "identity", "member"}, paths
 
 
@@ -275,12 +278,12 @@ def test_mills_core_names_each_cause(f64):
         (P.from_text(f64, "x^18+x^9+x^5"), "identity_fails", "value set mismatch"),
     ]
     for F, cause, reason in cases:
-        assert M._mills_core(f64, [F], T, vp) == [(cause, None)]
+        assert M.mills_core(f64, [F], vp) == [(cause, None)]
         rep = M.mills_check(f64, F, T)
         assert not rep.is_member and rep.reason == reason and rep.theta is None
     assert {c for _, c, _ in cases} == set(M.MILLS_CAUSES)
     for F, theta in (({}, None), (member, f64.one)):
-        assert M._mills_core(f64, [F], T, vp) == [(None, theta)]
+        assert M.mills_core(f64, [F], vp) == [(None, theta)]
         assert M.mills_check(f64, F, T).reason == ""
 
 
@@ -326,9 +329,9 @@ def test_mills_core_on_a_list_matches_one_at_a_time(spec, T_text, A_text, power)
         rep = mills_check_composing(ctx, F, T)
         cause = None if rep.is_member else PATH_CAUSES[mills_path(ctx, F, T, rep)]
         expected.append((cause, rep.theta))
-    assert M._mills_core(ctx, Fs, T, vp) == expected
+    assert M.mills_core(ctx, Fs, vp) == expected
     assert {c for c, _ in expected} == {None, *M.MILLS_CAUSES}
-    assert M._mills_core(ctx, [], T, vp) == []
+    assert M.mills_core(ctx, [], vp) == []
 
 
 def test_mills_constant_membership(f64):
@@ -607,6 +610,47 @@ def test_power_lift_rejects_nonmember(f729):
     T = P.from_text(f729, "x^5+x^2+x")
     with pytest.raises(InputError):
         M.power_lift(f729, P.from_text(f729, "x^2"), 2, T)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Counts the validate_value_poly calls per value polynomial, by text."""
+    real, seen = M.validate_value_poly, collections.Counter()
+
+    def counting(ctx, T):
+        seen[P.to_text(ctx, T).replace(" ", "")] += 1
+        return real(ctx, T)
+
+    monkeypatch.setattr(M, "validate_value_poly", counting)
+    return seen
+
+
+def test_power_lift_checks_t_and_a_once(f729, checked):
+    """One power lift checks T and its additive reduction A once each, and
+    both Mills tests run on those checks."""
+    A = M.validate_value_poly(f729, P.from_text(f729, "x^9+x^3+x")).additive
+    F = W.lift_pipeline(f729, A).generators[3]
+    checked.clear()
+    M.power_lift(f729, F, 2, P.from_text(f729, "x^5+x^2+x"))
+    assert checked == {"x^5+x^2+x": 1, "x^9+x^3+x": 1}
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["oracle", "census", "--field", "2^3:1", "--values", "0;1", "--max-deg", "3"],
+     {"x^2+x": 1}),
+    # the basis once for its members, A once each for the lift and the oracle
+    (["examples", "--section", "2"], {"x^8+x": 1, "x^4+x^2+x": 2}),
+    # T once each for the reduction and the image count, A once for the lift,
+    # and each of the 128 power lifts checks T and A once
+    (["examples", "--section", "4"], {"x^5+x^2+x": 130, "x^9+x^3+x": 129}),
+])
+def test_each_call_checks_its_value_polynomials_once(checked, argv, checks):
+    """A command checks each value polynomial once per library call that
+    takes it, and runs every Mills test on that check, however many
+    polynomials it tests: no Mills test validates T again."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert checked == checks
 
 
 # -- low degree classification -----------------------------------------------------

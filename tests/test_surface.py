@@ -12,6 +12,9 @@ too; loads at module level, in the scripts and in perfbench are the roots.
 A module-level import in a package module other than `__init__.py` must be
 loaded somewhere in that module: a name imported and never read is dead
 too.
+
+A package module loads a single-underscore attribute only on `self`, on
+`cls` or on a class it defines: no module reads another's private names.
 """
 
 import ast
@@ -149,3 +152,25 @@ def unloaded_imports():
 
 def test_every_module_import_is_loaded():
     assert unloaded_imports() == []
+
+
+def private_reads():
+    """"module.py:line: X.name" per load of a single-underscore attribute in a
+    package module whose owner X is not `self`, `cls` or a class defined in
+    that module: one module's private names are not read by another."""
+    out = []
+    for module, path in _module_files():
+        if module is None:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = {"self", "cls"} | {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                    and n.attr.startswith("_") and not n.attr.startswith("__")
+                    and not (isinstance(n.value, ast.Name) and n.value.id in own)):
+                out.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
+    return sorted(out)
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads() == []

@@ -338,27 +338,30 @@ def test_lift_checks_a_once(monkeypatch):
 
 
 def test_basis_cache_keeps_one_read_only_basis():
-    """build_basis keeps its last basis on the context: a repeated call
-    returns an equal basis, the lift and a full enumeration leave it equal
-    to one built fresh, and the context never holds more than one."""
+    """build_basis keeps its last basis: a repeated call returns the same
+    basis, the lift and a full enumeration leave it equal to one built
+    fresh, and the cache never holds more than one."""
     ctx = FieldCtx(2, 1, 6)
 
-    def cached():
-        bases = [v for v in ctx._caches.values() if isinstance(v, W.WBasis)]
-        assert len(bases) <= 1
-        return bases[0] if bases else None
+    def cached(d, alpha):
+        """The basis the cache returns for (ctx, d, alpha), which must be a hit."""
+        hits = W.build_basis.cache_info().hits
+        wb = W.build_basis(ctx, d, alpha)
+        info = W.build_basis.cache_info()
+        assert info.hits == hits + 1 and info.currsize == 1
+        return wb
 
     cube = ctx.pow_elem(ctx.elem_from_int(2), 3)
     for d, alpha in ((6, ctx.one), (3, ctx.one), (2, cube), (2, ctx.one), (6, ctx.one)):
         wb = W.build_basis(ctx, d, alpha)
         assert (wb.d, wb.alpha) == (d, alpha)
-        assert W.build_basis(ctx, d, alpha) == wb and cached() is wb
+        assert cached(d, alpha) is wb
     a = L.detect_additive(ctx, P.from_text(ctx, "x^4+x^2+x"))
     rep = W.lift_pipeline(ctx, a)
-    wb = cached()
+    wb = cached(3, ctx.one)
     assert rep.basis is wb and (wb.d, wb.alpha) == (3, ctx.one)
     assert sum(1 for _ in W.enumerate_w(ctx, wb)) == 2 ** wb.dim
-    del ctx._caches["basis"]
+    W.build_basis.cache_clear()
     fresh = W.build_basis(ctx, 3, ctx.one)
     assert fresh is not wb and fresh == wb
 
