@@ -16,17 +16,19 @@ so no subfield is found by a scan of the field.
 
 Two back ends have the same public ops, and `make_field` picks one by the
 order Q.  `FieldCtx` computes on exp/log/Zech tables, up to 2^20 elements;
-they hold ints, built by blocks of powers at p = 2, and `_exp` and `_log`
-make and record element tuples on first use.  `PlainField` keeps no tables
-and works digit by digit; it also runs the modulus search above p = N, and
-it refuses `solve_power`, which would need a generator scan.  No other
+they hold ints, built by blocks of powers at p = 2, once per (p, N) for every
+base F_q, and each context's `_exp` and `_log` make and record element
+tuples on first use.  `PlainField` keeps no tables and works digit by
+digit; it also runs the modulus search above p = N, and it refuses
+`solve_power`, which would need a generator scan.  No other
 module knows the back end: `fold` and `square` are the polynomial products
 that `poly` and `linearized` call, and `fold_each` folds a list of
 polynomials on one set of rows, prepared once.
 
 All operations are pure.  Each fill of a tuple table stores the value every
-other fill would store, and `memo` keeps the first value built under a key,
-so contexts and elements can be shared freely across threads.
+other fill would store, and `memo` and the int table store keep the first
+value built under a key, so contexts and elements can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .linalg import FqSpan, fp_elem, fp_kernel, fp_row
 TABLE_LIMIT = 1 << 20
 # q^n - 1 must stay comfortably inside 64-bit exponent arithmetic.
 SIZE_LIMIT = 1 << 62
+# (p, N) -> the generator and int tables of F_{p^N}, shared by every base F_q
+_TABLES = {}
 
 
 def prime_factors(m: int) -> list:
@@ -110,10 +114,12 @@ def _is_irreducible(fp, coeffs) -> bool:
     return s == x
 
 
+@functools.lru_cache(maxsize=None)
 def find_modulus(p: int, n: int) -> tuple:
     """Lexicographically least monic irreducible of degree n over F_p.
 
     Candidates (c_0, ..., c_{n-1}) are compared low-degree digit first.
+    It is kept per (p, n), so every base of one ambient field shares it.
     """
     if n == 1:
         return (0, 1)
@@ -215,20 +221,38 @@ class FieldCtx:
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
     def _build_table(self):
-        """Log -> int (`_iexp`) and int -> log (`_ilog`) of the powers of the
-        generator on canonical ints: at p = 2 `_iexp` is built by blocks (see
-        `_powers_by_blocks`) and `_ilog` filled in one pass over it; at odd p
-        both are filled stepping one chunk-table step per power (see
-        _mul_tables).  The Zech table zech[n] = log(1 + g^n) is read off
-        `_ilog`.  All three are int arrays, -1 for "no log".  The tuple
-        tables start empty: `_exp[i] or self._intern(i)` is the tuple of g^i,
-        and a miss in `_log` falls back to `_log_of`."""
+        """The generator and its int tables, taken from `_TABLES` (built by
+        `_int_tables` on the first context of this p and N), and the
+        context's own tuple tables.  These start empty: `_exp[i] or
+        self._intern(i)` is the tuple of g^i, and a miss in `_log` falls back
+        to `_log_of`."""
         if self.Q > TABLE_LIMIT:
             raise GuardError("multiplicative table refused above 2^20 elements")
+        key = (self.p, self.N)
+        try:
+            shared = _TABLES[key]
+        except KeyError:
+            shared = _TABLES.setdefault(key, self._int_tables())
+        self.generator, self._iexp, self._ilog, self._zech = shared
+        M = self._M = self.Q - 1
+        self._exp = [None] * M
+        self._log = {self.zero: None}
+        # log(-1), and log(c * 1) for c in F_p (the int of c * 1 is c)
+        self._neg_log = M // 2 if self.p > 2 else 0
+        self._scalar_log = [None, *self._ilog[1:self.p]]
+
+    def _int_tables(self):
+        """The first generator g, and log -> int (`_iexp`) and int -> log
+        (`_ilog`) of its powers on canonical ints: at p = 2 `_iexp` is built
+        by blocks (see `_powers_by_blocks`) and `_ilog` filled in one pass
+        over it; at odd p both are filled stepping one chunk-table step per
+        power (see _mul_tables).  The Zech table zech[n] = log(1 + g^n) is
+        read off `_ilog`.  All three are int arrays, -1 for "no log"; they
+        depend on p and N only, and no one writes to them once built."""
         Q, p = self.Q, self.p
         M = Q - 1
-        self.generator = self._find_generator()
-        tables = self._mul_tables(self.generator)
+        generator = self._find_generator()
+        tables = self._mul_tables(generator)
         ilog = array("i", [-1]) * Q     # canonical int -> log; 0 has none
         if p == 2:
             iexp = self._powers_by_blocks(tables)
@@ -257,13 +281,7 @@ class FieldCtx:
             for n, z in zip(itertools.islice(ilog, 1, None), itertools.islice(nxt, 1, None)):
                 zech[n] = z
             del nxt
-        self._iexp, self._ilog, self._zech = iexp, ilog, zech
-        self._exp = [None] * M
-        self._log = {self.zero: None}
-        self._M = M
-        # log(-1), and log(c * 1) for c in F_p (the int of c * 1 is c)
-        self._neg_log = M // 2 if p > 2 else 0
-        self._scalar_log = [None, *ilog[1:p]]
+        return generator, iexp, ilog, zech
 
     def _powers_by_blocks(self, tables):
         """The canonical ints of g^0, ..., g^(M-1) at p = 2, M = Q - 1, as an

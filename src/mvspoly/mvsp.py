@@ -20,13 +20,17 @@ The two faces of the theory live here side by side:
 
 Everything else (additive reductions, power lifts, low degree normal forms,
 root profiles) is built from those two.  All of it reads T through
-validate_value_poly, the one check of the standing hypothesis.
+validate_value_poly, the one check of the standing hypothesis.  For an
+additive T that check needs only T's kernel basis, and T's roots are listed
+on first read, by a test of root membership or a caller that prints or
+walks them; a non-member that fails the degree equation lists none.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linearized as lin
 from . import poly
@@ -69,22 +73,31 @@ class FormWitness:
 # value polynomial validation (cached per context)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValuePoly:
     """A value polynomial T that satisfies the standing hypothesis, with its
-    roots and theta candidates -T'(root) in canonical order.  root_set is
-    the roots as a frozenset, the value set of every member.  When T is
-    additive, `additive` is T as an AdditivePoly, at the context level q
-    when T is additive there (then its tau-degree t has q^t = deg T), and
-    `null` an F_p-basis of its roots; otherwise None and ().  T is a copy of
-    the polynomial checked; the roots determine it, so equality and hashing
-    leave it out."""
-    roots: tuple
-    root_set: frozenset
+    theta candidates -T'(root) in canonical order.  When T is additive,
+    `additive` is T as an AdditivePoly, at the context level q when T is
+    additive there (then its tau-degree t has q^t = deg T), and `null` an
+    F_p-basis of its roots; otherwise None and (), and `scanned` holds the
+    roots that the candidates were read from.  `roots`, in canonical order,
+    and `root_set`, the value set of every member, are made on first read
+    and kept: for an additive T the span of `null` is listed only then, and
+    refused above 2^20 roots.  T is a copy of the polynomial checked."""
+    ctx: object
+    T: dict
     thetas: tuple
     additive: lin.AdditivePoly | None
-    T: dict = field(compare=False)
     null: tuple = ()
+    scanned: tuple = ()
+
+    @functools.cached_property
+    def roots(self) -> tuple:
+        return self.scanned if self.additive is None else self.ctx.span_elements(self.null)
+
+    @functools.cached_property
+    def root_set(self) -> frozenset:
+        return frozenset(self.roots)
 
 
 def validate_value_poly(ctx, T: dict) -> ValuePoly:
@@ -120,21 +133,14 @@ def _check_value_poly(ctx, T):
             raise InputError(not_split)
         if additive.base % ctx.k == 0:
             additive = lin.as_context_base(ctx, additive)
-        roots = ctx.span_elements(null)
-        return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=(ctx.neg(T[1]),),
-                         additive=additive, T=dict(T), null=tuple(null))
+        return ValuePoly(ctx, dict(T), (ctx.neg(T[1]),), additive, null=tuple(null))
     if poly.degree(poly.field_gcd(ctx, T)) != d:
         raise InputError(not_split)
     roots = poly.roots(ctx, T)
     assert len(roots) == d
     dT = poly.derivative(ctx, T)
-    thetas = []
-    for r in roots:
-        th = ctx.neg(poly.eval_at(ctx, dT, r))
-        if th not in thetas:
-            thetas.append(th)
-    return ValuePoly(roots=roots, root_set=frozenset(roots), thetas=tuple(thetas),
-                     additive=None, T=dict(T))
+    thetas = dict.fromkeys(ctx.neg(poly.eval_at(ctx, dT, r)) for r in roots)  # first-seen order
+    return ValuePoly(ctx, dict(T), tuple(thetas), None, scanned=roots)
 
 
 def split_additive(ctx, a: lin.AdditivePoly, refusal: str, admit_quadratic=False):
@@ -147,7 +153,7 @@ def split_additive(ctx, a: lin.AdditivePoly, refusal: str, admit_quadratic=False
         vp = validate_value_poly(ctx, T)
     except InputError:
         raise InputError(refusal) from None
-    if len(vp.roots) <= 2 and not admit_quadratic:
+    if ctx.p ** len(vp.null) <= 2 and not admit_quadratic:
         raise InputError(refusal)
     return vp
 

@@ -4,7 +4,8 @@
   identity at x = 0 and the forced theta were checked ahead of composing
   T(F): after the degree equation it always composes T(F), and it reads
   theta off the top coefficient of T(F).  A constant is decided by
-  evaluating T at it.
+  evaluating T at it, and a member's value set is T's roots found by a scan
+  of the field.
 - `affine_equivalent`: the first affine substitution taking F to G, by a
   scan of the field.  It calls `poly.compose` through the module, so a
   test can swap the composition routine under it.
@@ -41,8 +42,9 @@ def mills_check_composing(ctx, F: dict, T: dict) -> MvspReport:
         rhs = {e + ctx.Q: ctx.mul(theta, c) for e, c in dFpoly.items()}
         rhs.update([(e + 1 - ctx.Q, ctx.neg(v)) for e, v in rhs.items()])
         if lhs == rhs:
-            return MvspReport(is_mvsp=True, value_set=vp.root_set, deg=dF, bound=bound,
-                              theta=theta, theta_candidates=vp.thetas, is_member=True)
+            return MvspReport(is_mvsp=True, value_set=frozenset(poly.roots(ctx, T)), deg=dF,
+                              bound=bound, theta=theta, theta_candidates=vp.thetas,
+                              is_member=True)
     return MvspReport(is_mvsp=False, value_set=None, deg=dF, bound=bound,
                       theta=None, theta_candidates=vp.thetas, is_member=False,
                       reason="value set mismatch")

@@ -670,7 +670,8 @@ def test_solve_power_without_tables_exit_codes(argv, code, err):
 
 
 # exit code and sha256 of the stdout of requests above 2^20 elements that
-# read their subfields off the zeros of x^(q^d) - x, with no field scan
+# read their subfields off the zeros of x^(q^d) - x, with no field scan, or
+# that answer a Mills non-member with no listing of T's roots
 LARGE_FIELD_DIGESTS = {
     ("basis", "--field", "2^22:1", "--d", "11"):
         (0, "bdcf722eb5c8926bdcf0ca0ffb3dbb9a42feeba9dc74b91541a2bc626bc120fb"),
@@ -678,14 +679,36 @@ LARGE_FIELD_DIGESTS = {
         (0, "4d8c1623ee56e6ba4f966c80b6dc6d97bdfe9c256832e13fe8a32295448dc659"),
     ("examples", "--section", "1", "--q", "1021"):
         (0, "a8b17f9ca06295e4969c08073fd05ed63df5b83df979e921a1829f2e43f8e443"),
+    ("verify", "--field", "2^40:1", "--T", "x^1048576+x", "--F", "x"):
+        (1, "436ff61dd7899b6d0abb929e7a05eb93dd4404a3b9fce19b2d4a4219b73d13b2"),
 }
 
 
-@pytest.mark.parametrize("argv", list(LARGE_FIELD_DIGESTS), ids=["basis-2^22", "basis-2^40", "examples-1021"])
+@pytest.mark.parametrize("argv", list(LARGE_FIELD_DIGESTS),
+                         ids=["basis-2^22", "basis-2^40", "examples-1021", "verify-2^40"])
 def test_large_field_bases_answer_at_once(argv, time_limit):
     with time_limit(5):
         code, out, _ = run(list(argv))
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == LARGE_FIELD_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("N,T", [(40, "x^1048576+x"), (42, "x^2097152+x")], ids=["2^40", "2^42"])
+def test_a_degree_equation_non_member_lists_no_roots(N, T, monkeypatch, time_limit):
+    """F = x fails the degree equation against an additive T with 2^20 or
+    2^21 roots, which needs deg T only: a fresh context answers exit 1 at
+    once, with no call to span_elements."""
+    ctx = gf.make_field.__wrapped__(2, 1, N)
+    monkeypatch.setattr(gf, "make_field", lambda p, k, n: ctx)
+    listed = []
+    span_elements = FieldCtx.span_elements
+    monkeypatch.setattr(FieldCtx, "span_elements",
+                        lambda self, basis: listed.append(1) or span_elements(self, basis))
+    t0 = time.perf_counter()
+    with time_limit(5):
+        code, out, _ = run(["verify", "--field", f"2^{N}:1", "--T", T, "--F", "x"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and json.loads(out)["reason"] == "value set mismatch"
+    assert listed == []
 
 
 def test_a_basis_above_2_20_members_is_refused_by_its_dimension():

@@ -616,6 +616,22 @@ def test_building_a_field_lists_no_elements(monkeypatch):
     assert scans == [] and len(ctx._log) == 1 and ctx._exp.count(None) == ctx.Q - 1
 
 
+def test_every_base_of_one_field_shares_its_int_tables(monkeypatch):
+    """F_729 over F_3, F_9 and F_27 finds one generator and builds one set
+    of int tables; each context keeps its own tuple tables."""
+    monkeypatch.setattr(gf, "_TABLES", {})
+    found = []
+    find_generator = FieldCtx._find_generator
+    monkeypatch.setattr(FieldCtx, "_find_generator",
+                        lambda self: found.append(1) or find_generator(self))
+    first, *others = [FieldCtx(3, k, 6 // k) for k in (1, 2, 3)]
+    assert found == [1]
+    for ctx in others:
+        assert (ctx.modulus, ctx.generator) == (first.modulus, first.generator)
+        assert all(getattr(ctx, t) is getattr(first, t) for t in ("_iexp", "_ilog", "_zech"))
+        assert ctx._exp is not first._exp and ctx._log is not first._log
+
+
 def test_fresh_tables_are_thread_safe():
     """Four threads fill the tuple tables of one fresh context at once and
     get what a single-threaded context gets."""
