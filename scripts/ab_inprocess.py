@@ -15,6 +15,11 @@ benchmark's tail rank (the 11th slowest op).  A sweep op is also timed in its
 two halves, `lift_pipeline` and `linear_dim_w`, and the median ratio over all
 ops of each half is printed too.
 
+Before any op is timed, each op runs once through both checkouts and their
+answers are compared: for verify the exit code and stdout, for sweep the
+lift's rank, d and generators' text and the oracle's dimension.  On the first
+mismatch the script names the op and exits 1, so it never times a wrong answer.
+
 The two sides share the host's speed at every moment, so their ratio is
 steadier than that of two separate benchmark processes.  It is for sizing a
 change only: the benchmark's own runs are the measurement of record.
@@ -26,6 +31,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import statistics
 import sys
@@ -56,15 +62,16 @@ def load(checkout: Path, alias: str):
 
 
 def verify_ops(mods, inputs):
-    """One callable per request: cli.main on its argv, output discarded.  The
-    warm-up requests run once first, as in the benchmark's set-up."""
+    """One callable per request: cli.main on its argv, its answer the exit
+    code and stdout.  The warm-up requests run once first, as in the
+    benchmark's set-up."""
     main = mods["cli"].main
 
     def call(argv):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            main(argv)
-        return {}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return {}, lambda: {"exit code": code, "stdout": out.getvalue()}
 
     for req in inputs["warmup"]:
         call(req["argv"])
@@ -74,17 +81,20 @@ def verify_ops(mods, inputs):
 
 def sweep_ops(mods, inputs):
     """One callable per polynomial: lift_pipeline and linear_dim_w, each
-    timed on its own."""
+    timed on its own.  Its answer is the lift's rank, d and generators, as
+    text, and the oracle's dimension."""
     ctx = mods["gf"].parse_field_spec(inputs["field"])
     make = mods["linearized"].AdditivePoly
-    wspace, oracle = mods["wspace"], mods["oracle"]
+    wspace, oracle, to_text = mods["wspace"], mods["oracle"], mods["poly"].to_text
 
     def call(a):
         t0 = perf_counter()
-        wspace.lift_pipeline(ctx, a)
+        rep = wspace.lift_pipeline(ctx, a)
         t1 = perf_counter()
-        oracle.linear_dim_w(ctx, a)
-        return {"lift_pipeline": t1 - t0, "linear_dim_w": perf_counter() - t1}
+        dim = oracle.linear_dim_w(ctx, a)
+        return ({"lift_pipeline": t1 - t0, "linear_dim_w": perf_counter() - t1},
+                lambda: {"rank": rep.dim_lower, "d": rep.witness.d, "dim": dim,
+                         "generators": [to_text(ctx, g) for g in rep.generators]})
 
     polys = [make(op["base"], tuple(map(tuple, op["coeffs"]))) for op in inputs["ops"]]
     return ([(lambda a=a: call(a)) for a in polys],
@@ -94,8 +104,22 @@ def sweep_ops(mods, inputs):
 def timed(fn):
     """The time of one call of fn, and the times of its halves, by name."""
     t0 = perf_counter()
-    halves = fn()
+    halves, _ = fn()
     return perf_counter() - t0, halves
+
+
+def check_answers(old_ops, new_ops, groups):
+    """Run each op once on both sides; exit 1 at the first op whose answers
+    differ, naming the first part that differs."""
+    for i, (old, new) in enumerate(zip(old_ops, new_ops)):
+        a, b = old()[1](), new()[1]()
+        part = next((k for k in a if a[k] != b[k]), None)
+        if part is not None:
+            lines = itertools.zip_longest(str(a[part]).splitlines(True),
+                                          str(b[part]).splitlines(True), fillvalue="")
+            x, y = next((x, y) for x, y in lines if x != y)
+            sys.exit(f"ab_inprocess: op {i} ({groups[i]}) answers differ in {part}, "
+                     f"first at\n  old {x[:300]!r}\n  new {y[:300]!r}")
 
 
 def main():
@@ -110,6 +134,7 @@ def main():
         sys.exit(f"ab_inprocess: workload {inputs['workload']!r} is not verify or sweep")
     old_ops, groups = make_ops(load(args.old.resolve(), "mvspoly_old"), inputs)
     new_ops, _ = make_ops(load(args.new.resolve(), "mvspoly_new"), inputs)
+    check_answers(old_ops, new_ops, groups)
     n = len(old_ops)
     times = {"old": [[] for _ in range(n)], "new": [[] for _ in range(n)]}
     halves = {"old": {}, "new": {}}        # side -> half -> per-op times

@@ -12,7 +12,10 @@ Elements are immutable length-N tuples of F_p digits, low degree first.
 Subfields are never separate objects: F_{q^d} is the zero space of
 x^(q^d) - x inside the one ambient field, read off the one kernel routine
 `additive_zeros` that also finds the roots of every additive polynomial,
-so no subfield is found by a scan of the field.
+so no subfield is found by a scan of the field.  Its images, and the
+dimension oracle's columns, are sums of `unit_parts`: the packed rows of
+c * (y^j)^(p^m), which a table field reads off its exp table by one log
+sum each.
 
 Two back ends have the same public ops, and `make_field` picks one by the
 order Q.  `FieldCtx` computes on exp/log/Zech tables, up to 2^20 elements;
@@ -22,8 +25,9 @@ tuples on first use.  `PlainField` keeps no tables and works digit by
 digit; it also runs the modulus search above p = N, and it refuses
 `solve_power`, which would need a generator scan.  No other
 module knows the back end: `fold` and `square` are the polynomial products
-that `poly` and `linearized` call, and `fold_each` folds a list of
-polynomials on one set of rows, prepared once.
+that `poly` and `linearized` call, `fold_each` folds a list of
+polynomials on one set of rows, prepared once, and `unit_parts` is the
+F_p-linear image of every unit y^j under u -> c * u^(p^m).
 
 All operations are pure.  Each fill of a tuple table stores the value every
 other fill would store, and `memo` and the int table store keep the first
@@ -41,7 +45,7 @@ from array import array
 
 from . import poly
 from .errors import GuardError, InputError
-from .linalg import FqSpan, fp_elem, fp_kernel, fp_row
+from .linalg import FqSpan, fp_elem, fp_kernel, fp_parts, fp_sum_at
 
 # Multiplicative exp/log tables are built for fields up to this order.
 TABLE_LIMIT = 1 << 20
@@ -602,17 +606,32 @@ class FieldCtx:
         return self.memo(("units", m), lambda: [
             self.frobenius_p(self.elem_from_int(self.p ** j), m) for j in range(self.N)])
 
+    def unit_parts(self, m: int, c) -> list:
+        """The `fp_parts` of c * (y^j)^(p^m), j < N, each read off the tables
+        at log c + (p^m mod Q-1) * log y^j (y^j is the int p^j): an int at
+        p = 2, a tuple at odd p."""
+        lc = self._log_of(c)
+        if lc is None:
+            return [0 if self.p == 2 else self.zero] * self.N
+        M, ilog = self._M, self._ilog
+        t = pow(self.p, m, M)
+        idx = [(lc + t * ilog[self.p ** j]) % M for j in range(self.N)]
+        if self.p == 2:
+            return [self._iexp[i] for i in idx]
+        return [self._exp[i] or self._intern(i) for i in idx]
+
     def additive_zeros(self, terms) -> list:
         """F_p-basis of the zeros in the field of sum c * x^(p^m) over the
         terms (m, c): the kernel of the F_p-linear map y^j -> sum c * (y^j)^(p^m),
-        j < N, read off `fp_kernel`.  Each zero leads with digit 1 at its own
-        digit j, where every other zero is 0, and the leads increase: the
-        basis is in reduced echelon form."""
-        units = [(c, self.unit_images(m)) for m, c in terms]
-        images = [fp_row(self, (functools.reduce(self.add, [self.mul(c, im[j]) for c, im in units],
-                                                  self.zero),))
-                  for j in range(self.N)]
-        return [fp_elem(self, v) for v in fp_kernel(self.p, self.N, images)]
+        j < N, each image the sum of the terms' `unit_parts`, read off
+        `fp_kernel`.  Each zero leads with digit 1 at its own digit j, where
+        every other zero is 0, and the leads increase: the basis is in
+        reduced echelon form."""
+        N = self.N
+        at = [0] * len(terms)
+        images = [fp_sum_at(self, N, parts, at)
+                  for parts in zip(*[self.unit_parts(m, c) for m, c in terms])]
+        return [fp_elem(self, v) for v in fp_kernel(self.p, N, images)]
 
     def span_elements(self, basis) -> tuple:
         """The F_p-span of a basis from `additive_zeros`, in canonical element
@@ -740,6 +759,10 @@ class PlainField(FieldCtx):
 
     mul = FieldCtx._mul_raw
     elem_to_int = FieldCtx._digits_to_int
+
+    def unit_parts(self, m: int, c) -> list:
+        """`FieldCtx.unit_parts` by products with the `unit_images`."""
+        return fp_parts(self, [self.mul(c, u) for u in self.unit_images(m)])
 
     def fold_each(self, fs, rows) -> list:
         """The plain `fold` of each f in fs."""

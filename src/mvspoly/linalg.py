@@ -9,6 +9,8 @@ F_p-span of their multiples by an F_p-basis of F_q, on rows made by
 `fp_row`; at p = 2 those are packed from element ints.  `fp_elem` reads an
 element back off a row, and `fp_sum_at` adds elements packed by `fp_parts`
 at offsets, so no caller needs to know which form a row takes.
+`FpSpan.add_sums` inserts such a sum per column of a batch placed at one
+set of offsets, inline at p = 2.
 """
 
 from __future__ import annotations
@@ -51,24 +53,39 @@ class FpSpan:
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
         p = self.p
-        if p == 2:
-            rows = self.rows
-            v = vec
-            while v:
-                top = v.bit_length() - 1
-                row = rows.get(top)
-                if row is None:
-                    rows[top] = v
-                    return True
-                v ^= row
-            return False
         v = self.reduce(vec)
+        if p == 2:
+            if not v:
+                return False
+            self.rows[v.bit_length() - 1] = v
+            return True
         c = next((i for i, d in enumerate(v) if d), None)
         if c is None:
             return False
         s = pow(v[c], -1, p)
         self.rows[c] = [d * s % p for d in v]
         return True
+
+    def add_sums(self, ctx, columns, offsets) -> None:
+        """Insert `fp_sum_at(ctx, width, parts, offsets)` for each parts in
+        columns.  At p = 2 each sum is a shift-XOR and each insertion the
+        walk of `reduce` that stops at a new leading bit, both inline: one
+        call per batch, not per row."""
+        if self.p != 2:
+            for parts in columns:
+                self.add(fp_sum_at(ctx, self.width, parts, offsets))
+            return
+        rows = self.rows
+        reduce, xor, lshift = functools.reduce, operator.xor, operator.lshift
+        for parts in columns:
+            v = reduce(xor, map(lshift, parts, offsets))
+            while v:
+                top = v.bit_length() - 1
+                row = rows.get(top)
+                if row is None:
+                    rows[top] = v
+                    break
+                v ^= row
 
     @property
     def rank(self) -> int:

@@ -14,10 +14,11 @@ every requested branch is guarded before the first one is scanned.
 The dimension oracle's operator is block diagonal up to a permutation, and
 many blocks are copies of one matrix.  It keeps on the context only what
 does not depend on A: the layout of its operator, (count, width, shape) per
-distinct block shape, under ("operator_layout", D, steps), and the unit
-images (y^j)^(p^m) under ("units", m) through `FieldCtx.unit_images`, each
-built on first use.  Per A it ranks each distinct shape once.  Its guard
-bounds the layout work and the elimination work, each before it is done.
+distinct block shape, under ("operator_layout", D, steps), built on first
+use.  Per A it reads each coefficient's columns off `FieldCtx.unit_parts`,
+O(p) field operations, and ranks each distinct shape once, the N columns
+u*x^e of each e in one `FpSpan.add_sums`.  Its guard bounds the layout
+work and the elimination work, each before it is done.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import poly
 from . import wspace
 from .errors import GuardError, InputError
 from .gf import power_exceeds
-from .linalg import FpSpan, fp_parts, fp_sum_at
+from .linalg import FpSpan
 
 FUNCTION_SCAN_GUARD = 1 << 20
 POLY_SCAN_GUARD = 1 << 22
@@ -227,30 +228,23 @@ def _operator_rank(ctx, base, terms, theta, layout) -> int:
 
     With s = e mod p and theta = -c_0, u*x^e maps to (c_0 + s*theta)*u*x^e
     + sum_{i >= 1} c_i*u^(p^(base*i))*x^(e*p^(base*i)) - s*theta*u*x^(Q+e-1):
-    fixed coefficients per unit u and s, packed once (`fp_parts`) and placed
-    at a column's offsets, where coefficients at a repeated exponent add
-    (`fp_sum_at`).  The layout depends only on D and the steps p^(base*i)
-    of A's terms, the units' images come from `ctx.unit_images`, and the
+    fixed coefficients per unit u and s, read off the tables
+    (`ctx.unit_parts`) once per coefficient and added at a column's offsets,
+    where coefficients at a repeated exponent add (`FpSpan.add_sums`).  The
+    layout depends only on D and the steps p^(base*i) of A's terms, and the
     rank itself is computed afresh for every A."""
-    p, N = ctx.p, ctx.N
-    images = [ctx.unit_images(base * i) for i, _ in terms]
-    per_unit = []
-    for j in range(N):
-        a_u = [ctx.mul(c, im[j]) for (_, c), im in zip(terms, images)]
-        theta_u = ctx.mul(theta, images[0][j])
-        parts = fp_parts(ctx, a_u)
-        by_s = [parts]
-        for s in range(1, p):
-            su = ctx.smul(s, theta_u)
-            first, last = fp_parts(ctx, (ctx.add(a_u[0], su), ctx.neg(su)))
-            by_s.append([first, *parts[1:], last])
-        per_unit.append(by_s)
+    p = ctx.p
+    twisted = [ctx.unit_parts(base * i, c) for i, c in terms[1:]]
+    by_s = []
+    for s in range(p):
+        st = ctx.smul(s, theta)
+        by_s.append(list(zip(ctx.unit_parts(0, ctx.add(terms[0][1], st)), *twisted,
+                             ctx.unit_parts(0, ctx.neg(st)))))
     rank = 0
     for count, width, shape in layout:
-        span = FpSpan(p, width * N)
+        span = FpSpan(p, width * ctx.N)
         for s, offsets in shape:
-            for unit in per_unit:
-                span.add(fp_sum_at(ctx, width * N, unit[s], offsets))
+            span.add_sums(ctx, by_s[s], offsets)
         rank += count * span.rank
     return rank
 

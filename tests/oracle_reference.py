@@ -3,7 +3,10 @@
 - `operator_rank_dense`: `mvspoly.oracle._operator_rank` as it was before
   the operator was split into blocks: every column u*x^e, e <= D, goes into
   one FpSpan over every exponent the operator touches.  It builds its own
-  exponent layout and keeps nothing on the context.
+  exponent layout, and it makes its columns by element products with the
+  unit images (`FieldCtx.unit_images`, kept on the context), not by the
+  table reads of `FieldCtx.unit_parts` that the oracle uses, so the two
+  routes check each other.
 """
 
 from mvspoly.linalg import FpSpan, fp_parts, fp_sum_at

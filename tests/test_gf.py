@@ -17,7 +17,7 @@ from mvspoly import gf
 from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import (FieldCtx, PlainField, find_modulus, is_prime, make_field,
                         parse_field_spec, prime_factors)
-from mvspoly.linalg import FpSpan, fp_row
+from mvspoly.linalg import FpSpan, fp_parts, fp_row
 from poly_reference import fold_termwise
 
 
@@ -469,6 +469,23 @@ def test_log_domain_ops_match_the_digit_reference(p, k, n):
             assert table.inv(a) == plain.inv(a)
     for c in scalars:
         assert table.int_elem(c) == plain.int_elem(c)
+
+
+@pytest.mark.parametrize("p,k,n", DIFF_FIELDS)
+def test_unit_parts_match_the_plain_products(p, k, n):
+    """The table read of c * (y^j)^(p^m), j < N, equals the plain field's
+    products with its unit images, packed by fp_parts (ints at p = 2), for
+    every twist m <= N and c in 0, 1, the generator and a seeded sample."""
+    table = FieldCtx(p, k, n)
+    plain = PlainField(p, k, n)
+    rng = random.Random(p * 1000 + k * 100 + n)
+    elems = table.elements()
+    for c in [table.zero, table.one, table.generator, *rng.sample(elems, min(table.Q, 8))]:
+        for m in range(table.N + 1):
+            parts = table.unit_parts(m, c)
+            assert parts == plain.unit_parts(m, c), (m, c)
+            assert parts == fp_parts(plain, [plain.mul(c, plain.frobenius_p(
+                plain.elem_from_int(p ** j), m)) for j in range(table.N)])
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 6), (3, 1, 2), (2, 2, 2), (7, 1, 2)])

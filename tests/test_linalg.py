@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from linalg_reference import nullspace, rank_mod
 from mvspoly.gf import make_field
-from mvspoly.linalg import FpSpan, FqSpan, fp_kernel
+from mvspoly.linalg import FpSpan, FqSpan, fp_kernel, fp_parts, fp_sum_at
 
 
 def pack(rows):
@@ -129,6 +129,29 @@ def test_odd_p_paths_match_the_reference(p, nrows, ncols, salt):
         rows = with_zero_and_repeated_columns(rows, rng)
     other = rows[0] if rng.random() < 0.3 else [rng.randrange(p) for _ in rows[0]]
     check_against_the_reference(rows, p, other)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (5, 2)])
+def test_add_sums_inserts_each_placed_sum(p, n):
+    """add_sums keeps the rows, in the order and echelon form, that add keeps
+    when fed fp_sum_at of each column in turn, offsets repeated included
+    (parts at one entry add), dependent columns and zero parts included."""
+    ctx = make_field(p, 1, n)
+    rng = random.Random(100 * p + n)
+    width = 4 * ctx.N
+    for _ in range(30):
+        offsets = [ctx.N * rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+        columns = []
+        for _ in range(rng.randrange(1, 9)):
+            elems = [rng.choice(ctx.elements()) for _ in offsets]
+            columns.append(fp_parts(ctx, elems))
+            if rng.random() < 0.3:
+                columns.append(fp_parts(ctx, [ctx.smul(2, c) for c in elems]))
+        batch, single = FpSpan(p, width), FpSpan(p, width)
+        batch.add_sums(ctx, columns, offsets)
+        for parts in columns:
+            single.add(fp_sum_at(ctx, width, parts, offsets))
+        assert batch.rows == single.rows
 
 
 def fq_span_members(ctx, length, vectors):
