@@ -164,12 +164,15 @@ def tau_left_divide(ctx, c: AdditivePoly, a: AdditivePoly):
 
 def kernel(ctx, a: AdditivePoly):
     """(basis, t): an F_q-basis of the root space inside F_{q^n}, via the
-    nullspace of A as an F_p-linear map, then the greedy pass of
-    `FieldCtx.subfield_basis`: the zeros that enlarge an FqSpan, in order."""
+    nullspace of A as an F_p-linear map, which is one when q = p, and
+    otherwise the greedy pass of `FieldCtx.subfield_basis` over it: the
+    zeros that enlarge an FqSpan, in order."""
     aq = as_context_base(ctx, a)
     if aq.is_zero():
         raise InputError("kernel of the zero polynomial")
     null = fp_nullspace(ctx, aq)
+    if ctx.k == 1:
+        return null, len(null)          # at q = p an F_p-basis is an F_q-basis
     span = FqSpan(ctx)
     basis = [w for w in null if span.add((w,))]
     assert len(null) == len(basis) * ctx.k

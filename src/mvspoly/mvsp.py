@@ -83,7 +83,8 @@ class ValuePoly:
     roots that the candidates were read from.  `roots`, in canonical order,
     and `root_set`, the value set of every member, are made on first read
     and kept: for an additive T the span of `null` is listed only then, and
-    refused above 2^20 roots.  T is a copy of the polynomial checked."""
+    refused above 2^20 roots.  `has_root` tests one element with no
+    listing.  T is a copy of the polynomial checked."""
     ctx: object
     T: dict
     thetas: tuple
@@ -98,6 +99,24 @@ class ValuePoly:
     @functools.cached_property
     def root_set(self) -> frozenset:
         return frozenset(self.roots)
+
+    @functools.cached_property
+    def _leads(self) -> tuple:
+        return tuple(max(j for j, d in enumerate(w) if d) for w in self.null)
+
+    def has_root(self, c) -> bool:
+        """Is c a root of T?  For an additive T, `null` is in reduced echelon
+        form (`FieldCtx.additive_zeros`): each member has digit 1 at its
+        lead, where every other member is 0, so c is in its span exactly
+        when c is the sum of its digit at each lead times that member."""
+        if self.additive is None:
+            return c in self.root_set
+        ctx = self.ctx
+        acc = ctx.zero
+        for w, j in zip(self.null, self._leads):
+            if c[j]:
+                acc = ctx.add(acc, w if c[j] == 1 else ctx.smul(c[j], w))
+        return acc == c
 
 
 def validate_value_poly(ctx, T: dict) -> ValuePoly:
@@ -206,8 +225,7 @@ def mills_core(ctx, Fs, vp: ValuePoly) -> list:
     for F in Fs:
         dF = poly.degree(F)
         if dF is poly.NEG_INF or dF == 0:
-            out.append(((None if F.get(0, ctx.zero) in vp.root_set else "constant_not_root"),
-                        None))
+            out.append((None if vp.has_root(F.get(0, ctx.zero)) else "constant_not_root", None))
             continue
         dFpoly = poly.derivative(ctx, F)
         dFp = poly.degree(dFpoly)
@@ -215,7 +233,7 @@ def mills_core(ctx, Fs, vp: ValuePoly) -> list:
             out.append(("degree_equation", None))
             continue
         poly.check_exponent(dT * dF)        # the refusal composing T(F) would raise
-        if F.get(0, ctx.zero) not in vp.root_set:
+        if not vp.has_root(F.get(0, ctx.zero)):
             out.append(("zero_value_not_root", None))
             continue
         # T is monic, so T(F) has the top term lc(F)^deg T * x^(Q + deg F'),

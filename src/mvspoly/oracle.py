@@ -12,13 +12,17 @@ both normal-form branches run through the one scan loop of
 every requested branch is guarded before the first one is scanned.
 
 The dimension oracle's operator is block diagonal up to a permutation, and
-many blocks are copies of one matrix.  It keeps on the context only what
-does not depend on A: the layout of its operator, (count, width, shape) per
-distinct block shape, under ("operator_layout", D, steps), built on first
-use.  Per A it reads each coefficient's columns off `FieldCtx.unit_parts`,
-O(p) field operations, and ranks each distinct shape once, the N columns
-u*x^e of each e in one `FpSpan.add_sums`.  Its guard bounds the layout
-work and the elimination work, each before it is done.
+most of its column groups need no elimination.  It keeps on the context
+only what does not depend on A: the layout of its operator under
+("operator_layout", D, steps), built on first use.  The layout peels every
+column group u*x^e that has a single, invertible term at an exponent no
+other group left touches, which adds N to the rank with no arithmetic,
+and keeps (count, width, shape) per distinct block shape of the core that
+remains.  Per A the oracle reads each coefficient's columns off
+`FieldCtx.unit_parts`, O(p) field operations, and ranks each distinct core
+shape once, the N columns u*x^e of each e in one `FpSpan.add_sums`.  Its
+guard bounds the layout work and the core's elimination work, each before
+it is done.
 """
 
 from __future__ import annotations
@@ -156,39 +160,76 @@ def linear_dim_w(ctx, a: lin.AdditivePoly, guard=DIM_GUARD) -> int:
     Two sizes are held to the guard, each before the work it measures, and
     both count pairs (x^e, exponent), each pair N x N digits: the layout
     work (D+1) * terms, terms the nonzero terms of A, and the elimination
-    work, the sum over the layout's distinct block shapes of columns *
-    width."""
+    work, the sum over the distinct block shapes of the layout's core of
+    columns * width; a peeled group costs no elimination."""
     aq = mvsp.split_additive(ctx, a, "dimension oracle needs a monic split separable A "
                              "of degree > 2", admit_quadratic=True).additive
-    t = aq.tau_deg()
-    theta = ctx.neg(aq.coeffs[0])
-    D = (ctx.Q - 1) // (ctx.q ** t - 1)
+    D = (ctx.Q - 1) // (ctx.q ** aq.tau_deg() - 1)
     # c_0 = -theta != 0 (A is separable) leads the terms
     terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
     if (D + 1) * len(terms) > guard:
         raise GuardError(f"operator layout of {(D + 1) * len(terms)} column terms refused")
     steps = tuple(ctx.p ** (aq.base * i) for i, _ in terms)
     layout = ctx.memo(("operator_layout", D, steps), lambda: _operator_layout(ctx, D, steps))
-    work = sum(len(shape) * width for _, width, shape in layout)
+    work = sum(len(shape) * width for _, width, shape in layout[1])
     if work > guard:
         raise GuardError(f"operator elimination of {work} block cells refused")
-    nullity = (D + 1) * ctx.N - _operator_rank(ctx, aq.base, terms, theta, layout)
+    nullity = (D + 1) * ctx.N - _operator_rank(ctx, aq.base, terms, layout)
     assert nullity % ctx.k == 0
     return nullity // ctx.k
 
 
-def _operator_layout(ctx, D, steps) -> list:
-    """The operator's columns u*x^e (u = y^j, 0 <= e <= D) grouped into the
-    connected blocks of the graph between the e and the exponents their
-    images touch: e * m for each step m, and Q + e - 1 when p does not
-    divide e.  Each block is keyed by its shape, one (e mod p, offsets) per
-    e in increasing order, the offsets being N times the indices of its
-    exponents numbered by first use within the block, and equal shapes are
-    counted once: (count, width, shape) per distinct shape, width the
-    number of the block's exponents.  Blocks of one shape are copies of one
-    matrix, so the operator's rank is the sum of count * rank over the
+def _operator_layout(ctx, D, steps) -> tuple:
+    """(peeled, core): the operator's column groups u*x^e (u = y^j,
+    0 <= e <= D) that peel off, and the connected blocks of the rest.
+
+    With s = e mod p, group e touches exponent e * m with one term per step
+    m, and Q + e - 1 when s != 0; its term c_0(1 - s)*u at x = e is zero
+    when s = 1 and left out.  Every other term is c*u^(p^m) with c != 0, an
+    invertible N x N block, so a group with a single term at an exponent
+    that no other remaining group touches has rank N, and removing it with
+    that exponent leaves the rank of the rest unchanged (structured Gaussian
+    elimination; LaMacchia and Odlyzko, CRYPTO '90).  Groups are peeled by
+    a worklist of exponents touched once, each entry read once, and the
+    peeled set does not depend on the order: a group peelable at one stage
+    stays peelable.  peeled is their count.
+
+    The core, the groups left, is grouped into the connected blocks of the
+    graph between its e and the exponents their terms touch.  Each block is
+    keyed by its shape, one (s, offsets) per e in increasing order, the
+    offsets being N times the indices of its exponents numbered by first
+    use within the block, and equal shapes are counted once: core is
+    (count, width, shape) per distinct shape, width the number of the
+    block's exponents.  Blocks of one shape are copies of one matrix, so
+    the operator's rank is N * peeled plus the sum of count * rank over the
     shapes (a block diagonal form up to a permutation of rows and columns)."""
-    p, N = ctx.p, ctx.N
+    p, Q, N = ctx.p, ctx.Q, ctx.N
+    touched = []
+    hits, sums = {}, {}         # exponent -> terms touching it, and the sum of their e
+    for e in range(D + 1):
+        s = e % p
+        exps = [e * m for m in steps]
+        if s == 1:
+            del exps[0]             # c_0(1 - s)*u at x = e
+        if s:
+            exps.append(Q + e - 1)
+        touched.append(exps)
+        for x in exps:
+            hits[x] = hits.get(x, 0) + 1
+            sums[x] = sums.get(x, 0) + e
+    core = [True] * (D + 1)
+    work = [x for x, h in hits.items() if h == 1]
+    while work:
+        x = work.pop()
+        if hits[x] != 1:
+            continue
+        e = sums[x]                 # the one group left at x, single there
+        core[e] = False
+        for y in touched[e]:
+            hits[y] -= 1
+            sums[y] -= e
+            if hits[y] == 1:
+                work.append(y)
     parent = list(range(D + 1))
 
     def find(e):
@@ -196,19 +237,14 @@ def _operator_layout(ctx, D, steps) -> list:
             parent[e] = e = parent[parent[e]]
         return e
 
-    touched = []
-    owner = {}          # exponent -> the first e whose image touches it
-    for e in range(D + 1):
-        exps = [e * m for m in steps]
-        if e % p:
-            exps.append(ctx.Q + e - 1)
-        touched.append(exps)
-        for x in exps:
+    owner = {}          # exponent -> the first core e whose terms touch it
+    for e in itertools.compress(range(D + 1), core):
+        for x in touched[e]:
             r, o = find(e), find(owner.setdefault(x, e))
             if r != o:
                 parent[max(r, o)] = min(r, o)
     blocks = {}
-    for e in range(D + 1):
+    for e in itertools.compress(range(D + 1), core):
         blocks.setdefault(find(e), []).append(e)
     shapes = {}
     for es in blocks.values():
@@ -219,29 +255,36 @@ def _operator_layout(ctx, D, steps) -> list:
             shapes[shape][0] += 1
         else:
             shapes[shape] = [1, len(pos)]
-    return [(count, width, shape) for shape, (count, width) in shapes.items()]
+    peeled = D + 1 - sum(core)
+    return peeled, [(count, width, shape) for shape, (count, width) in shapes.items()]
 
 
-def _operator_rank(ctx, base, terms, theta, layout) -> int:
-    """F_p-rank of the operator on the F_p-basis u*x^e, one FpSpan per
-    distinct block shape of the layout, times the shape's count.
+def _operator_rank(ctx, base, terms, layout) -> int:
+    """F_p-rank of the operator on the F_p-basis u*x^e: N per peeled group,
+    and one FpSpan per distinct block shape of the core, times the shape's
+    count.
 
-    With s = e mod p and theta = -c_0, u*x^e maps to (c_0 + s*theta)*u*x^e
-    + sum_{i >= 1} c_i*u^(p^(base*i))*x^(e*p^(base*i)) - s*theta*u*x^(Q+e-1):
+    With s = e mod p and theta = -c_0, u*x^e maps to c_0(1 - s)*u*x^e
+    + sum_{i >= 1} c_i*u^(p^(base*i))*x^(e*p^(base*i)) + s*c_0*u*x^(Q+e-1):
     fixed coefficients per unit u and s, read off the tables
-    (`ctx.unit_parts`) once per coefficient and added at a column's offsets,
-    where coefficients at a repeated exponent add (`FpSpan.add_sums`).  The
-    layout depends only on D and the steps p^(base*i) of A's terms, and the
-    rank itself is computed afresh for every A."""
+    (`ctx.unit_parts`) once per coefficient, the multiples of c_0 once each,
+    and added at a column's offsets, its nonzero terms in the layout's
+    order, where coefficients at a repeated exponent add
+    (`FpSpan.add_sums`).  The layout depends only on D and the steps
+    p^(base*i) of A's terms, and the rank itself is computed afresh for
+    every A."""
     p = ctx.p
+    peeled, core = layout
+    c0 = terms[0][1]
     twisted = [ctx.unit_parts(base * i, c) for i, c in terms[1:]]
+    multiples = [None] + [ctx.unit_parts(0, ctx.smul(j, c0)) for j in range(1, p)]
     by_s = []
     for s in range(p):
-        st = ctx.smul(s, theta)
-        by_s.append(list(zip(ctx.unit_parts(0, ctx.add(terms[0][1], st)), *twisted,
-                             ctx.unit_parts(0, ctx.neg(st)))))
-    rank = 0
-    for count, width, shape in layout:
+        first = [multiples[(1 - s) % p]] if s != 1 else []
+        last = [multiples[s]] if s else []
+        by_s.append(list(zip(*first, *twisted, *last)))
+    rank = peeled * ctx.N
+    for count, width, shape in core:
         span = FpSpan(p, width * ctx.N)
         for s, offsets in shape:
             span.add_sums(ctx, by_s[s], offsets)

@@ -7,6 +7,11 @@
   unit images (`FieldCtx.unit_images`, kept on the context), not by the
   table reads of `FieldCtx.unit_parts` that the oracle uses, so the two
   routes check each other.
+- `operator_layout_unpeeled`: `mvspoly.oracle._operator_layout` with no
+  group peeled, every column group in the connected blocks as the oracle
+  grouped them before it peeled, in the oracle's layout form.  Ranked by
+  `_operator_rank`, it checks that peeling leaves the rank unchanged, and
+  its larger elimination work reaches the oracle's second guard.
 """
 
 from mvspoly.linalg import FpSpan, fp_parts, fp_sum_at
@@ -48,3 +53,41 @@ def operator_rank_dense(ctx, aq, theta, D) -> int:
         for unit in per_unit:
             span.add(fp_sum_at(ctx, width, unit[s], offsets))
     return span.rank
+
+
+def operator_layout_unpeeled(ctx, D, steps) -> tuple:
+    """(0, core): every group e <= D in the connected blocks of the graph
+    between the e and the exponents of their nonzero terms, (count, width,
+    shape) per distinct shape in the oracle's form."""
+    p, N = ctx.p, ctx.N
+    touched = []
+    for e in range(D + 1):
+        exps = [e * m for m in steps]
+        if e % p == 1:
+            del exps[0]
+        if e % p:
+            exps.append(ctx.Q + e - 1)
+        touched.append(exps)
+    block_of = list(range(D + 1))
+    members = [[e] for e in range(D + 1)]
+    owner = {}
+    for e, exps in enumerate(touched):
+        for x in exps:
+            a, b = block_of[e], block_of[owner.setdefault(x, e)]
+            if a != b:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for r in members[b]:
+                    block_of[r] = a
+                members[a] += members[b]
+                members[b] = []
+    blocks = {}
+    for e, r in enumerate(block_of):
+        blocks.setdefault(r, []).append(e)
+    shapes = {}
+    for es in blocks.values():
+        pos = {}
+        shape = tuple((e % p, tuple(N * pos.setdefault(x, len(pos)) for x in touched[e]))
+                      for e in es)
+        shapes.setdefault(shape, [0, len(pos)])[0] += 1
+    return 0, [(count, width, shape) for shape, (count, width) in shapes.items()]

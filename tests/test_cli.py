@@ -472,19 +472,41 @@ def test_census_csv_bytes_are_unchanged(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_CSV_DIGESTS[argv]
 
 
-def test_guard_max_replaces_the_verb_guard(time_limit):
+def test_guard_max_replaces_the_verb_guard(monkeypatch, time_limit):
     """--guard-max replaces the dimension oracle's own guard on both of its
     sizes: 4098 column terms (1366 exponents e times 3 terms) are within
-    --guard-max 20000, and so are the 9829 block cells, while --guard-max
-    4097 refuses the layout."""
+    --guard-max 20000 and 4098, and so are the 865 cells of the peeled
+    core, while --guard-max 4097 refuses the layout.  Ranked unpeeled, the
+    same operator has 7743 block cells, which --guard-max 7742 refuses
+    (on a fresh context, which keeps no peeled layout)."""
+    from mvspoly import oracle
+    from oracle_reference import operator_layout_unpeeled
     argv = ["oracle", "dim", "--field", "2^12:1", "--A", "x^4+x^2+x"]
     with time_limit(20):
-        code, d = run_json(argv + ["--guard-max", "20000"])
-        assert code == 0 and d["dim"] == 47
+        for guard in ("20000", "4098"):
+            code, d = run_json(argv + ["--guard-max", guard])
+            assert code == 0 and d["dim"] == 47
         assert run(argv + ["--guard-max", "4097"]) == (
             3, "", "guard refusal: operator layout of 4098 column terms refused\n")
-        assert run(argv + ["--guard-max", "9828"]) == (
-            3, "", "guard refusal: operator elimination of 9829 block cells refused\n")
+        ctx = gf.make_field.__wrapped__(2, 1, 12)
+        monkeypatch.setattr(gf, "make_field", lambda p, k, n: ctx)
+        monkeypatch.setattr(oracle, "_operator_layout", operator_layout_unpeeled)
+        assert run(argv + ["--guard-max", "7742"]) == (
+            3, "", "guard refusal: operator elimination of 7743 block cells refused\n")
+        code, d = run_json(argv + ["--guard-max", "7743"])
+        assert code == 0 and d["dim"] == 47
+
+
+def test_oracle_dim_3_10_answers_within_its_own_guard(time_limit):
+    """With no --guard-max this exited 3 (an elimination of 71913 block
+    cells, over 2^16); 28501 of its 29525 column groups peel, and the core
+    left is 10056 cells."""
+    parse_field_spec("3^10:1")
+    with time_limit(10):
+        code, out, err = run(["oracle", "dim", "--field", "3^10:1", "--A", "x^3-x"])
+    assert (code, err) == (0, "") and json.loads(out)["dim"] == 1024
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "26a0517ce3c5119635dd20384de8a3ec55144d359334ab840dbac6814816ab82"
 
 
 @pytest.mark.parametrize("argv, dim", [
@@ -612,11 +634,10 @@ def test_verify_beyond_the_table_limit(monkeypatch, F, code):
     ["verify", "--field", "2^40:1", "--T", "x^1099511627776+x", "--F", "x"],
     ["verify", "--field", "2^22:1", "--T", "x^4194304+x", "--F", "x"],
     # without --guard-max each verb keeps its own guard: 15728640 polynomials,
-    # an operator layout of 699052 column terms, and an elimination of 71913
-    # block cells are refused
+    # and operator layouts of 699052 and 177148 column terms are refused
     ["oracle", "theorems", "--field", "2^4:1", "--branch", "shift"],
     ["oracle", "dim", "--field", "2^20:1", "--A", "x^4+x"],
-    ["oracle", "dim", "--field", "3^10:1", "--A", "x^3-x"],
+    ["oracle", "dim", "--field", "3^11:1", "--A", "x^3-x"],
     # the field size is checked before T's 2^20 roots are listed
     ["reduce", "--field", "2^40:1", "--T", "x^1048576+x"],
     ["profile", "--field", "2^40:1", "--T", "x^1048576+x", "--F", "x"],
@@ -708,6 +729,30 @@ def test_a_degree_equation_non_member_lists_no_roots(N, T, monkeypatch, time_lim
         code, out, _ = run(["verify", "--field", f"2^{N}:1", "--T", T, "--F", "x"])
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and json.loads(out)["reason"] == "value set mismatch"
+    assert listed == []
+
+
+@pytest.mark.parametrize("N,T,digest", [
+    (40, "x^1048576+x", "91fa8ce33fe7b15efc7e2b28186b40a3c8e391de442fdc9b765b4bca1d0c430c"),
+    (42, "x^2097152+x", "4891231acae18a7af9cab3ac59a47dd52f10e7dede553ac4f2dc11dbc12dda1b"),
+], ids=["2^40", "2^42"])
+def test_a_zero_value_non_member_lists_no_roots(N, T, digest, monkeypatch, time_limit):
+    """F = T + g passes the degree equation against an additive T with 2^20
+    or 2^21 roots, and F(0) = g is no root of T, which is read off T's
+    kernel basis: a fresh context answers exit 1 at once, with no call to
+    span_elements (at 2^42 the listing would be refused, exit 3)."""
+    ctx = gf.make_field.__wrapped__(2, 1, N)
+    monkeypatch.setattr(gf, "make_field", lambda p, k, n: ctx)
+    listed = []
+    span_elements = FieldCtx.span_elements
+    monkeypatch.setattr(FieldCtx, "span_elements",
+                        lambda self, basis: listed.append(1) or span_elements(self, basis))
+    t0 = time.perf_counter()
+    with time_limit(5):
+        code, out, _ = run(["verify", "--field", f"2^{N}:1", "--T", T, "--F", T + "+g"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and json.loads(out)["reason"] == "value set mismatch"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert listed == []
 
 

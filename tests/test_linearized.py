@@ -277,6 +277,28 @@ def test_kernel_above_the_element_guard_scans_no_field(monkeypatch):
     assert all(ctx.frobenius_p(b, 2) == b for b in basis)
 
 
+@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2)],
+                         ids=lambda p: "%d-%d-%d" % p)
+def test_kernel_is_the_greedy_f_q_basis_of_the_f_p_nullspace(params):
+    """kernel is the zeros of fp_nullspace that enlarge an FqSpan, in order,
+    with t their number; at q = p that is the whole F_p-basis, returned as
+    it is, and at q > p an F_q-basis of t members, t = log_q of the number
+    of roots."""
+    ctx = make_field(*params)
+    rng = random.Random(sum(params))
+    for t in range(1, ctx.n + 1):
+        span, vs = FqSpan(ctx), []
+        while len(vs) < t:
+            v = ctx.elem_from_int(rng.randrange(1, ctx.Q))
+            if span.add((v,)):
+                vs.append(v)
+        a = L.subspace_poly(ctx, vs)
+        null = L.fp_nullspace(ctx, a)
+        greedy = FqSpan(ctx)
+        assert L.kernel(ctx, a) == ([w for w in null if greedy.add((w,))], t)
+        assert len(null) == t * ctx.k
+
+
 def test_kernel_bound_and_splitting(f64):
     # the split decision is made on A made monic, which has A's roots
     rng = random.Random(91)

@@ -406,8 +406,9 @@ def additive_value_polys(ctx, rng, every=4096):
 def test_additive_split_decision_matches_field_gcd(params):
     """validate_value_poly decides an additive T from one nullspace; the
     decision, the roots and the thetas are those of the field_gcd path.  An
-    accepted T keeps an F_p-basis of its roots, and T as an AdditivePoly at
-    the context level when it is additive there."""
+    accepted T keeps an F_p-basis of its roots, which answers root
+    membership on every element, and T as an AdditivePoly at the context
+    level when it is additive there."""
     ctx = FieldCtx(*params)
     rng = random.Random(1100 + sum(params))
     seen = {"accepted": 0, "not split": 0, "c0 = 0": 0, "level p only": 0}
@@ -427,6 +428,7 @@ def test_additive_split_decision_matches_field_gcd(params):
         for b in vp.null:
             span = {ctx.add(s, ctx.smul(c, b)) for s in span for c in range(ctx.p)}
         assert span == set(vp.roots) and ctx.p ** len(vp.null) == P.degree(T)
+        assert {c for c in ctx.elements() if vp.has_root(c)} == span
         assert L.to_sparse(ctx, vp.additive) == T
         if L.detect_additive(ctx, T).base % ctx.k != 0:
             assert vp.additive == L.detect_additive(ctx, T)

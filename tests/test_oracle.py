@@ -15,7 +15,7 @@ from mvspoly import wspace as W
 from mvspoly.errors import GuardError, InputError
 from mvspoly.gf import FieldCtx, make_field, parse_field_spec
 from mvspoly.linalg import FqSpan
-from oracle_reference import operator_rank_dense
+from oracle_reference import operator_layout_unpeeled, operator_rank_dense
 from poly_reference import interpolate
 
 
@@ -169,15 +169,17 @@ SWEEP_FIELDS = re.search(r'DEFAULT_FIELDS = "([^"]+)"', (pathlib.Path(__file__).
 
 
 def operator_ranks(ctx, a):
-    """(D, steps, blocked rank, dense rank) of A's dimension operator."""
+    """(D, steps, blocked rank, dense rank) of A's dimension operator; the
+    blocked rank is the same on the peeled layout and on the unpeeled one."""
     aq = M.split_additive(ctx, a, "not split", admit_quadratic=True).additive
     theta = ctx.neg(aq.coeffs[0])
     D = (ctx.Q - 1) // (ctx.q ** aq.tau_deg() - 1)
     terms = [(i, c) for i, c in enumerate(aq.coeffs) if c != ctx.zero]
     steps = tuple(ctx.p ** (aq.base * i) for i, _ in terms)
-    layout = O._operator_layout(ctx, D, steps)
-    return (D, steps, O._operator_rank(ctx, aq.base, terms, theta, layout),
-            operator_rank_dense(ctx, aq, theta, D))
+    blocked = O._operator_rank(ctx, aq.base, terms, O._operator_layout(ctx, D, steps))
+    unpeeled = O._operator_rank(ctx, aq.base, terms, operator_layout_unpeeled(ctx, D, steps))
+    assert blocked == unpeeled, (D, steps)
+    return D, steps, blocked, operator_rank_dense(ctx, aq, theta, D)
 
 
 def split_additive_samples(ctx, rng, per_t):
@@ -218,31 +220,76 @@ def test_blocked_rank_matches_the_dense_rank(spec):
         assert max(map(len, steps_by_D.values())) >= 2
 
 
+# random split additive A over p in {2, 3, 5, 7} and k in {1, 2, 3}
+PEELING_FIELDS = [(2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 2, 2), (2, 2, 3), (2, 3, 2),
+                  (3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 3, 1), (5, 1, 2), (5, 1, 3),
+                  (5, 2, 1), (7, 1, 2), (7, 2, 1)]
+
+
+@pytest.mark.parametrize("params", PEELING_FIELDS, ids=lambda p: "%d-%d-%d" % p)
+def test_peeled_dims_match_the_dense_rank_on_random_split_additive(params):
+    """linear_dim_w, which ranks only the core left after peeling, equals
+    the nullity of the whole operator in one span, for A vanishing on
+    seeded random subspaces of every t."""
+    ctx = make_field(*params)
+    for a in split_additive_samples(ctx, random.Random(sum(params) * 1009 + params[1]), 10):
+        aq = M.split_additive(ctx, a, "not split", admit_quadratic=True).additive
+        D = (ctx.Q - 1) // (ctx.q ** aq.tau_deg() - 1)
+        dense = operator_rank_dense(ctx, aq, ctx.neg(aq.coeffs[0]), D)
+        assert O.linear_dim_w(ctx, a) * ctx.k == (D + 1) * ctx.N - dense, L.tau_to_text(ctx, a)
+
+
+def test_f64_layouts_peel_to_their_core():
+    """Over F_64 at D = 9, steps (1, 2, 4, 8) peel five groups and leave
+    e = 0, whose terms all meet at x^0, and the block e in {1, 2, 4, 8},
+    where e = 8 meets e = 1 at x^64 = x^(Q+1-1); steps (1, 2, 8) leave e = 0
+    only.  Group 1 has no term at x^1, since c_0(1 - 1) = 0."""
+    ctx = FieldCtx(2, 1, 6)
+    assert O._operator_layout(ctx, 9, (1, 2, 4, 8)) == (5, [
+        (1, 1, ((0, (0, 0, 0, 0)),)),
+        (1, 6, ((1, (0, 6, 12, 18)), (0, (0, 6, 12, 24)), (0, (6, 12, 24, 30)),
+                (0, (12, 24, 30, 18))))])
+    assert O._operator_layout(ctx, 9, (1, 2, 8)) == (9, [(1, 1, ((0, (0, 0, 0)),))])
+
+
 def test_blocks_of_one_shape_are_counted_once():
-    """At F_{2^12} with x^4 + x, blocks repeat: the layout ranks fewer
-    shapes than it has blocks, and the blocks cover every e <= D once."""
+    """At F_{2^12} with x^4 + x, the peeled groups are counted once, N
+    each, and the layout ranks far fewer shapes than the operator has
+    groups: the peeled groups and the core's blocks cover every e <= D
+    once, and the core's shapes are distinct."""
     ctx = make_field(2, 1, 12)
-    layout = O._operator_layout(ctx, 1365, (1, 4))
-    assert len(layout) < sum(count for count, _, _ in layout)
-    assert sum(count * len(shape) for count, _, shape in layout) == 1366
+    peeled, core = O._operator_layout(ctx, 1365, (1, 4))
+    assert len(core) < peeled + sum(count for count, _, _ in core)
+    assert (peeled, len(core)) == (1302, 14)
+    assert peeled + sum(count * len(shape) for count, _, shape in core) == 1366
+    assert len({shape for _, _, shape in core}) == len(core)
     assert O.linear_dim_w(ctx, L.detect_additive(ctx, P.from_text(ctx, "x^4+x"))) == 128
 
 
 def test_the_two_guards_refuse_before_their_work(monkeypatch):
     """The layout work (D+1) * terms is refused before a layout is built,
     and the elimination work before any column is ranked; each admits its
-    size exactly at the guard."""
+    size exactly at the guard.  The elimination work counts the core's
+    cells only: peeled, x^4 + x^2 + x at F_{2^12} has 865, fewer than its
+    4098 column terms, so the elimination guard is reached here through
+    the unpeeled layout of the same operator, 7743 cells."""
     ctx = FieldCtx(2, 1, 12)
     a = L.detect_additive(ctx, P.from_text(ctx, "x^4+x^2+x"))
+    assert sum(len(shape) * width for _, width, shape in
+               O._operator_layout(ctx, 1365, (1, 2, 4))[1]) == 865
+    assert O.linear_dim_w(ctx, a, guard=4098) == 47
+    ctx = FieldCtx(2, 1, 12)
     built, ranked = [], []
-    layout, rank = O._operator_layout, O._operator_rank
-    monkeypatch.setattr(O, "_operator_layout", lambda *args: built.append(1) or layout(*args))
+    rank = O._operator_rank
+    monkeypatch.setattr(O, "_operator_layout",
+                        lambda *args: built.append(1) or operator_layout_unpeeled(*args))
     monkeypatch.setattr(O, "_operator_rank", lambda *args: ranked.append(1) or rank(*args))
     with pytest.raises(GuardError, match="operator layout of 4098 column terms refused"):
         O.linear_dim_w(ctx, a, guard=4097)
     assert built == ranked == []
-    work = sum(len(shape) * width for _, width, shape in layout(ctx, 1365, (1, 2, 4)))
-    assert 4098 < work
+    work = sum(len(shape) * width for _, width, shape in
+               operator_layout_unpeeled(ctx, 1365, (1, 2, 4))[1])
+    assert work == 7743
     with pytest.raises(GuardError, match=f"operator elimination of {work} block cells refused"):
         O.linear_dim_w(ctx, a, guard=work - 1)
     assert built == [1] and ranked == []
